@@ -10,6 +10,7 @@ wall-clock time, which Table 6 reports.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Any
 
 import numpy as np
@@ -75,9 +76,11 @@ class FitStats:
         if self.mode == "delta":
             parts.append(f"{self.dirty_shards} dirty at prime")
             if self.active_shards:
-                parts.append(
-                    "active/iter "
-                    + ",".join(str(a) for a in self.active_shards))
+                # Run-length form (count x iterations): a long refit
+                # stays one readable line.
+                parts.append("active/iter " + ",".join(
+                    f"{count}x{sum(1 for _ in run)}"
+                    for count, run in itertools.groupby(self.active_shards)))
             parts.append(f"{self.verify_passes} verifies"
                          + (f" ({self.thaws} thaws)" if self.thaws else ""))
         parts.append(f"{self.e_block_calls} E-blocks")

@@ -21,6 +21,7 @@ warmth only changes the iteration count.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import warnings
@@ -49,6 +50,14 @@ _STREAM_TOKENS = itertools.count()
 
 
 @dataclasses.dataclass
+class _ReadView:
+    """One fit decoded for readers: external id -> truth / quality."""
+
+    truth: dict
+    quality: dict
+
+
+@dataclasses.dataclass
 class _CachedFit:
     """Last fitted state for one method."""
 
@@ -59,11 +68,33 @@ class _CachedFit:
     n_choices: int
     method_kwargs: dict
     result: InferenceResult
+    #: Built by the fit's first read and copied out to every later
+    #: one; kept off ``result`` so snapshots do not carry it.
+    view: _ReadView | None = dataclasses.field(default=None, repr=False)
 
     @property
     def shard_state(self):
         """Per-shard delta-refit cache the fit collected (or ``None``)."""
         return self.result.shard_state
+
+
+def _by_id(kind: str, ids: list[str], values: list) -> dict:
+    """``{id: value}`` for one read view, refusing ids that collide.
+
+    Reads key entities by ``str(id)``, so two ids the stream keeps apart
+    (``1`` and ``"1"``) would silently merge into one entry.
+    """
+    view = dict(zip(ids, values, strict=True))
+    if len(view) != len(ids):
+        counts = collections.Counter(ids)
+        clashes = sorted(key for key, n in counts.items() if n > 1)
+        raise EngineError(
+            f"reads key {kind}s by str(id), but {kind} id(s) "
+            f"{clashes[:10]!r} each name more than one {kind} (ids such "
+            f"as 1 and '1'); give every {kind} an id that prints "
+            f"differently"
+        )
+    return view
 
 
 class InferenceEngine:
@@ -537,34 +568,41 @@ class InferenceEngine:
             self.spill_idle()
         return result
 
-    def current_truth(self, method: str = "MV",
+    def current_truth(self, method: str | MethodSpec = "MV",
                       **method_kwargs) -> dict:
-        """The inferred truth per task, keyed by external task id.
+        """The inferred truth per task, keyed by ``str`` of the task id.
 
         Categorical label codes are decoded back to the external labels
         the stream ingested; numeric truths are returned as floats.
+        Refits first when :meth:`infer` would.  Every call returns a
+        fresh dict: the fit is decoded once, by its first read, and
+        later reads of the same fit copy that decoded view, so mutating
+        a returned dict never changes another read.
         """
-        result = self.infer(method, **method_kwargs)
-        snapshot = self.stream.snapshot()
-        task_ids = snapshot.task_labels or [str(i) for i in
-                                            range(snapshot.n_tasks)]
-        if self.stream.task_type.is_categorical:
-            return {
-                task_ids[i]: self.stream.decode_value(result.truths[i])
-                for i in range(snapshot.n_tasks)
-            }
-        return {task_ids[i]: float(result.truths[i])
-                for i in range(snapshot.n_tasks)}
+        return self._read_view(method, method_kwargs).truth.copy()
 
-    def worker_quality(self, method: str = "MV",
+    def worker_quality(self, method: str | MethodSpec = "MV",
                        **method_kwargs) -> dict[str, float]:
-        """Each worker's fitted quality, keyed by external worker id."""
-        result = self.infer(method, **method_kwargs)
-        snapshot = self.stream.snapshot()
-        worker_ids = snapshot.worker_labels or [str(i) for i in
-                                               range(snapshot.n_workers)]
-        return {worker_ids[w]: float(result.worker_quality[w])
-                for w in range(snapshot.n_workers)}
+        """Each worker's fitted quality, keyed by ``str`` of the worker
+        id (a fresh dict per call, like :meth:`current_truth`)."""
+        return self._read_view(method, method_kwargs).quality.copy()
+
+    def _read_view(self, method: str | MethodSpec,
+                   method_kwargs: dict) -> _ReadView:
+        """The decoded view of ``method``'s current fit, built on the
+        fit's first read (it dies with the fit)."""
+        self.infer(method, **method_kwargs)
+        cached = self._cache[MethodSpec.coerce(method).name]
+        if cached.view is None:
+            snapshot = self.stream.snapshot()
+            result = cached.result
+            cached.view = _ReadView(
+                truth=_by_id("task", snapshot.task_labels,
+                             self.stream.decode_values(result.truths)),
+                quality=_by_id("worker", snapshot.worker_labels,
+                               result.worker_quality.tolist()),
+            )
+        return cached.view
 
     # ------------------------------------------------------------------
     # Delta refits
@@ -676,20 +714,21 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Cache control
     # ------------------------------------------------------------------
-    def invalidate(self, method: str | None = None) -> None:
-        """Drop cached fits (all of them, or one method's)."""
+    def invalidate(self, method: str | MethodSpec | None = None) -> None:
+        """Drop cached fits (all of them, or one method's), and with
+        them their read views."""
         if method is None:
             self._cache.clear()
         else:
-            self._cache.pop(method, None)
+            self._cache.pop(MethodSpec.coerce(method).name, None)
 
     def cached_methods(self) -> list[str]:
         """Method names with a cached fit."""
         return list(self._cache)
 
-    def last_fit_was_warm(self, method: str) -> bool:
+    def last_fit_was_warm(self, method: str | MethodSpec) -> bool:
         """Whether the cached fit for ``method`` resumed from state."""
-        cached = self._cache.get(method)
+        cached = self._cache.get(MethodSpec.coerce(method).name)
         if cached is None:
             return False
         return bool(cached.result.extras.get("warm_started", False))

@@ -389,15 +389,24 @@ class StreamingAnswerSet:
         self._snapshot_cache = (self._version, snap)
         return snap
 
-    def decode_value(self, code):
-        """Map a label code back to the external label (categorical)."""
+    def decode_values(self, codes) -> list:
+        """Map fitted truths back to external values, in order.
+
+        Categorical label codes index the label table in one pass; a
+        code outside it (negative ones included) raises
+        :class:`InvalidAnswerSetError`.  Numeric truths come back as
+        floats.
+        """
         if not self.task_type.is_categorical:
-            return code
+            return np.asarray(codes, dtype=np.float64).tolist()
         labels = self.labels
-        code = int(code)
-        if not 0 <= code < len(labels):
-            raise InvalidAnswerSetError(f"unknown label code {code}")
-        return labels[code]
+        codes = np.asarray(codes).astype(np.int64, copy=False)
+        if codes.size and (codes.min() < 0 or codes.max() >= len(labels)):
+            bad = codes[(codes < 0) | (codes >= len(labels))]
+            raise InvalidAnswerSetError(f"unknown label code {bad[0]}")
+        # Not np.asarray(labels, dtype=object)[codes]: tuple labels
+        # would turn that table into a 2-D array.
+        return list(map(labels.__getitem__, codes.tolist()))
 
     # ------------------------------------------------------------------
     @classmethod

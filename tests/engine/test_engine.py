@@ -5,9 +5,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.policy import MethodSpec
 from repro.core.tasktypes import TaskType
 from repro.datasets.synthetic import generate_categorical
 from repro.engine import BatchJob, BatchRunner, InferenceEngine
+from repro.exceptions import EngineError, InvalidAnswerSetError
 from repro.experiments.runner import run_grid, run_many, run_method
 from repro.simulation.workers import CategoricalWorker
 
@@ -115,14 +117,17 @@ class TestInferenceEngine:
         cold = engine.infer("D&S", force_cold=True)
         assert (cold.truths == result.truths).mean() == 1.0
 
-    def test_current_truth_decodes_labels(self):
+    # Tuple labels must decode whole, not as rows of a 2-D table.
+    @pytest.mark.parametrize("no, yes", [("no", "yes"),
+                                         (("no", 0), ("yes", 1))])
+    def test_current_truth_decodes_labels(self, no, yes):
         engine = InferenceEngine(TaskType.DECISION_MAKING,
-                                 label_order=["no", "yes"], seed=0)
-        engine.add_answers([("t1", "w1", "yes"), ("t1", "w2", "yes"),
-                            ("t2", "w1", "no"), ("t2", "w2", "no"),
-                            ("t2", "w3", "no")])
+                                 label_order=[no, yes], seed=0)
+        engine.add_answers([("t1", "w1", yes), ("t1", "w2", yes),
+                            ("t2", "w1", no), ("t2", "w2", no),
+                            ("t2", "w3", no)])
         truth = engine.current_truth("MV")
-        assert truth == {"t1": "yes", "t2": "no"}
+        assert truth == {"t1": yes, "t2": no}
 
     def test_current_truth_numeric(self):
         engine = InferenceEngine(TaskType.NUMERIC, seed=0)
@@ -177,6 +182,100 @@ class TestInferenceEngine:
         first = engine.infer("D&S", max_iter=3)
         second = engine.infer("D&S", max_iter=50)
         assert second is not first
+
+    def test_cache_control_accepts_a_method_spec(self):
+        engine = InferenceEngine(TaskType.DECISION_MAKING,
+                                 label_order=[0, 1], seed=0)
+        _feed(engine)
+        spec = MethodSpec("D&S", max_iter=5)
+        engine.infer(spec)
+        engine.add_answers([("t0", "w_late", 1)])
+        engine.infer(spec)
+        assert engine.last_fit_was_warm(spec)
+        engine.invalidate(spec)
+        assert engine.cached_methods() == []
+        assert not engine.last_fit_was_warm(spec)
+
+
+def _counting_decodes(engine, monkeypatch) -> list:
+    """Record every decode the engine's stream runs."""
+    calls = []
+    decode = engine.stream.decode_values
+
+    def counted(codes):
+        calls.append(len(codes))
+        return decode(codes)
+
+    monkeypatch.setattr(engine.stream, "decode_values", counted)
+    return calls
+
+
+class TestReads:
+    def test_each_fit_is_decoded_once(self, monkeypatch):
+        engine = InferenceEngine(TaskType.DECISION_MAKING,
+                                 label_order=[0, 1], seed=0)
+        _feed(engine)
+        decodes = _counting_decodes(engine, monkeypatch)
+        first = engine.current_truth("D&S")
+        for _ in range(3):
+            assert engine.current_truth("D&S") == first
+            engine.worker_quality("D&S")
+        assert decodes == [120]
+        engine.add_answers([("t0", "w_late", 1)])
+        engine.current_truth("D&S")          # new answers: a new fit
+        engine.current_truth("D&S", max_iter=5)  # other kwargs
+        engine.current_truth("D&S", max_iter=5, force_cold=True)
+        engine.worker_quality("D&S", max_iter=5)
+        assert decodes == [120] * 4
+
+    def test_invalidated_fit_loses_its_view(self, monkeypatch):
+        engine = InferenceEngine(TaskType.DECISION_MAKING,
+                                 label_order=[0, 1], seed=0)
+        _feed(engine)
+        spec = MethodSpec("D&S", max_iter=5)
+        decodes = _counting_decodes(engine, monkeypatch)
+        before = engine.current_truth(spec)
+        engine.invalidate(spec)
+        assert engine.current_truth(spec) == before
+        assert len(decodes) == 2
+        engine.invalidate()
+        engine.worker_quality(spec)
+        assert len(decodes) == 3
+
+    def test_reads_return_fresh_dicts(self):
+        engine = InferenceEngine(TaskType.DECISION_MAKING,
+                                 label_order=["no", "yes"], seed=0)
+        engine.add_answers([("t1", "w1", "yes"), ("t2", "w1", "no")])
+        truth = engine.current_truth("MV")
+        quality = engine.worker_quality("MV")
+        truth["t1"] = "no"
+        del truth["t2"]
+        quality.clear()
+        assert engine.current_truth("MV") == {"t1": "yes", "t2": "no"}
+        assert engine.worker_quality("MV") == {"w1": 1.0}
+        assert engine.current_truth("MV") is not engine.current_truth("MV")
+
+    @pytest.mark.parametrize("code", [2, -1])
+    def test_out_of_range_code_raises(self, code):
+        engine = InferenceEngine(TaskType.DECISION_MAKING,
+                                 label_order=["no", "yes"], seed=0)
+        engine.add_answers([("t1", "w1", "yes"), ("t2", "w1", "no")])
+        engine.infer("MV").truths[1] = code  # a corrupt fit, not yet read
+        with pytest.raises(InvalidAnswerSetError,
+                           match=f"unknown label code {code}"):
+            engine.current_truth("MV")
+
+    @pytest.mark.parametrize("kind, records", [
+        ("task", [(1, "w1", 0), ("1", "w2", 1), ("t2", "w1", 1)]),
+        ("worker", [("t1", 7, 0), ("t1", "7", 1)]),
+    ])
+    def test_ids_that_print_alike_raise(self, kind, records):
+        engine = InferenceEngine(TaskType.DECISION_MAKING, seed=0)
+        engine.add_answers(records)
+        with pytest.raises(EngineError, match=rf"{kind} id.*\['(1|7)'\]"):
+            engine.current_truth("MV")
+        with pytest.raises(EngineError, match=kind):
+            engine.worker_quality("MV")
 
 
 def _tiny_dataset(seed=0, name="tiny"):

@@ -346,7 +346,24 @@ class TestEdgeCases:
         stream.add_answers([("t1", "w1", "dog"), ("t2", "w1", "cat")])
         assert stream.labels == ["dog", "cat"]
         np.testing.assert_array_equal(stream.snapshot().values, [0, 1])
-        assert stream.decode_value(1) == "cat"
+        assert stream.decode_values(np.array([1, 0, 1])) == \
+            ["cat", "dog", "cat"]
+
+    @pytest.mark.parametrize("codes, bad", [([0, 2], 2), ([-1, 0], -1),
+                                            ([1, -2, 5], -2)])
+    def test_decode_values_rejects_codes_outside_the_label_table(
+            self, codes, bad):
+        stream = StreamingAnswerSet(TaskType.SINGLE_CHOICE)
+        stream.add_answers([("t1", "w1", "dog"), ("t2", "w1", "cat")])
+        with pytest.raises(InvalidAnswerSetError,
+                           match=f"unknown label code {bad}"):
+            stream.decode_values(np.array(codes))
+
+    def test_decode_values_numeric_returns_floats(self):
+        stream = StreamingAnswerSet(TaskType.NUMERIC)
+        decoded = stream.decode_values(np.array([1, 2.5]))
+        assert decoded == [1.0, 2.5]
+        assert all(type(value) is float for value in decoded)
 
     def test_fixed_label_order_rejects_unknown_label(self):
         stream = StreamingAnswerSet(TaskType.SINGLE_CHOICE,

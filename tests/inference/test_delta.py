@@ -5,6 +5,8 @@ additions — the engine-level parity suite lives in
 ``tests/engine/test_delta_refit.py``.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core.answers import AnswerSet
 from repro.core.registry import create
 from repro.core.policy import ExecutionPolicy
+from repro.core.result import FitStats
 from repro.core.tasktypes import TaskType
 from repro.inference.sharded import (
     DeltaPlan,
@@ -268,5 +271,21 @@ class TestFitStats:
     def test_delta_fit_summary_names_the_mode(self):
         rng = np.random.default_rng(7)
         _, delta, _, _ = _fit_pair(rng.integers(0, 50, 200))
-        assert "delta refit" in delta.fit_stats.summary()
-        assert delta.fit_stats.verify_passes >= 1
+        stats = delta.fit_stats
+        text = stats.summary()
+        assert "delta refit" in text
+        assert stats.verify_passes >= 1
+        # The active list prints as runs that cover every iteration.
+        runs = [run.split("x") for run in
+                text.split("active/iter ")[1].split(", ")[0].split(",")]
+        assert [int(count) for count, _ in runs] == \
+            [k for k, _ in itertools.groupby(stats.active_shards)]
+        assert sum(int(length) for _, length in runs) == \
+            len(stats.active_shards)
+
+    def test_summary_run_length_compresses_the_active_list(self):
+        stats = FitStats(mode="delta", n_shards=8, iterations=200,
+                         dirty_shards=1, active_shards=[8] + [1] * 199)
+        assert "active/iter 8x1,1x199, " in stats.summary()
+        stats.active_shards = [2, 2, 1, 2]
+        assert "active/iter 2x2,1x1,2x1, " in stats.summary()
