@@ -11,7 +11,11 @@ pin against them and must share one copy so the reference cannot drift:
   bitwise check at benchmark scale.
 
 Do not "improve" this module: its value is that it stays exactly what
-the pre-refactor code computed.
+the pre-refactor code computed.  That includes the two row normalisers
+below: the library streams them column by column, so the references
+keep their own axis-reduce copies, and a library rewrite that changes a
+bit fails the one-shard parity checks instead of passing against
+itself.
 """
 
 from __future__ import annotations
@@ -23,10 +27,27 @@ from repro.core.framework import (
     clamp_golden_posterior,
     clamp_golden_values,
     decode_posterior,
-    log_normalize_rows,
-    normalize_rows,
 )
 from repro.inference.em import run_em
+
+
+def normalize_rows(matrix):
+    """Pre-refactor row normaliser: one axis-1 sum."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    sums = matrix.sum(axis=1, keepdims=True)
+    n_cols = matrix.shape[1]
+    safe = np.where(sums > 0, sums, 1.0)
+    out = matrix / safe
+    out[np.squeeze(sums, axis=1) <= 0] = 1.0 / n_cols
+    return out
+
+
+def log_normalize_rows(log_matrix):
+    """Pre-refactor log-score normaliser: axis-1 max and sum."""
+    log_matrix = np.asarray(log_matrix, dtype=np.float64)
+    shifted = log_matrix - log_matrix.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    return expd / expd.sum(axis=1, keepdims=True)
 
 
 class ConfusionParams:
@@ -513,8 +534,6 @@ def reference_minimax(answers, tolerance, max_iter, seed=None, golden=None,
                       l2_sigma=0.01, prior_temper=0.7):
     """Pre-refactor Minimax; returns
     ``(truths, quality, posterior, tracker, tau, sigma)``."""
-    from repro.core.framework import clamp_golden_posterior, normalize_rows
-
     rng = np.random.default_rng(seed)
     tasks = answers.tasks
     workers = answers.workers
@@ -585,8 +604,6 @@ def reference_minimax_ordinal(answers, tolerance, max_iter, seed=None,
                               prior_temper=0.7):
     """Pre-refactor Minimax-Ord; returns
     ``(truths, quality, posterior, tracker, tau, omega, sigma)``."""
-    from repro.core.framework import clamp_golden_posterior, normalize_rows
-
     rng = np.random.default_rng(seed)
     tasks = answers.tasks
     workers = answers.workers
@@ -684,7 +701,6 @@ def reference_bcc(answers, n_samples, burn_in, seed=None, golden=None,
                   beta_prior=1.0):
     """Pre-refactor BCC; returns
     ``(truths, quality, posterior, mean_confusion)``."""
-    from repro.core.framework import clamp_golden_posterior, normalize_rows
     from repro.inference.distributions import sample_dirichlet_rows
 
     rng = np.random.default_rng(seed)
@@ -739,7 +755,6 @@ def reference_cbcc(answers, n_communities, n_samples, burn_in, seed=None,
                    beta_prior=1.0, community_prior=1.0):
     """Pre-refactor CBCC; returns
     ``(truths, quality, posterior, membership)``."""
-    from repro.core.framework import normalize_rows
     from repro.inference.distributions import (
         sample_categorical_rows,
         sample_dirichlet_rows,

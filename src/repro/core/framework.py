@@ -31,6 +31,14 @@ DEFAULT_MAX_ITER = 100
 #: Floor used when clipping probabilities away from 0/1 before taking logs.
 PROBABILITY_FLOOR = 1e-10
 
+#: Label-axis width from which :func:`row_sums` (and the normalisers
+#: built on it) keeps NumPy's own axis reduce.  NumPy sums fewer than 8
+#: elements left to right, so a column-at-a-time sum repeats its axis
+#: reduce bit for bit; from 8 up it sums contiguous rows pairwise and a
+#: column sum differs in the last bit.  Maxima and argmax are exact in
+#: any order and stream at every width.
+AXIS_REDUCE_COLUMNS = 8
+
 
 class ConvergenceTracker:
     """Detects convergence of the two-step iteration.
@@ -113,35 +121,85 @@ def clamp_golden_values(values: np.ndarray,
     return values
 
 
+def row_sums(matrix: np.ndarray) -> np.ndarray:
+    """``matrix.sum(axis=-1)`` of a float array, bit for bit.
+
+    An axis reduce over a short label axis pays per-row ufunc overhead.
+    Below :data:`AXIS_REDUCE_COLUMNS` columns the sums add whole
+    columns instead: the same left-to-right sequence in a few strided
+    passes.  The first column is copied as ``+ 0.0`` because NumPy's
+    sum starts from +0.0, which turns a leading -0.0 into +0.0.
+    """
+    n_cols = matrix.shape[-1]
+    if not 0 < n_cols < AXIS_REDUCE_COLUMNS:
+        return matrix.sum(axis=-1)
+    sums = matrix[..., 0] + 0.0
+    for j in range(1, n_cols):
+        sums += matrix[..., j]
+    return sums
+
+
+def row_max(matrix: np.ndarray) -> np.ndarray:
+    """``matrix.max(axis=-1)``, streamed column by column at every width.
+
+    Unlike a sum, a max is exact in any order, so no column-count rule
+    applies: the result equals the axis reduce (NaN included) up to the
+    sign of a zero maximum, which neither a comparison nor ``exp`` can
+    see.
+    """
+    n_cols = matrix.shape[-1]
+    if n_cols == 0:
+        return matrix.max(axis=-1)
+    best = matrix[..., 0].copy()
+    for j in range(1, n_cols):
+        np.maximum(best, matrix[..., j], out=best)
+    return best
+
+
+def column_sums(matrix: np.ndarray) -> np.ndarray:
+    """``matrix.sum(axis=0)`` of a float matrix, bit for bit.
+
+    NumPy reduces axis 0 of a C-ordered matrix with 2 or more columns
+    one row at a time, paying per-row ufunc overhead on a short label
+    axis; accumulating each column runs the same sequence in one
+    strided pass (``+ 0.0`` again matches the reduce's +0.0 start).  A
+    single column, or another layout, NumPy sums pairwise, so those
+    keep the axis reduce.
+    """
+    if (matrix.ndim != 2 or matrix.shape[0] == 0 or matrix.shape[1] < 2
+            or not matrix.flags.c_contiguous):
+        return matrix.sum(axis=0)
+    sums = np.empty(matrix.shape[1], dtype=matrix.dtype)
+    for j in range(matrix.shape[1]):
+        sums[j] = np.add.accumulate(matrix[:, j])[-1]
+    sums += 0.0
+    return sums
+
+
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Normalise each row to sum to one; uniform rows where the sum is 0."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    n_cols = matrix.shape[1]
-    if matrix.ndim != 2 or n_cols == 0:
-        sums = matrix.sum(axis=1, keepdims=True)
-        safe = np.where(sums > 0, sums, 1.0)
-        out = matrix / safe
-        out[np.squeeze(sums, axis=1) <= 0] = 1.0 / max(n_cols, 1)
-        return out
-    # Column-accumulated row sums: an axis-1 reduce pays per-row ufunc
-    # overhead on the short label axis, while n_cols strided adds
-    # stream through the matrix once — same left-to-right pairing, so
-    # the sums (and the normalised rows) are bit-identical.
-    sums = matrix[:, 0].copy()
-    for j in range(1, n_cols):
-        sums += matrix[:, j]
+    sums = row_sums(matrix)
     safe = np.where(sums > 0, sums, 1.0)
     out = matrix / safe[:, None]
-    out[sums <= 0] = 1.0 / n_cols
+    out[sums <= 0] = 1.0 / max(matrix.shape[1], 1)
     return out
 
 
 def log_normalize_rows(log_matrix: np.ndarray) -> np.ndarray:
-    """Exponentiate and row-normalise a matrix of log scores, stably."""
+    """Exponentiate and row-normalise a matrix of log scores, stably.
+
+    Bit-identical to ``e / e.sum(axis=1)`` with ``e = exp(m -
+    m.max(axis=1))``.  The row max streams column by column
+    (:func:`row_max`; ``exp`` maps either sign of a zero shift to 1),
+    the sums follow :func:`row_sums`, and the exponentials and the
+    division reuse one buffer.
+    """
     log_matrix = np.asarray(log_matrix, dtype=np.float64)
-    shifted = log_matrix - log_matrix.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
+    out = log_matrix - row_max(log_matrix)[:, None]
+    np.exp(out, out=out)
+    out /= row_sums(out)[:, None]
+    return out
 
 
 def clip_probability(p: np.ndarray | float) -> np.ndarray:
@@ -211,12 +269,8 @@ def decode_posterior(posterior: np.ndarray, rng: np.random.Generator | None = No
     n_rows, n_cols = posterior.shape
     # Column-at-a-time passes: axis-1 reductions pay per-row ufunc
     # overhead on the short label axis, so the row max, the closeness
-    # test, and the tie counts all stream column-wise instead.  The
-    # pairing order matches the axis-1 reduce, keeping ``best`` (and
-    # every downstream comparison) bit-identical.
-    best = posterior[:, 0].copy()
-    for j in range(1, n_cols):
-        np.maximum(best, posterior[:, j], out=best)
+    # test, and the tie counts all stream column-wise instead.
+    best = row_max(posterior)
     if np.isinf(best).any():
         # ``isclose`` calls infinities of equal sign "close"; the
         # plain tolerance test below would not.  Posteriors are finite

@@ -63,6 +63,12 @@ class FitStats:
     #: Shard-phase executions degraded to the in-process serial path
     #: after the retry budget ran out.
     degraded: int = 0
+    #: Wall seconds per runner phase (``e_block``, ``accumulate``, ...),
+    #: summed over the fit's dispatches; on the process tier each
+    #: includes the round trip.  ``None`` when no runner timed a phase.
+    #: A plain class default (not a factory), so a fit pickled before
+    #: this field existed still reads it after unpickling.
+    phase_seconds: dict[str, float] | None = None
 
     @property
     def overhead_seconds(self) -> float:
@@ -87,6 +93,10 @@ class FitStats:
         parts.append(f"{self.accumulate_calls} stat-blocks")
         parts.append(f"em {self.em_seconds * 1000:.1f}ms"
                      f" + overhead {self.overhead_seconds * 1000:.1f}ms")
+        if self.phase_seconds:
+            parts.append("phases " + " ".join(
+                f"{phase}={seconds * 1000:.1f}ms"
+                for phase, seconds in self.phase_seconds.items()))
         if self.respawns or self.retries or self.timeouts or self.degraded:
             parts.append(
                 f"faults: {self.respawns} respawns, {self.retries} "
@@ -94,14 +104,20 @@ class FitStats:
                 f"degraded")
         return ", ".join(parts)
 
-    def record_faults(self, events: dict | None) -> None:
-        """Fold a runner's fault-event counters into the stats."""
-        if not events:
-            return
+    def record_runner(self, runner) -> None:
+        """Fold what a fit's shard runner counted into the stats: its
+        fault-event counters and its wall seconds per phase."""
+        events = getattr(runner, "fault_events", None) or {}
         self.respawns += events.get("respawns", 0)
         self.retries += events.get("retries", 0)
         self.timeouts += events.get("timeouts", 0)
         self.degraded += events.get("degraded", 0)
+        seconds = getattr(runner, "phase_seconds", None)
+        if seconds:
+            totals = dict(self.phase_seconds or {})
+            for phase, spent in seconds.items():
+                totals[phase] = totals.get(phase, 0.0) + spent
+            self.phase_seconds = totals
 
     def as_dict(self) -> dict:
         """JSON-ready form (the benchmarks' ``--json`` emitters)."""

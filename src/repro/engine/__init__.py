@@ -46,9 +46,9 @@ statistics** over contiguous task-range shards
 (:mod:`repro.inference.sharded`): E-steps map over shards (each task's
 posterior depends only on that task's answers), M-steps run
 ``accumulate(shard, posterior_block) → SufficientStats`` per shard,
-``merge`` the bundles by field-wise addition, and ``finalize`` the
-totals into global parameters.  One shard *is* the plain fit,
-bit-for-bit.  Execution tiers:
+add the bundles field-wise (``SufficientStats.total``), and
+``finalize`` the totals into global parameters.  One shard *is* the
+plain fit, bit-for-bit.  Execution tiers:
 
 * **serial / threads** — ``create(method,
   policy=ExecutionPolicy(n_shards=.., executor="thread",

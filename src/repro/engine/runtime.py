@@ -124,7 +124,7 @@ DEFAULT_IDLE_TTL = 300.0
 _DISPATCH_FAILURES = (BrokenProcessPool, _PoolTimeout, TimeoutError)
 
 #: Zeroed per-lease fault-event counters (the shape ``FitStats``
-#: ingests via ``record_faults``).
+#: ingests via ``record_runner``).
 _FAULT_EVENT_KEYS = ("respawns", "retries", "timeouts", "crashes",
                      "degraded")
 
@@ -732,10 +732,13 @@ class RuntimeLease(SerialShardRunner):
         if _VERIFIER is not None:
             _VERIFIER.lease_dispatch(id(self._runtime), id(self))
         self._dispatched = True
-        return self._runtime._dispatch(self.n_shards, phase, per_shard,
-                                       shared, only, spec=self.spec,
-                                       events=self.fault_events,
-                                       lease_key=id(self))
+        started = time.perf_counter()
+        results = self._runtime._dispatch(self.n_shards, phase, per_shard,
+                                          shared, only, spec=self.spec,
+                                          events=self.fault_events,
+                                          lease_key=id(self))
+        self._clock(phase, started)
+        return results
 
     def close(self) -> None:
         """Release the runtime for the next lease (idempotent)."""

@@ -106,6 +106,11 @@ class ProcessShardRunner:
         """The lease's fault-recovery counters (see ``RuntimeLease``)."""
         return self._lease.fault_events
 
+    @property
+    def phase_seconds(self) -> dict:
+        """The lease's wall seconds per phase (see ``RuntimeLease``)."""
+        return self._lease.phase_seconds
+
     def m_step(self, state: np.ndarray, prev_params=None):
         return self._lease.m_step(state, prev_params)
 

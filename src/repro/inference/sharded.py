@@ -9,8 +9,8 @@ re-expression of that loop:
   own answers (tasks are range-partitioned, so no cross-shard traffic);
 * the **M-step** maps ``accumulate(shard, posterior_block)`` over shards
   to produce per-shard :class:`SufficientStats`, reduces them with
-  :meth:`SufficientStats.merge` (plain field-wise addition), and calls
-  ``finalize`` once on the merged totals to obtain global parameters.
+  :meth:`SufficientStats.total` (plain field-wise addition), and calls
+  ``finalize`` once on the totals to obtain global parameters.
 
 A method participates by providing a :class:`ShardedEMSpec` describing
 its statistics; :func:`run_em_sharded` supplies the control flow, warm
@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-import functools
 import time
 from typing import Any, Callable, Mapping, Sequence
 
@@ -107,10 +106,10 @@ __all__ = [
 class SufficientStats:
     """A bundle of mergeable M-step accumulators.
 
-    Holds named arrays (or scalars); :meth:`merge` adds field-wise.
-    Sufficiency is the method's contract: merging the per-shard bundles
-    must yield the same totals the unsharded M-step would compute (up to
-    float summation order).
+    Holds named arrays (or scalars); :meth:`total` adds bundles
+    field-wise.  Sufficiency is the method's contract: the total of the
+    per-shard bundles must equal what the unsharded M-step would compute
+    (up to float summation order).
     """
 
     __slots__ = ("fields",)
@@ -121,16 +120,42 @@ class SufficientStats:
     def __getitem__(self, name):
         return self.fields[name]
 
-    def merge(self, other: "SufficientStats") -> "SufficientStats":
-        """Field-wise sum of two stats bundles (the reduce step)."""
-        if set(self.fields) != set(other.fields):
-            raise InferenceError(
-                f"cannot merge stats with fields {sorted(self.fields)} "
-                f"and {sorted(other.fields)}"
-            )
-        return SufficientStats(
-            **{k: self.fields[k] + other.fields[k] for k in self.fields}
-        )
+    @staticmethod
+    def total(bundles: Sequence["SufficientStats"]) -> "SufficientStats":
+        """Field-wise sum of ``bundles`` in order (the reduce step).
+
+        Bit for bit the left fold ``((b0 + b1) + b2) + ...`` (integer
+        partials must stay below 2**53 when a later bundle promotes the
+        field to float).  Each array field is one copy of the first
+        bundle's array at the fold's result dtype, with the others
+        added in place; scalar fields add plainly.  No input bundle is
+        ever written: cached bundles are reused across iterations, and
+        a field may be a shard operator's own array.
+        """
+        first, *rest = bundles
+        names = set(first.fields)
+        for other in rest:
+            if set(other.fields) != names:
+                raise InferenceError(
+                    f"cannot add stats with fields {sorted(names)} "
+                    f"and {sorted(other.fields)}"
+                )
+        fields = {}
+        for name, value in first.fields.items():
+            others = [other.fields[name] for other in rest]
+            if isinstance(value, np.ndarray):
+                dtype = value.dtype
+                for addend in others:
+                    if getattr(addend, "dtype", None) != dtype:
+                        dtype = np.result_type(dtype, addend)
+                value = np.array(value, dtype=dtype)
+                for addend in others:
+                    value += addend
+            else:
+                for addend in others:
+                    value = value + addend
+            fields[name] = value
+        return SufficientStats(**fields)
 
     def __repr__(self) -> str:
         return f"SufficientStats({', '.join(sorted(self.fields))})"
@@ -146,7 +171,7 @@ class ShardedEMSpec(abc.ABC):
     rebuilt inside worker processes.
 
     ``m_step`` has a default map-reduce implementation over
-    ``accumulate``/``merge``/``finalize``; methods whose M-step is
+    ``accumulate``/``total``/``finalize``; methods whose M-step is
     itself iterative (GLAD's gradient ascent) override it and use the
     runner for their inner map-reduce rounds.
     """
@@ -157,7 +182,7 @@ class ShardedEMSpec(abc.ABC):
     golden_clamp = staticmethod(clamp_golden_posterior)
 
     #: Whether the default map-reduce M-step over
-    #: ``accumulate``/``merge``/``finalize`` is in use.  Delta refits
+    #: ``accumulate``/``total``/``finalize`` is in use.  Delta refits
     #: manage a per-shard statistics cache through that path; specs that
     #: override :meth:`m_step` with their own iterated protocol (GLAD)
     #: set this False and implement :meth:`m_step_delta` instead.
@@ -237,15 +262,14 @@ class ShardedEMSpec(abc.ABC):
     # -- control -------------------------------------------------------
     def m_step(self, runner: "SerialShardRunner", blocks: Sequence[np.ndarray],
                prev_params):
-        """One M-step: map ``accumulate``, reduce ``merge``, ``finalize``.
+        """One M-step: map ``accumulate``, reduce ``total``, ``finalize``.
 
         ``prev_params`` is the previous iteration's parameter object
         (``None`` on the first iteration); the default statistics path
         ignores it, iterative M-steps (GLAD) resume from it.
         """
         stats = runner.call("accumulate", per_shard=blocks)
-        return self.finalize(functools.reduce(
-            lambda a, b: a.merge(b), stats))
+        return self.finalize(SufficientStats.total(stats))
 
     def m_step_delta(self, runner: "SerialShardRunner",
                      blocks: Sequence[np.ndarray], prev_params,
@@ -273,7 +297,7 @@ class AlternatingSpec(ShardedEMSpec):
     M-then-E with convergence on the posterior.  They run under
     :func:`run_alternating_sharded` instead of :func:`run_em_sharded`;
     the statistics contract is unchanged (``accumulate`` maps over
-    shards, ``merge`` reduces, ``finalize`` turns merged losses into
+    shards, ``total`` reduces, ``finalize`` turns merged losses into
     weights), so the same spec also drives the generic delta-refit
     machinery (:class:`DeltaPlan`) and the process runtime.
     """
@@ -328,6 +352,10 @@ class SerialShardRunner:
         #: drivers fold whichever runner they got into ``FitStats``.
         self.fault_events = {"respawns": 0, "retries": 0, "timeouts": 0,
                              "crashes": 0, "degraded": 0}
+        #: Wall seconds per phase name, summed over this runner's
+        #: ``call``\ s (the process-tier lease times its round trips);
+        #: folded into ``FitStats`` with the fault counters.
+        self.phase_seconds: dict[str, float] = {}
 
     @property
     def n_shards(self) -> int:
@@ -357,6 +385,7 @@ class SerialShardRunner:
         aligned to ``only``.  This is how delta refits skip clean and
         frozen shards.
         """
+        started = time.perf_counter()
         fn = getattr(self.spec, phase)
         indices = (list(only) if only is not None
                    else list(range(self.n_shards)))
@@ -371,8 +400,16 @@ class SerialShardRunner:
 
         positions = range(len(indices))
         if self.pool is not None and len(indices) > 1:
-            return list(self.pool.map(one, positions))
-        return [one(pos) for pos in positions]
+            results = list(self.pool.map(one, positions))
+        else:
+            results = [one(pos) for pos in positions]
+        self._clock(phase, started)
+        return results
+
+    def _clock(self, phase: str, started: float) -> None:
+        """Add the wall time since ``started`` to ``phase``'s total."""
+        self.phase_seconds[phase] = (self.phase_seconds.get(phase, 0.0)
+                                     + time.perf_counter() - started)
 
     def close(self) -> None:
         """Release executor resources (no-op for the serial runner)."""
@@ -576,8 +613,7 @@ def _m_step_cached(runner: SerialShardRunner, state: np.ndarray,
         for k, stats in zip(need, computed):
             stats_cache[k] = stats
         fit_stats.accumulate_calls += len(need)
-    return spec.finalize(functools.reduce(
-        lambda a, b: a.merge(b), stats_cache))
+    return spec.finalize(SufficientStats.total(stats_cache))
 
 
 def _collect_state(runner: SerialShardRunner, state: np.ndarray,
@@ -870,7 +906,7 @@ def run_em_sharded(
                                 initial_parameters=initial_parameters,
                                 fit_stats=fit_stats)
         fit_stats.em_seconds = time.perf_counter() - started
-        fit_stats.record_faults(getattr(runner, "fault_events", None))
+        fit_stats.record_runner(runner)
         return outcome
 
     def assemble(blocks: list[np.ndarray]) -> np.ndarray:
@@ -915,7 +951,7 @@ def run_em_sharded(
         shard_state = _collect_state(runner, state, None, fit_stats)
     fit_stats.iterations = tracker.iteration
     fit_stats.em_seconds = time.perf_counter() - started
-    fit_stats.record_faults(getattr(runner, "fault_events", None))
+    fit_stats.record_runner(runner)
     return EMOutcome(
         posterior=state,
         parameters=parameters,
@@ -1035,8 +1071,7 @@ def _run_alternating_delta(runner: SerialShardRunner, plan: DeltaPlan, *,
         fit_stats.active_shards.append(len(active))
         fit_stats.frozen_shards.append(n_shards - len(active))
         _accumulate_alternating(runner, state, stats_cache, rng, fit_stats)
-        parameters = spec.finalize(functools.reduce(
-            lambda a, b: a.merge(b), stats_cache))
+        parameters = spec.finalize(SufficientStats.total(stats_cache))
         done = tracker.update(parameters)
         if done and tracker.converged:
             if not frozen:
@@ -1143,7 +1178,7 @@ def run_alternating_sharded(
             golden=golden, initial_parameters=initial_parameters,
             rng=rng, fit_stats=fit_stats)
         fit_stats.em_seconds = time.perf_counter() - started
-        fit_stats.record_faults(getattr(runner, "fault_events", None))
+        fit_stats.record_runner(runner)
         return outcome
 
     ranges = runner.task_ranges
@@ -1165,8 +1200,7 @@ def run_alternating_sharded(
             per_shard=spec.prepare_accumulate(state, ranges, rng),
             shared=shared)
         fit_stats.accumulate_calls += runner.n_shards
-        parameters = spec.finalize(functools.reduce(
-            lambda a, b: a.merge(b), stats))
+        parameters = spec.finalize(SufficientStats.total(stats))
         if tracker.update(parameters):
             break
     shard_state = None
@@ -1177,7 +1211,7 @@ def run_alternating_sharded(
             runner, state, list(stats), rng, fit_stats)
     fit_stats.iterations = tracker.iteration
     fit_stats.em_seconds = time.perf_counter() - started
-    fit_stats.record_faults(getattr(runner, "fault_events", None))
+    fit_stats.record_runner(runner)
     return EMOutcome(
         posterior=state,
         parameters=parameters,
@@ -1260,8 +1294,7 @@ def run_gibbs_sharded(
         stats = runner.call("accumulate",
                             per_shard=_split_blocks_ranges(state, ranges))
         fit_stats.accumulate_calls += runner.n_shards
-        parameters = sample(functools.reduce(
-            lambda a, b: a.merge(b), stats), sweep)
+        parameters = sample(SufficientStats.total(stats), sweep)
         state = spec.golden_clamp(np.concatenate(
             runner.call("e_block", shared=(parameters,)), axis=0), golden)
         fit_stats.e_block_calls += runner.n_shards
@@ -1270,7 +1303,7 @@ def run_gibbs_sharded(
             retained += 1
     fit_stats.iterations = n_sweeps
     fit_stats.em_seconds = time.perf_counter() - started
-    fit_stats.record_faults(getattr(runner, "fault_events", None))
+    fit_stats.record_runner(runner)
     return GibbsOutcome(tally=tally, retained=retained, state=state,
                         fit_stats=fit_stats)
 

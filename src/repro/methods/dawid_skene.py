@@ -16,7 +16,7 @@ Beta/Dirichlet priors.
 Both steps are expressed as mergeable sufficient statistics over
 task-range shards (:mod:`repro.inference.sharded`): the M-step is
 ``accumulate`` (expected per-worker answer×truth counts plus the
-posterior column sums) → ``merge`` (plain addition) → ``finalize``
+posterior column sums) → ``total`` (plain addition) → ``finalize``
 (smooth, normalise), and the E-step maps independently over shards.
 The plain ``fit`` is simply the single-shard instance of that map-reduce
 and reproduces the historical global-array implementation bit-for-bit
@@ -34,7 +34,12 @@ import numpy as np
 
 from ..core.answers import AnswerSet
 from ..core.base import CategoricalMethod
-from ..core.framework import decode_posterior, log_normalize_rows
+from ..core.framework import (
+    column_sums,
+    decode_posterior,
+    log_normalize_rows,
+    row_sums,
+)
 from ..core.registry import register
 from ..core.result import InferenceResult
 from ..core.shards import AnswerShard
@@ -142,7 +147,7 @@ class _ConfusionSpec(ShardedEMSpec):
             ops.n_workers, self.n_choices, self.n_choices)
         return SufficientStats(
             counts=pad_rows(counts, self.n_workers),
-            posterior_sum=block.sum(axis=0),
+            posterior_sum=column_sums(block),
             n_tasks=float(block.shape[0]),
         )
 
@@ -152,7 +157,7 @@ class _ConfusionSpec(ShardedEMSpec):
         confusion = stats["counts"].transpose(0, 2, 1)
         confusion = confusion + self.smoothing_off_diagonal
         confusion[:, diag, diag] += self.smoothing_diagonal_bonus
-        confusion /= confusion.sum(axis=2, keepdims=True)
+        confusion /= row_sums(confusion)[..., None]
         prior = stats["posterior_sum"] / stats["n_tasks"]
         prior = prior / prior.sum()
         return _DSParameters(confusion=confusion, prior=prior)
@@ -163,13 +168,13 @@ class _ConfusionSpec(ShardedEMSpec):
         # shard's answers reference none of them, so slicing their rows
         # off the table is exact.
         confusion = params.confusion[:ops.n_workers]
-        log_conf = np.log(np.clip(confusion, 1e-12, None))
+        log_conf = np.log(np.maximum(confusion, 1e-12))
         # lc[w*l + k, j]: per-truth-class log-likelihood of worker w
         # answering k — a small table the kernel reads per answer, on
         # top of the log-prior base.
         lc = np.ascontiguousarray(log_conf.transpose(0, 2, 1)).reshape(
             ops.n_workers * self.n_choices, self.n_choices)
-        log_prior = np.log(np.clip(params.prior, 1e-12, None))
+        log_prior = np.log(np.maximum(params.prior, 1e-12))
         return log_normalize_rows(ops.e_scatter(log_prior, lc))
 
 

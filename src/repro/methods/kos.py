@@ -326,6 +326,7 @@ class KOS(BinaryMethod):
         posterior[np.arange(answers.n_tasks), truths] = 1.0
         fit_stats.iterations = self.n_rounds
         fit_stats.em_seconds = time.perf_counter() - started
+        fit_stats.record_runner(runner)
         return InferenceResult(
             method=self.name,
             truths=truths,

@@ -28,7 +28,6 @@ Decision-making tasks only, as in the survey's Table 4.
 
 from __future__ import annotations
 
-import functools
 import types
 from typing import Mapping
 
@@ -183,7 +182,7 @@ class _BeliefPropagationSpec(_TwoCoinSpec):
 
     def m_step(self, runner, blocks, prev_params):
         stats = runner.call("accumulate", per_shard=blocks)
-        merged = functools.reduce(lambda a, b: a.merge(b), stats)
+        merged = SufficientStats.total(stats)
         return merged, np.concatenate(blocks, axis=0)
 
     def m_step_delta(self, runner, blocks, prev_params, frozen,
@@ -200,7 +199,7 @@ class _BeliefPropagationSpec(_TwoCoinSpec):
                 stats_cache[k] = stats
             if fit_stats is not None:
                 fit_stats.accumulate_calls += len(need)
-        merged = functools.reduce(lambda a, b: a.merge(b), stats_cache)
+        merged = SufficientStats.total(stats_cache)
         return merged, np.concatenate(blocks, axis=0)
 
     def warm_parameters(self, stats: SufficientStats, mu: np.ndarray):
@@ -347,7 +346,7 @@ class _VariationalTwoCoin(BinaryMethod):
             blocks = [outcome.posterior[start:stop]
                       for start, stop in runner.task_ranges]
             stats = runner.call("accumulate", per_shard=blocks)
-        merged = functools.reduce(lambda a, b: a.merge(b), stats)
+        merged = SufficientStats.total(stats)
         return (merged["correct_t"], merged["incorrect_t"],
                 merged["correct_f"], merged["incorrect_f"])
 

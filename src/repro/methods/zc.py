@@ -22,7 +22,6 @@ unsharded, sharded in-process, or fanned over worker processes.
 
 from __future__ import annotations
 
-import functools
 import types
 from typing import Mapping
 
@@ -182,8 +181,8 @@ class ZenCrowd(CategoricalMethod):
                 # The collected state already holds every shard's
                 # statistics at the final posterior — finalizing their
                 # merge IS the m_step below, minus the recomputation.
-                quality = runner.spec.finalize(functools.reduce(
-                    lambda a, b: a.merge(b), outcome.shard_state.stats))
+                quality = runner.spec.finalize(
+                    SufficientStats.total(outcome.shard_state.stats))
             else:
                 quality = runner.m_step(outcome.posterior)
         return InferenceResult(

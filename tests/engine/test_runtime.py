@@ -100,6 +100,19 @@ class TestLeaseReuse:
             rt.lease(build_answers(), "D&S")
 
 
+class TestPhaseTimes:
+    def test_lease_times_each_dispatch_round_trip(self):
+        answers = build_answers()
+        with ProcessShardRunner(answers, "D&S", {"seed": 0},
+                                n_shards=2, max_workers=1) as runner:
+            stats = create("D&S", seed=0).fit(
+                answers, shard_runner=runner).fit_stats
+            assert stats.phase_seconds == runner.phase_seconds
+        assert list(stats.phase_seconds) == ["init_block", "accumulate",
+                                             "e_block"]
+        assert all(spent > 0 for spent in stats.phase_seconds.values())
+
+
 class TestIncrementalExtend:
     def test_growth_extends_instead_of_rebuilding(self):
         answers = build_answers()

@@ -6,6 +6,7 @@ additions — the engine-level parity suite lives in
 """
 
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -289,3 +290,45 @@ class TestFitStats:
         assert "active/iter 8x1,1x199, " in stats.summary()
         stats.active_shards = [2, 2, 1, 2]
         assert "active/iter 2x2,1x1,2x1, " in stats.summary()
+
+
+class TestPhaseSeconds:
+    def test_full_fit_times_each_runner_phase(self):
+        stats = create("D&S", seed=0, policy=POLICY).fit(
+            synthetic()).fit_stats
+        assert list(stats.phase_seconds) == ["init_block", "accumulate",
+                                             "e_block"]
+        assert all(spent > 0 for spent in stats.phase_seconds.values())
+        assert sum(stats.phase_seconds.values()) <= stats.em_seconds
+        assert " phases init_block=" in stats.summary()
+        assert stats.as_dict()["phase_seconds"] == stats.phase_seconds
+
+    def test_delta_fit_times_its_verify_e_steps_too(self):
+        rng = np.random.default_rng(7)
+        _, delta, _, _ = _fit_pair(rng.integers(0, 50, 200))
+        stats = delta.fit_stats
+        assert stats.verify_passes >= 1
+        assert set(stats.phase_seconds) == {"accumulate", "e_block"}
+
+    def test_message_passing_fit_times_its_rounds(self):
+        stats = create("KOS", seed=0, policy=POLICY).fit(
+            synthetic()).fit_stats
+        assert {"task_round", "worker_round"} <= set(stats.phase_seconds)
+
+    def test_fold_adds_per_phase_and_keeps_the_default_unset(self):
+        stats = FitStats()
+        assert stats.phase_seconds is None
+        assert "phases" not in stats.summary()
+        runner = types.SimpleNamespace(
+            phase_seconds={"e_block": 0.25, "accumulate": 0.5},
+            fault_events={"respawns": 1})
+        stats.record_runner(runner)
+        stats.record_runner(runner)
+        assert stats.phase_seconds == {"e_block": 0.5, "accumulate": 1.0}
+        assert stats.respawns == 2
+        assert runner.phase_seconds == {"e_block": 0.25, "accumulate": 0.5}
+        assert FitStats().phase_seconds is None
+        # Runners without a clock (or counters) fold nothing.
+        bare = FitStats()
+        bare.record_runner(object())
+        assert bare.phase_seconds is None and bare.respawns == 0
