@@ -1,10 +1,12 @@
-"""R004 — SharedMemory / pool / sqlite3 acquisitions are paired with a
-release.
+"""R004 — SharedMemory / pool / process / pipe / sqlite3 acquisitions
+are paired with a release.
 
 A ``SharedMemory`` segment outlives the process unless unlinked; a
-``ProcessPoolExecutor`` left running leaks children; an open sqlite
-connection pins the WAL.  Every acquisition must therefore sit in one
-of the shapes teardown can reach:
+``ProcessPoolExecutor`` or a ``multiprocessing`` ``Process`` left
+running leaks children, and a ``Pipe`` left open leaks its two
+descriptors; an open sqlite connection pins the WAL.  Every
+acquisition must therefore sit in one of the shapes teardown can
+reach:
 
 - a ``with`` block (context manager owns the release),
 - a function whose ``try``/``finally`` calls a release method,
@@ -26,6 +28,7 @@ from ..lint import SourceFile
 #: Callables whose return value is an acquired resource.
 _ACQUIRERS = frozenset({
     "SharedMemory", "ProcessPoolExecutor", "ThreadPoolExecutor", "Pool",
+    "Process", "Pipe",
 })
 
 #: ``module.attr`` acquisitions (checked on the attribute chain).
@@ -90,9 +93,9 @@ def _has_releasing_finally(func: ast.AST) -> bool:
 class PairedLifecycleRule:
     id = "R004"
     slug = "unpaired-acquire"
-    description = ("SharedMemory/pool/sqlite3 acquisitions need a "
-                   "paired release (with-block, try/finally, atexit "
-                   "hook, or owning class with a close method)")
+    description = ("SharedMemory/pool/process/pipe/sqlite3 acquisitions "
+                   "need a paired release (with-block, try/finally, "
+                   "atexit hook, or owning class with a close method)")
 
     def check(self, src: SourceFile) -> Iterator[Finding]:
         parents = src.parent_map()

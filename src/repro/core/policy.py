@@ -85,7 +85,7 @@ def warn_legacy(surface: str, names: Mapping, replacement: str,
     )
 
 
-#: Default per-phase deadline (seconds) for process-tier future waits.
+#: Default per-phase deadline (seconds) for process-tier reply waits.
 #: Generous — it exists to bound hangs, not to race healthy phases.
 DEFAULT_PHASE_DEADLINE = 120.0
 
@@ -97,11 +97,12 @@ class FaultPolicy:
     Parameters
     ----------
     deadline:
-        Per-phase deadline in seconds for every process-tier future
+        Per-phase deadline in seconds for every process-tier reply
         wait (phase dispatches *and* sync messages).  A phase past its
-        deadline is treated like a worker crash: the worker is killed,
-        the pool respawned, the phase re-dispatched.  ``None`` waits
-        unboundedly (the pre-fault-tolerance behaviour).
+        deadline is treated like a worker crash: the worker is killed
+        and respawned on a fresh pipe, the phase re-dispatched.
+        ``None`` waits unboundedly (the pre-fault-tolerance
+        behaviour).
     retries:
         Crash/timeout recovery attempts per dispatch before giving up
         on the process tier for the failing shards.

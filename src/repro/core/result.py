@@ -54,11 +54,12 @@ class FitStats:
     #: Wall-clock seconds of the whole ``fit()`` call (stamped by the
     #: method base class alongside ``elapsed_seconds``).
     total_seconds: float = 0.0
-    #: Worker pools respawned after a crash or deadline blow-through.
+    #: Worker processes respawned after a crash or deadline
+    #: blow-through.
     respawns: int = 0
     #: Phase dispatches re-tried after a crash/timeout recovery.
     retries: int = 0
-    #: Phase futures that blew their per-phase deadline.
+    #: Shard phases that blew their per-phase deadline.
     timeouts: int = 0
     #: Shard-phase executions degraded to the in-process serial path
     #: after the retry budget ran out.
@@ -69,6 +70,12 @@ class FitStats:
     #: A plain class default (not a factory), so a fit pickled before
     #: this field existed still reads it after unpickling.
     phase_seconds: dict[str, float] | None = None
+    #: What crossed the process tier's pipes, measured there:
+    #: ``messages`` sent, pickled ``bytes_out``/``bytes_in``, and the
+    #: ``worker_seconds`` the replies report, summed over worker slots
+    #: (the lease's sync included).  ``None`` on the in-process tiers;
+    #: a plain class default for the same reason as ``phase_seconds``.
+    ipc: dict[str, float] | None = None
 
     @property
     def overhead_seconds(self) -> float:
@@ -97,6 +104,12 @@ class FitStats:
             parts.append("phases " + " ".join(
                 f"{phase}={seconds * 1000:.1f}ms"
                 for phase, seconds in self.phase_seconds.items()))
+        if self.ipc:
+            parts.append(
+                f"ipc {self.ipc['messages']} msgs "
+                f"{self.ipc['bytes_out'] / 1e3:.1f}kB out "
+                f"{self.ipc['bytes_in'] / 1e3:.1f}kB in "
+                f"worker {self.ipc['worker_seconds'] * 1000:.1f}ms")
         if self.respawns or self.retries or self.timeouts or self.degraded:
             parts.append(
                 f"faults: {self.respawns} respawns, {self.retries} "
@@ -106,7 +119,8 @@ class FitStats:
 
     def record_runner(self, runner) -> None:
         """Fold what a fit's shard runner counted into the stats: its
-        fault-event counters and its wall seconds per phase."""
+        fault-event counters, its wall seconds per phase and, on the
+        process tier, its transport counters."""
         events = getattr(runner, "fault_events", None) or {}
         self.respawns += events.get("respawns", 0)
         self.retries += events.get("retries", 0)
@@ -118,6 +132,12 @@ class FitStats:
             for phase, spent in seconds.items():
                 totals[phase] = totals.get(phase, 0.0) + spent
             self.phase_seconds = totals
+        ipc = getattr(runner, "ipc", None)
+        if ipc:
+            totals = dict(self.ipc or {})
+            for key, count in ipc.items():
+                totals[key] = totals.get(key, 0) + count
+            self.ipc = totals
 
     def as_dict(self) -> dict:
         """JSON-ready form (the benchmarks' ``--json`` emitters)."""

@@ -55,8 +55,9 @@ plain fit, bit-for-bit.  Execution tiers:
   max_workers=..))``; cheap, in-process, identical numbers;
 * **processes** — the answer arrays live in
   :mod:`multiprocessing.shared_memory` and the phases are dispatched to
-  pinned single-worker pools; prefer it for large inputs on multi-core
-  hosts, where thread tiers stall on the GIL-holding NumPy kernels.
+  pinned worker processes, one pipe message per worker per phase;
+  prefer it for large inputs on multi-core hosts, where thread tiers
+  stall on the GIL-holding NumPy kernels.
   GLAD trades one message round per gradient step, so it needs bigger
   shards than the one-round-trip statistics methods before processes
   win.  ``ExecutionPolicy(executor="auto")`` — the default — applies

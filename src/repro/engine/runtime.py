@@ -1,8 +1,8 @@
-"""Persistent shard runtime: process pools and shared memory that outlive fits.
+"""Persistent shard runtime: pinned workers and shared memory that outlive fits.
 
 :class:`~repro.engine.sharded.ProcessShardRunner` originally paid the
 full cost of process-parallel EM on **every** ``fit()``: spawn one
-single-worker pool per slot, allocate three ``/dev/shm`` segments, copy
+worker process per slot, allocate three ``/dev/shm`` segments, copy
 the task-sorted answer arrays in, run EM, tear everything down.  The
 workloads this repo reproduces are *repeated-fit* workloads — method
 sweeps over one dataset, streaming refits over a growing answer set,
@@ -11,12 +11,12 @@ warm-started and fast.  This module makes the expensive parts
 persistent:
 
 * :class:`ShardRuntime` — owns the shared-memory answer segments and
-  the pinned single-worker pools *across* fits.  A fit acquires a
+  the pinned worker processes *across* fits.  A fit acquires a
   :class:`RuntimeLease` (``with runtime.lease(answers, method, …) as
   runner``), which places or reuses the data and sends the workers a
-  cheap per-method **spec reset message** instead of tearing the pools
-  down.  A sweep of five methods or a stream of fifty refits spawns
-  processes exactly once.
+  cheap per-method **spec reset message** instead of tearing the
+  workers down.  A sweep of five methods or a stream of fifty refits
+  spawns processes exactly once.
 * **Incremental segment append** — when a lease presents answers that
   *extend* the currently placed data (same ``stream_key``, more
   answers), only the new tail is sorted and appended to the existing
@@ -28,22 +28,45 @@ persistent:
   ``(n_shards, max_workers)`` with idle-TTL eviction, so independent
   call sites (:class:`~repro.engine.sharded.ShardedInferenceEngine`,
   :class:`~repro.engine.engine.InferenceEngine`,
-  :class:`~repro.engine.batch.BatchRunner`, the CLI) share warm pools
-  instead of each spawning their own.
+  :class:`~repro.engine.batch.BatchRunner`, the CLI) share warm
+  workers instead of each spawning their own.
+
+Transport
+---------
+Each pool slot is one pinned worker process behind a duplex
+``multiprocessing`` pipe.  A phase costs **one message per slot**, not
+one per shard: the slot's shards with their per-shard arguments, the
+``shared`` arguments once, and one reply list back.  A worker serves
+its pipe in FIFO order, so the master's sync messages (attach /
+layout / extend / configure) always land before the phases that
+depend on them.  Replies are awaited under the
+:class:`~repro.core.policy.FaultPolicy` deadline through a poll
+registration kept for the worker's lifetime (the pipe plus the
+process sentinel), so a bounded wait costs what an unbounded one does.
+A slot whose reply timed out, or whose worker died, is killed and
+replaced by a fresh worker on a fresh pipe before it is used again: a
+late reply is never read as the next phase's.  A phase that raises in
+the worker is re-raised on the master with its type and message, and
+the worker keeps serving.
+
+The shared-memory resource tracker is started before any worker is
+forked.  A worker forked before the tracker exists starts a tracker of
+its own on its first attach, and that tracker reports the master's
+segments as leaked when the worker exits.
 
 Lease / eviction contract
 -------------------------
 A lease grants **exclusive** use of the runtime: ``lease()`` takes an
 internal lock that is released by :meth:`RuntimeLease.close` (or the
 ``with`` block).  Concurrent fits from different threads serialise on
-the lock — each fit is internally parallel over the pools, so this is
-the intended schedule, not a bottleneck.  Taking a second lease from
-the thread that already holds one deadlocks; don't nest.
+the lock — each fit is internally parallel over the workers, so this
+is the intended schedule, not a bottleneck.  Taking a second lease
+from the thread that already holds one deadlocks; don't nest.
 
 If a fit raises mid-EM while holding a lease, the lease's ``__exit__``
-**resets** the runtime — pools are shut down (queued phases cancelled)
-and segments unlinked — because in-flight worker state can no longer be
-trusted.  The runtime object stays usable: the next ``lease()``
+**resets** the runtime — workers are stopped (a busy one is killed)
+and segments unlinked — because in-flight worker state can no longer
+be trusted.  The runtime object stays usable: the next ``lease()``
 respawns lazily.  This is what makes the exception path leak-free: an
 abandoned half-fit never strands ``/dev/shm`` segments or child
 processes.
@@ -52,7 +75,7 @@ Runtimes obtained from a :class:`RuntimeRegistry` are closed by (a) an
 explicit ``close()`` from any holder — safe, the registry re-creates on
 next acquire, (b) idle-TTL eviction, checked lazily on each acquire,
 and (c) the registry's ``atexit`` hook, so a interpreter never exits
-with live pools.  Closing is idempotent.
+with live workers.  Closing is idempotent.
 
 When per-fit runners are still used
 -----------------------------------
@@ -67,15 +90,15 @@ this module.
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
-import signal
+import select
 import threading
 import time
+import traceback
 import weakref
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _PoolTimeout
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
+from multiprocessing.reduction import ForkingPickler
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -89,6 +112,7 @@ from ..exceptions import (
     PhaseTimeoutError,
     ProtocolError,
     WorkerCrashError,
+    WorkerReplyError,
 )
 from ..core.policy import (
     ExecutionPlan,
@@ -117,11 +141,17 @@ MAX_EPOCHS = 16
 #: Default idle TTL (seconds) for registry eviction.
 DEFAULT_IDLE_TTL = 300.0
 
-#: Failures a dispatch round recovers from: the pool broke (worker
-#: died, pipe torn) or the phase blew its deadline (hung worker).
-#: ``concurrent.futures.TimeoutError`` is the builtin on 3.11+ but a
-#: distinct class before that; catch both spellings.
-_DISPATCH_FAILURES = (BrokenProcessPool, _PoolTimeout, TimeoutError)
+#: Seconds a stopped worker gets to exit before it is killed.
+STOP_GRACE = 5.0
+
+
+class _WorkerLost(WorkerCrashError):
+    """A pinned worker died or its pipe tore; the slot needs a respawn."""
+
+
+#: Failures a dispatch round recovers from: the worker was lost (died,
+#: pipe torn) or the phase blew its deadline (hung worker).
+_DISPATCH_FAILURES = (_WorkerLost, TimeoutError)
 
 #: Zeroed per-lease fault-event counters (the shape ``FitStats``
 #: ingests via ``record_runner``).
@@ -131,6 +161,14 @@ _FAULT_EVENT_KEYS = ("respawns", "retries", "timeouts", "crashes",
 
 def _zero_fault_events() -> dict:
     return dict.fromkeys(_FAULT_EVENT_KEYS, 0)
+
+
+def _zero_ipc() -> dict:
+    """Zeroed per-lease transport counters: messages sent, pickled
+    bytes written and read on the pipes, and the worker-side seconds
+    the replies report (folded into ``FitStats.ipc``)."""
+    return {"messages": 0, "bytes_out": 0, "bytes_in": 0,
+            "worker_seconds": 0.0}
 
 #: Lease-protocol verifier (None unless ``REPRO_CHECKS=1``): the
 #: master-side hooks below report segment/pool/lease lifecycle events
@@ -142,10 +180,10 @@ _VERIFIER = _get_protocol_verifier()
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
-# One mutable context per worker process.  Pools are single-worker and
-# process messages FIFO, so the master's sync messages (attach / layout
-# / extend / configure) are always applied before the phases that
-# depend on them — no worker-side locking is needed.
+# One mutable context per worker process.  A worker serves its pipe
+# FIFO, so the master's sync messages (attach / layout / extend /
+# configure) are always applied before the phases that depend on them
+# — no worker-side locking is needed.
 _WORKER_CTX: dict = {}
 
 
@@ -341,10 +379,17 @@ def _materialize_shard(k: int) -> AnswerShard:
     return shard
 
 
-def _rt_phase(k: int, phase: str, args: tuple):
+def _run_phase(k: int, phase: str, args: tuple):
+    """Run ``phase`` on this worker's view of shard ``k``."""
     spec = _WORKER_CTX["spec"]
     shard = _materialize_shard(k)
     return getattr(spec, phase)(shard, spec.shard_ops(shard), *args)
+
+
+def _rt_phase(phase: str, items: Sequence[tuple], shared: tuple) -> list:
+    """One phase over a slot's ``(shard, args)`` items, with ``shared``
+    appended to every shard's arguments; the results in item order."""
+    return [_run_phase(k, phase, args + shared) for k, args in items]
 
 
 def _rt_replay(items: Sequence[tuple]) -> int:
@@ -354,15 +399,15 @@ def _rt_replay(items: Sequence[tuple]) -> int:
     the replayed state is bit-identical).  Results are discarded; only
     the ``ops`` mutations matter."""
     for k, phase, args in items:
-        _rt_phase(k, phase, args)
+        _run_phase(k, phase, args)
     return os.getpid()
 
 
 def _rt_sleep(seconds: float) -> int:
-    """Occupy this FIFO worker for ``seconds`` before its next phase.
+    """Occupy this FIFO worker for ``seconds`` before its next request.
 
-    The ``delay`` fault: queued ahead of a phase submit, it stalls the
-    single-worker pool so the phase reply arrives late — past the
+    The ``delay`` fault: queued ahead of a phase message, it stalls the
+    worker so the phase reply arrives late — past the
     :class:`~repro.core.policy.FaultPolicy` deadline if the injected
     delay is long enough.  Fault-injection only; never on a hot path.
     """
@@ -372,13 +417,66 @@ def _rt_sleep(seconds: float) -> int:
 
 def _rt_probe() -> dict:
     """Worker-side introspection for tests: what survived the last
-    configure (submit via a runtime's pools)."""
+    configure (send it through a runtime worker's ``call``)."""
     spec = _WORKER_CTX.get("spec")
     return {
         "pid": os.getpid(),
         "spec_reuses": _WORKER_CTX.get("spec_reuses", 0),
         "cached_ops": sorted(spec._ops) if spec is not None else [],
     }
+
+
+class _RemoteTraceback(Exception):
+    """The worker-side traceback, chained as the ``__cause__`` of a
+    phase exception re-raised on the master."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
+
+
+def _serve(conn) -> None:
+    """A pinned worker's loop.
+
+    Reads ``(fn, args)`` requests off the pipe in FIFO order and answers
+    each with exactly one ``(ok, value, seconds)`` reply: the call's
+    result, or the exception it raised with its formatted traceback,
+    plus the seconds the call took here.  A reply that will not pickle,
+    or an exception that will not unpickle again, is replaced by a
+    :class:`~repro.exceptions.WorkerReplyError` naming it, so the
+    worker keeps serving and the pipe stays in step.  ``None`` (or the
+    master hanging up) ends the loop.
+    """
+    while True:
+        try:
+            request = ForkingPickler.loads(conn.recv_bytes())
+        except EOFError:
+            return
+        if request is None:
+            return
+        fn, args = request
+        started = time.perf_counter()
+        try:
+            ok, value = True, fn(*args)
+        # checks: allow-broad-except(shipped to the master to re-raise)
+        except Exception as exc:
+            ok, value = False, (exc, traceback.format_exc())
+        seconds = time.perf_counter() - started
+        try:
+            payload = ForkingPickler.dumps((ok, value, seconds))
+            if not ok:
+                ForkingPickler.loads(payload)
+        # checks: allow-broad-except(sent on as a WorkerReplyError)
+        except Exception as exc:
+            culprit = value if ok else value[0]
+            described = (type(culprit).__name__ if ok
+                         else f"{type(culprit).__name__}: {culprit}")
+            error = WorkerReplyError(
+                f"a worker {'result' if ok else 'exception'} cannot "
+                f"cross the pipe ({described}; {type(exc).__name__}: "
+                f"{exc})")
+            payload = ForkingPickler.dumps(
+                (False, (error, traceback.format_exc()), seconds))
+        conn.send_bytes(payload)
 
 
 # ----------------------------------------------------------------------
@@ -660,6 +758,147 @@ class SerialShardSession:
 _FIELDS = ("tasks", "workers", "values")
 
 
+class _PinnedWorker:
+    """One pool slot: a worker process serving :func:`_serve` behind a
+    duplex pipe.
+
+    :meth:`send` pickles a ``(fn, args)`` request onto the pipe;
+    :meth:`result` reads the replies owed, in FIFO order, and returns
+    the newest one's value (the replies to queued ``delay`` stalls are
+    read and dropped).  Every message's pickled size and every reply's
+    worker-side seconds are added to ``tally``, the current lease's
+    transport counters.  A worker whose reply timed out, or whose pipe
+    or process died, is ``lost``: it is never read again, and the
+    runtime replaces it before the slot serves another request.
+    """
+
+    def __init__(self, tally: dict) -> None:
+        # Forking before the tracker exists would give the worker a
+        # tracker of its own (see the module docstring).
+        resource_tracker.ensure_running()
+        ctx = multiprocessing.get_context()
+        self._conn, child = ctx.Pipe()
+        self.process = ctx.Process(target=_serve, args=(child,),
+                                   daemon=True)
+        try:
+            self.process.start()
+        except BaseException:
+            self._conn.close()
+            raise
+        finally:
+            child.close()
+        self._fd = self._conn.fileno()
+        # Registered once for the worker's lifetime: a deadline-bounded
+        # wait then costs one poll, like an unbounded one.  The process
+        # sentinel makes a death visible even while another process
+        # still holds a copy of the child's end of the pipe.
+        self._poller = select.poll()
+        self._poller.register(self._fd, select.POLLIN)
+        self._poller.register(self.process.sentinel, select.POLLIN)
+        self.tally = tally
+        self.owed = 0
+        self.lost = False
+
+    @property
+    def pid(self) -> int | None:
+        return self.process.pid
+
+    def send(self, fn, *args) -> None:
+        """Queue ``fn(*args)`` on the worker."""
+        if self.lost:
+            raise _WorkerLost(f"worker {self.pid} is lost")
+        payload = ForkingPickler.dumps((fn, args))
+        try:
+            self._conn.send_bytes(payload)
+        except BaseException as exc:
+            # A torn pipe, or an interrupt mid-message: either way the
+            # framing can no longer be trusted.
+            self.lost = True
+            if isinstance(exc, OSError):
+                raise _WorkerLost(f"worker {self.pid} hung up") from exc
+            raise
+        self.owed += 1
+        tally = self.tally
+        tally["messages"] += 1
+        tally["bytes_out"] += len(payload)
+
+    def result(self, timeout: float | None):
+        """The newest request's result, every owed reply read within
+        ``timeout`` seconds (``None``: unbounded).  Raises the
+        worker-side exception, :class:`TimeoutError` or
+        :class:`_WorkerLost`."""
+        if self.lost:
+            raise _WorkerLost(f"worker {self.pid} is lost")
+        if self.owed > 1:
+            # Replies to queued stalls come first, under one deadline.
+            until = None if timeout is None else time.monotonic() + timeout
+            while self.owed > 1:
+                self._reply(None if until is None
+                            else max(until - time.monotonic(), 0.0))
+            if until is not None:
+                timeout = max(until - time.monotonic(), 0.0)
+        return self._reply(timeout)
+
+    def call(self, fn, *args, timeout: float | None = None):
+        """One round trip: :meth:`send`, then :meth:`result`."""
+        self.send(fn, *args)
+        return self.result(timeout)
+
+    def _reply(self, timeout: float | None):
+        ready = self._poller.poll(None if timeout is None
+                                  else timeout * 1e3)
+        if not ready:
+            self.lost = True
+            raise TimeoutError(f"worker {self.pid} missed its deadline")
+        if len(ready) == 1 and ready[0][0] != self._fd:
+            # Only the sentinel fired: the process is gone.
+            self.lost = True
+            raise _WorkerLost(f"worker {self.pid} exited")
+        try:
+            payload = self._conn.recv_bytes()
+        except BaseException as exc:
+            self.lost = True  # as in send: the framing is gone
+            if isinstance(exc, (EOFError, OSError)):
+                raise _WorkerLost(f"worker {self.pid} died") from exc
+            raise
+        self.owed -= 1
+        try:
+            ok, value, seconds = ForkingPickler.loads(payload)
+        except Exception as exc:
+            raise WorkerReplyError(
+                f"a worker reply cannot be unpickled on the master "
+                f"({type(exc).__name__}: {exc})") from exc
+        tally = self.tally
+        tally["bytes_in"] += len(payload)
+        tally["worker_seconds"] += seconds
+        if ok:
+            return value
+        error, remote = value
+        raise error from _RemoteTraceback(remote)
+
+    def kill(self) -> None:
+        """SIGKILL the worker (dead or hung: a stuck worker cannot be
+        joined, only killed); the slot is lost."""
+        self.lost = True
+        self.process.kill()
+
+    def close(self) -> None:
+        """Stop and reap the worker, then close the pipe.  An idle
+        worker is asked to exit; a lost or busy one is killed, since
+        neither its state nor its unread replies are of use."""
+        if not self.lost and not self.owed:
+            try:
+                self._conn.send_bytes(ForkingPickler.dumps(None))
+            except OSError:
+                pass
+            self.process.join(STOP_GRACE)
+        if self.process.exitcode is None:
+            self.kill()
+            self.process.join()
+        self._conn.close()
+        self.process.close()
+
+
 class _Segment:
     """One master-owned shared-memory block with element capacity."""
 
@@ -696,7 +935,7 @@ class RuntimeLease(SerialShardRunner):
 
     Exposes the :class:`~repro.inference.sharded.SerialShardRunner`
     surface (``spec`` / ``call`` / ``m_step`` / ``task_ranges``) but
-    dispatches phases to the runtime's persistent pools.  ``close()``
+    dispatches phases to the runtime's pinned workers.  ``close()``
     releases the runtime for the next fit; exiting the ``with`` block
     on an exception additionally resets the runtime (see module
     docstring).
@@ -704,7 +943,8 @@ class RuntimeLease(SerialShardRunner):
 
     def __init__(self, runtime: "ShardRuntime", spec,
                  task_ranges: Sequence[tuple[int, int]],
-                 fault_events: dict | None = None) -> None:
+                 fault_events: dict | None = None,
+                 ipc: dict | None = None) -> None:
         super().__init__(spec, shards=())
         self._runtime = runtime
         self._ranges = [tuple(r) for r in task_ranges]
@@ -714,6 +954,10 @@ class RuntimeLease(SerialShardRunner):
         #: crashes/degraded), folded into ``FitStats`` by the drivers.
         self.fault_events = (fault_events if fault_events is not None
                              else _zero_fault_events())
+        #: Per-lease transport counters measured on the pipes (messages,
+        #: bytes_out, bytes_in, worker_seconds), the lease's sync
+        #: included; folded into ``FitStats.ipc`` the same way.
+        self.ipc = ipc if ipc is not None else _zero_ipc()
 
     # The lease has no master-side shard views; everything that
     # SerialShardRunner derives from ``shards`` is overridden here.
@@ -753,7 +997,7 @@ class RuntimeLease(SerialShardRunner):
     def __exit__(self, exc_type, *exc_info) -> None:
         if exc_type is not None and not self._released and self._dispatched:
             # In-flight worker state is suspect after a mid-fit
-            # exception: tear pools and segments down before releasing
+            # exception: tear workers and segments down before releasing
             # so nothing leaks.  The runtime respawns on next lease.
             # Exceptions raised *before* any phase was dispatched
             # (master-side validation, a bad warm-start shape) never
@@ -763,7 +1007,8 @@ class RuntimeLease(SerialShardRunner):
 
 
 class ShardRuntime:
-    """Shared-memory segments + pinned worker pools reused across fits.
+    """Shared-memory segments + pinned worker processes reused across
+    fits.
 
     Parameters
     ----------
@@ -771,10 +1016,10 @@ class ShardRuntime:
         Upper bound on task-range shards per fit (clamped per dataset
         to its task count by the shard layer).
     max_workers:
-        Pool slots; defaults to ``min(n_shards, cpu_count)``.  Shard
-        ``k`` is pinned to pool ``k % max_workers`` so per-shard
-        worker-side state (operator caches, GLAD's match cache) stays
-        in one process.
+        Pool slots, one worker process each; defaults to
+        ``min(n_shards, cpu_count)``.  Shard ``k`` is pinned to slot
+        ``k % max_workers`` so per-shard worker-side state (operator
+        caches, GLAD's match cache) stays in one process.
 
     Use :meth:`lease` per fit; see the module docstring for the
     contract.  Instrumentation counters (``pool_spawns``,
@@ -798,7 +1043,9 @@ class ShardRuntime:
         self.n_shards = int(n_shards)
         self.max_workers = self.resolve_max_workers(n_shards, max_workers)
         self._lock = threading.Lock()
-        self._pools: list[ProcessPoolExecutor] = []
+        self._workers: list[_PinnedWorker] = []
+        #: The current lease's transport counters (see ``_zero_ipc``).
+        self._ipc = _zero_ipc()
         self._segments: dict[str, _Segment] = {}
         self._layout: dict | None = None
         # Weak: pinning the caller's full dataset for the idle TTL
@@ -845,7 +1092,7 @@ class ShardRuntime:
         return [seg.name for seg in self._segments.values()]
 
     def close(self) -> None:
-        """Shut pools down and unlink segments.
+        """Stop the workers and unlink segments.
 
         Idempotent: teardown runs exactly once no matter how many of
         explicit ``close()``, registry eviction and the atexit hook
@@ -858,7 +1105,8 @@ class ShardRuntime:
             self._closed = True
 
     def _reset(self) -> None:
-        """Tear down pools and segments but stay open for future leases.
+        """Tear down workers and segments but stay open for future
+        leases.
 
         Called with the lease lock *held* (from the lease's exception
         path), so it must not re-acquire it.
@@ -872,13 +1120,15 @@ class ShardRuntime:
         — the lease holder *is* the exiting main thread — so blocking
         on the lease lock the way :meth:`close` does would deadlock the
         shutdown.  Steal the teardown instead: non-daemon threads are
-        already joined and ``concurrent.futures``' own exit hook (which
-        runs *before* atexit hooks, via ``threading._register_atexit``)
-        has already wound down executor plumbing, so no phase can be
-        in flight on this runtime.  Tearing down here — pools first,
-        segments after — keeps the worker-side SharedMemory finalizers
-        ahead of the master-side unlink, exactly like a normal close,
-        so a shutdown-while-leased exits warning-free.
+        already joined, and the master only ever waits on a worker
+        inside a dispatch on the leasing thread, so no reply can be
+        awaited by now (one still owed is left unread: its worker is
+        killed).  This hook is registered after ``multiprocessing``'s
+        own exit hook, so it runs first, while the daemonic workers
+        are still alive to be stopped and joined.  Tearing down here —
+        workers first, segments after — detaches every worker before
+        the master-side unlink, exactly like a normal close, so a
+        shutdown-while-leased exits warning-free.
         """
         locked = self._lock.acquire(blocking=False)
         try:
@@ -890,11 +1140,11 @@ class ShardRuntime:
                 self._lock.release()
 
     def _teardown(self) -> None:
-        for pool in self._pools:
-            pool.shutdown(wait=True, cancel_futures=True)
+        for worker in self._workers:
+            worker.close()
             if _VERIFIER is not None:
-                _VERIFIER.pool_shutdown(id(pool))
-        self._pools = []
+                _VERIFIER.pool_shutdown(id(worker))
+        self._workers = []
         for seg in self._segments.values():
             seg.release()
         self._segments = {}
@@ -966,8 +1216,8 @@ class ShardRuntime:
             _VERIFIER.lock_acquired("runtime", id(self))
         try:
             # Checked under the lock: a close() racing ahead of this
-            # lease must not be followed by a silent pool respawn on a
-            # runtime nothing will ever tear down again.
+            # lease must not be followed by a silent worker respawn on
+            # a runtime nothing will ever tear down again.
             if self._closed:
                 raise ProtocolError("runtime is closed")
             if fault_policy is not None:
@@ -977,6 +1227,9 @@ class ShardRuntime:
             self._phase_log = {}
             self._master_replayed = set()
             events = _zero_fault_events()
+            self._ipc = _zero_ipc()
+            for worker in self._workers:
+                worker.tally = self._ipc
             self._ensure_pools()
             ops = self._place(answers, stream_key)
             layout = self._layout
@@ -994,7 +1247,8 @@ class ShardRuntime:
             cuts = layout["task_cuts"]
             ranges = list(zip(cuts[:-1], cuts[1:]))
             self.last_used = time.monotonic()
-            lease = RuntimeLease(self, spec, ranges, fault_events=events)
+            lease = RuntimeLease(self, spec, ranges, fault_events=events,
+                                 ipc=self._ipc)
             if _VERIFIER is not None:
                 _VERIFIER.lease_acquired(id(self), id(lease))
             return lease
@@ -1012,34 +1266,17 @@ class ShardRuntime:
         self.last_used = time.monotonic()
         self._lock.release()
 
-    # -- pools ---------------------------------------------------------
+    # -- workers -------------------------------------------------------
     def _ensure_pools(self) -> None:
-        if not self._pools:
-            self._pools = [ProcessPoolExecutor(max_workers=1)
-                           for _ in range(self.max_workers)]
+        if not self._workers:
+            self._workers = [_PinnedWorker(self._ipc)
+                             for _ in range(self.max_workers)]
             self.pool_spawns += 1
             if _VERIFIER is not None:
-                for pool in self._pools:
-                    _VERIFIER.pool_spawned(id(pool))
+                for worker in self._workers:
+                    _VERIFIER.pool_spawned(id(worker))
 
     # -- fault recovery ------------------------------------------------
-    def _wait(self, future):
-        """Deadline-bounded future wait (the no-unbounded-hangs rule)."""
-        deadline = self._fault_policy.deadline
-        if deadline is None:
-            return future.result()
-        return future.result(timeout=deadline)
-
-    @staticmethod
-    def _kill_pool_workers(pool) -> None:
-        """SIGKILL a pool's worker processes (dead or hung; a stuck
-        worker cannot be joined, only killed)."""
-        for pid in list(getattr(pool, "_processes", None) or {}):
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                pass
-
     def _replay_ops(self) -> list:
         """The message ledger a respawned worker replays: re-attach the
         still-live segments, adopt the master's authoritative layout
@@ -1052,28 +1289,29 @@ class ShardRuntime:
         return ops
 
     def _respawn_slot(self, slot: int, events: dict) -> bool:
-        """Replace a dead/hung pool with a fresh one and replay the
-        message ledger into it.  Returns False when the replay itself
-        failed (the caller's next round fails fast and retries or
-        degrades)."""
-        old = self._pools[slot]
-        self._kill_pool_workers(old)
-        old.shutdown(wait=True, cancel_futures=True)
-        fresh = ProcessPoolExecutor(max_workers=1)
-        self._pools[slot] = fresh
+        """Replace a dead/hung slot's worker with a fresh one on a fresh
+        pipe and replay the message ledger into it.  Returns False when
+        the replay itself failed (the caller's next round fails fast
+        and retries or degrades)."""
+        old = self._workers[slot]
+        old.kill()
+        old.close()
+        fresh = _PinnedWorker(self._ipc)
+        self._workers[slot] = fresh
         self.respawns += 1
         events["respawns"] += 1
         if _VERIFIER is not None:
             _VERIFIER.pool_respawned(id(old), id(fresh))
+        deadline = self._fault_policy.deadline
         try:
-            self._wait(fresh.submit(_rt_sync, self._replay_ops()))
+            fresh.call(_rt_sync, self._replay_ops(), timeout=deadline)
             if self._stateful_spec:
                 items = [(k, phase, args)
                          for k in sorted(self._phase_log)
                          if k % self.max_workers == slot
                          for phase, args in self._phase_log[k]]
                 if items:
-                    self._wait(fresh.submit(_rt_replay, items))
+                    fresh.call(_rt_replay, items, timeout=deadline)
         except _DISPATCH_FAILURES:
             return False
         return True
@@ -1134,87 +1372,101 @@ class ShardRuntime:
         return getattr(spec, phase)(shard, ops, *args)
 
     # -- messaging -----------------------------------------------------
-    def _sync(self, ops: list, events: dict | None = None) -> list:
-        """Broadcast sync operations to every pool and wait.
+    def _sync(self, ops: list, events: dict | None = None) -> None:
+        """Broadcast sync operations to every worker and wait.
 
-        Self-healing: a pool that broke or hung is killed, respawned
-        and replayed (the ledger replay subsumes ``ops``); a pool whose
+        Self-healing: a worker that died or hung is killed, respawned
+        and replayed (the ledger replay subsumes ``ops``); a slot whose
         replay fails too raises :class:`WorkerCrashError`.
         """
         if events is None:
             events = _zero_fault_events()
-        futures: list = []
-        for pool in self._pools:
+        for worker in self._workers:
             try:
-                futures.append(pool.submit(_rt_sync, ops))
-            except BrokenProcessPool:
-                futures.append(None)
-        results = []
-        for slot, future in enumerate(futures):
+                worker.send(_rt_sync, ops)
+            except _WorkerLost:
+                pass  # result() below fails fast on a lost worker
+        deadline = self._fault_policy.deadline
+        for slot in range(len(self._workers)):
             try:
-                if future is None:
-                    raise BrokenProcessPool("pool broke before sync")
-                results.append(self._wait(future))
+                self._workers[slot].result(deadline)
             except _DISPATCH_FAILURES:
                 events["crashes"] += 1
                 if not self._respawn_slot(slot, events):
                     raise WorkerCrashError(
-                        f"worker pool slot {slot} could not be revived "
-                        f"for sync (died again during ledger replay)")
-                results.append(None)
-        return results
+                        f"worker slot {slot} could not be revived for "
+                        f"sync (died again during ledger replay)")
 
     def _dispatch_round(self, indices: list, phase: str, args_of: dict,
-                        results: dict, plan, events: dict) -> list:
-        """One submit-and-collect pass; returns the failed shards.
+                        shared: tuple, results: dict, plan,
+                        events: dict) -> list:
+        """One send-and-collect pass; returns the failed shards.
 
-        The armed fault plan (if any) is consulted per dispatch —
-        ``kill`` SIGKILLs the worker just before the submit, ``delay``
-        queues a stall ahead of the phase on the FIFO pool.
+        Each slot gets one message carrying its shards' per-shard
+        arguments and ``shared`` once, and sends back one reply list.
+        The armed fault plan (if any) is still consulted per shard, in
+        shard order, before any phase message goes out — ``kill``
+        SIGKILLs the shard's worker, ``delay`` queues a stall ahead of
+        its slot's message on the FIFO pipe.  A slot that fails fails
+        all of its shards.
         """
-        futures: dict = {}
-        failed: list[int] = []
+        by_slot: dict[int, list[int]] = {}
         for k in indices:
-            pool = self._pools[k % self.max_workers]
-            if plan is not None:
+            by_slot.setdefault(k % self.max_workers, []).append(k)
+        if plan is not None:
+            for k in indices:
                 action = plan.on_dispatch(k, phase)
+                worker = self._workers[k % self.max_workers]
                 if action is not None and action[0] == "kill":
-                    self._kill_pool_workers(pool)
+                    worker.kill()
                 elif action is not None:
                     try:
-                        pool.submit(_rt_sleep, action[1])
-                    except BrokenProcessPool:
-                        pass
+                        worker.send(_rt_sleep, action[1])
+                    except _WorkerLost:
+                        pass  # the phase send below fails the slot
+        failed: list[int] = []
+        sent: list[int] = []
+        for slot, shards in by_slot.items():
             try:
-                futures[k] = pool.submit(_rt_phase, k, phase, args_of[k])
-            except BrokenProcessPool:
-                events["crashes"] += 1
-                failed.append(k)
-        for k, future in futures.items():
+                self._workers[slot].send(
+                    _rt_phase, phase, [(k, args_of[k]) for k in shards],
+                    shared)
+                sent.append(slot)
+            except _WorkerLost:
+                events["crashes"] += len(shards)
+                failed.extend(shards)
+        deadline = self._fault_policy.deadline
+        for slot in sent:
+            shards = by_slot[slot]
             try:
-                results[k] = self._wait(future)
+                replies = self._workers[slot].result(deadline)
+            except _WorkerLost:
+                events["crashes"] += len(shards)
+                failed.extend(shards)
+                continue
+            except TimeoutError:
+                events["timeouts"] += len(shards)
+                failed.extend(shards)
+                continue
+            for k, reply in zip(shards, replies):
+                results[k] = reply
                 if self._stateful_spec:
                     # Acknowledged phases mutated this shard's worker
                     # ops; a later respawn must replay them.
                     self._phase_log.setdefault(k, []).append(
-                        (phase, args_of[k]))
-            except BrokenProcessPool:
-                events["crashes"] += 1
-                failed.append(k)
-            except (_PoolTimeout, TimeoutError):
-                events["timeouts"] += 1
-                failed.append(k)
-        return failed
+                        (phase, args_of[k] + shared))
+        return sorted(failed)
 
     def _dispatch(self, n_shards: int, phase: str, per_shard,
                   shared: tuple, only=None, *, spec=None,
                   events: dict | None = None, lease_key=None) -> list:
-        """Submit one phase per shard; with ``only``, the listed shards
-        get the only messages sent — a skipped (clean or frozen) shard
-        costs no payload and no worker wake-up at all.
+        """Run one phase on every shard (one message per slot); with
+        ``only``, just the listed shards — a skipped (clean or frozen)
+        shard costs no payload, and a slot with none of them no
+        message or wake-up at all.
 
-        Self-healing: future waits are deadline-bounded, a broken or
-        hung pool is respawned (replaying the message ledger over the
+        Self-healing: reply waits are deadline-bounded, a lost or hung
+        worker is respawned (replaying the message ledger over the
         still-live segments) and only the failed shards' phases are
         re-dispatched, with capped-backoff retries between attempts.
         Once the retry budget is spent the orphaned shards degrade to
@@ -1231,7 +1483,7 @@ class ShardRuntime:
             if per_shard is not None:
                 entry = per_shard[pos]
                 args = entry if isinstance(entry, tuple) else (entry,)
-            args_of[k] = args + shared
+            args_of[k] = args
         policy = self._fault_policy
         plan = (self._fault_plan if self._fault_plan is not None
                 else _faults.get_plan())
@@ -1240,14 +1492,14 @@ class ShardRuntime:
         for k in indices:
             if k % self.max_workers in self._degraded_slots:
                 results[k] = self._run_degraded(spec, k, phase,
-                                                args_of[k], events,
-                                                lease_key)
+                                                args_of[k] + shared,
+                                                events, lease_key)
             else:
                 pending.append(k)
         backoff = _faults.Backoff(policy.backoff_base, policy.backoff_cap)
         attempt = 0
         while pending:
-            failed = self._dispatch_round(pending, phase, args_of,
+            failed = self._dispatch_round(pending, phase, args_of, shared,
                                           results, plan, events)
             if not failed:
                 break
@@ -1267,12 +1519,13 @@ class ShardRuntime:
                     slot = k % self.max_workers
                     if slot not in self._degraded_slots:
                         self._degraded_slots.add(slot)
-                        # Leave a sane (respawned, replayed) pool behind
-                        # for the next lease; this one is done with it.
+                        # Leave a sane (respawned, replayed) worker
+                        # behind for the next lease; this one is done
+                        # with it.
                         self._respawn_slot(slot, events)
                     results[k] = self._run_degraded(spec, k, phase,
-                                                    args_of[k], events,
-                                                    lease_key)
+                                                    args_of[k] + shared,
+                                                    events, lease_key)
                 break
             attempt += 1
             events["retries"] += len(failed)

@@ -17,15 +17,16 @@ built on the persistent runtime of :mod:`repro.engine.runtime`:
   dominate, and **processes for large ones** when real cores are
   available.  Its process tier leases from the shared
   :class:`~repro.engine.runtime.RuntimeRegistry`, so repeated fits (a
-  method sweep, a refit loop) reuse warm pools and placed segments
-  instead of respawning per fit.
+  method sweep, a refit loop) reuse warm pinned workers and placed
+  segments instead of respawning per fit.
 
 When to prefer processes over threads
 -------------------------------------
 The per-iteration phase payloads are a few posterior blocks and
 parameter vectors, so process fan-out amortises well for methods whose
 per-shard work is one heavy kernel per phase (D&S/LFC/ZC/LFC_N: one
-``accumulate`` + one ``e_block`` round-trip per EM iteration).  GLAD
+``accumulate`` + one ``e_block`` round-trip per EM iteration; a round
+trip is one message per worker slot, its shards batched).  GLAD
 exchanges gradients every ascent step (``gradient_steps`` round-trips
 per iteration), so it needs larger shards before processes beat the
 in-process path.  On a single-core host processes only add overhead —
@@ -51,12 +52,12 @@ _UNSET = object()
 
 
 class ProcessShardRunner:
-    """One-shot shard runner dispatching spec phases to a process pool.
+    """One-shot shard runner dispatching spec phases to worker processes.
 
     A thin lease on a private :class:`~repro.engine.runtime.ShardRuntime`:
     construction places the task-sorted answer arrays in shared memory
-    and pins shard ``k`` to single-worker pool ``k % max_workers``;
-    :meth:`close` (or the ``with`` block) shuts the pools down and
+    and pins shard ``k`` to worker slot ``k % max_workers``;
+    :meth:`close` (or the ``with`` block) stops the workers and
     unlinks the segments.  For *repeated* fits prefer leasing from the
     shared registry (what :class:`ShardedInferenceEngine` does) so the
     spawn and placement amortise across fits.
@@ -111,6 +112,11 @@ class ProcessShardRunner:
         """The lease's wall seconds per phase (see ``RuntimeLease``)."""
         return self._lease.phase_seconds
 
+    @property
+    def ipc(self) -> dict:
+        """The lease's transport counters (see ``RuntimeLease``)."""
+        return self._lease.ipc
+
     def m_step(self, state: np.ndarray, prev_params=None):
         return self._lease.m_step(state, prev_params)
 
@@ -125,7 +131,7 @@ class ProcessShardRunner:
         return self._runtime.segment_names()
 
     def close(self) -> None:
-        """Shut down the pools and release the shared-memory blocks."""
+        """Stop the workers and release the shared-memory blocks."""
         if self._closed:
             return
         self._closed = True

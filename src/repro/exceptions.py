@@ -71,6 +71,16 @@ class PhaseTimeoutError(EngineError):
     """
 
 
+class WorkerReplyError(EngineError):
+    """Raised when a shard worker's reply cannot cross the pipe.
+
+    A phase result or exception that does not pickle (or does not
+    unpickle on the master) comes back as this error instead, naming
+    the original type and message.  The worker keeps serving: only
+    the call whose reply was lost fails.
+    """
+
+
 class InferenceError(ReproError, ValueError):
     """Raised when the inference layer is handed inconsistent state.
 

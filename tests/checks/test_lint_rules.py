@@ -74,6 +74,19 @@ def test_real_source_tree_is_clean():
     assert report.ok(strict=True)
 
 
+def test_r004_flags_an_unreleased_process():
+    """``multiprocessing`` processes and pipes are acquisitions too: a
+    class owning them releases them in ``close``, a bare started
+    ``Process`` leaks."""
+    name = "r004_unreleased_process.py"
+    src = SourceFile.load(FIXTURES / name, name)
+    findings = lint_file(src, [RULE_BY_ID["R004"]])
+    assert [f.line for f in findings] == [violation_line(src, "R004")]
+    assert findings[0].message.startswith("Process(...)")
+    others = [rule for rule in ALL_RULES if rule.id != "R004"]
+    assert lint_file(src, others) == []
+
+
 def test_r002_is_path_scoped():
     """The same bare raise outside engine/store/inference is legal."""
     filename, _ = FIXTURE_FOR["R002"]

@@ -459,8 +459,8 @@ class TestWorkerSpecRetention:
                 engine.add_answers(batch)
                 engine.infer("D&S")
             runtime = engine._runtime
-            probes = [pool.submit(_rt_probe).result()
-                      for pool in runtime._pools]
+            probes = [worker.call(_rt_probe)
+                      for worker in runtime._workers]
         # Three fits of the same method over a fixed universe: at least
         # one refit reused the worker-side spec (the first extension
         # may reallocate segments, which re-attaches and rebuilds).

@@ -236,8 +236,7 @@ class TestKillRecovery:
             lease = rt.lease(answers, spec,
                              fault_policy=FaultPolicy(deadline=30.0))
             with lease:
-                pids = [pid for pool in rt._pools
-                        for pid in (pool._processes or {})]
+                pids = [worker.pid for worker in rt._workers]
                 assert pids, "lease sync must have spawned workers"
                 os.kill(pids[-1], signal.SIGKILL)
                 result = create(spec).fit(answers, shard_runner=lease)

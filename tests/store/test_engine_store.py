@@ -236,6 +236,40 @@ class TestOlderSnapshots:
             refit = engine.infer("D&S", tolerance=1e-7)
             assert refit.fit_stats.phase_seconds["e_block"] > 0
 
+    def test_fit_stats_pickled_without_ipc(self, tmp_path, monkeypatch):
+        """Snapshots written before ``FitStats.ipc`` existed recover
+        with the class default; the next process-tier refit measures
+        its pipes again."""
+        from repro.store.snapshots import SnapshotStore
+
+        save = SnapshotStore.save
+
+        def save_without_ipc(self, method, *, payload, **kwargs):
+            vars(payload["result"].fit_stats).pop("ipc")
+            return save(self, method, payload=payload, **kwargs)
+
+        monkeypatch.setattr(SnapshotStore, "save", save_without_ipc)
+        policy_kwargs = dict(n_shards=2, executor="process",
+                             max_workers=1, refit="delta")
+        batches = make_batches(n_batches=3, per_batch=60, n_tasks=40)
+        with engine_with_store(tmp_path, policy_kwargs=policy_kwargs,
+                               snapshot_every=1) as engine:
+            for batch in batches[:2]:
+                engine.add_answers(batch)
+                live = engine.infer("D&S", tolerance=1e-7)
+        monkeypatch.undo()
+        with InferenceEngine.recover(
+                str(tmp_path / "store"),
+                policy=ExecutionPolicy(**policy_kwargs)) as engine:
+            cached = engine.infer("D&S", tolerance=1e-7)
+            assert "ipc" not in vars(cached.fit_stats)
+            assert cached.fit_stats.ipc is None
+            assert " ipc " not in cached.fit_stats.summary()
+            assert np.array_equal(cached.posterior, live.posterior)
+            engine.add_answers(batches[2])
+            refit = engine.infer("D&S", tolerance=1e-7)
+            assert refit.fit_stats.ipc["messages"] > 0
+
 
 class TestSpill:
     def test_spill_idle_and_transparent_reads(self, tmp_path):
