@@ -130,7 +130,7 @@ def run_benchmark(n_answers: int, n_shards: int = N_SHARDS):
         one_shard, one_s = _timed(
             lambda: create(name, seed=0).fit(answers))
         sharded, sharded_s = _timed(
-            lambda: create(name, seed=0, policy=policy).fit(answers))
+            lambda: create(name, seed=0).fit(answers, policy=policy))
         bitwise = np.array_equal(naive_posterior, one_shard.posterior)
         if name in GIBBS:
             # Multi-shard Gibbs chains are statistically equivalent but

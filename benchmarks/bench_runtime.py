@@ -1,18 +1,19 @@
-"""Persistent shard runtime vs per-fit process runners on a grown stream.
+"""Persistent shard runtime vs per-fit process runtimes on a grown stream.
 
 The measured claim (PR 3 acceptance): on a stream of refits at 8
 shards, the persistent :class:`~repro.engine.runtime.ShardRuntime`
 cuts the **non-EM overhead per refit** — process-pool spawn, shared
 -memory allocation and answer placement, teardown — by **>= 5x**
-against the per-fit :class:`~repro.engine.sharded.ProcessShardRunner`
-path, while producing posteriors that match the per-fit path to 1e-10.
+against a per-fit runtime (a fresh ``ShardRuntime`` plus one lease,
+closed together), while producing posteriors that match the per-fit
+path to 1e-10.
 
 Protocol: one synthetic decision-making stream grows ~3% per step.
 Each step is refit twice —
 
-* **per-fit** — construct a fresh ``ProcessShardRunner`` (which spawns
-  the pinned single-worker pools *eagerly* and copies the task-sorted
-  arrays into fresh ``/dev/shm`` segments), fit, tear it down;
+* **per-fit** — construct a fresh ``ShardRuntime`` and lease it (which
+  spawns the pinned workers and copies the task-sorted arrays into
+  fresh ``/dev/shm`` segments), fit, close the lease and the runtime;
 * **warm** — lease the one persistent runtime (``stream_key`` pinned),
   which reuses the warm pools and *appends* only the new answer tail
   to the placed segments.
@@ -38,7 +39,6 @@ from repro.core.policy import ExecutionPolicy, MethodSpec
 from repro.core.registry import create
 from repro.core.tasktypes import TaskType
 from repro.engine.runtime import ShardRuntime
-from repro.engine.sharded import ProcessShardRunner
 from repro.experiments.reporting import format_table
 
 from .conftest import save_json, save_report
@@ -95,13 +95,14 @@ def run_benchmark(base_answers: int, n_shards: int = N_SHARDS,
         for step, answers in enumerate(snapshots):
             # Per-fit path: spawn + place + fit + teardown, every time.
             t0 = time.perf_counter()
-            runner = ProcessShardRunner(answers, spec,
-                                        n_shards=plan.n_shards,
-                                        max_workers=plan.max_workers)
+            private = ShardRuntime(n_shards=plan.n_shards,
+                                   max_workers=plan.max_workers)
+            runner = private.lease(answers, spec)
             t1 = time.perf_counter()
             cold = create(spec).fit(answers, shard_runner=runner)
             t2 = time.perf_counter()
             runner.close()
+            private.close()
             t3 = time.perf_counter()
             perfit_over = (t1 - t0) + (t3 - t2)
             perfit_em = t2 - t1
@@ -138,7 +139,7 @@ def run_benchmark(base_answers: int, n_shards: int = N_SHARDS,
     mean_warm = float(np.mean(overhead_warm[1:]))
     ratio = mean_perfit / max(mean_warm, 1e-9)
     title = (
-        f"Persistent runtime vs per-fit process runners — {method}, "
+        f"Persistent runtime vs per-fit process runtimes — {method}, "
         f"{n_shards} shards, {os.cpu_count() or 1} cpu(s); "
         f"{len(snapshots) - 1} refits on a stream growing "
         f"{GROWTH_FRACTION:.0%}/step | warm path: {spawns} pool spawn(s), "

@@ -34,7 +34,6 @@ from repro.core.answers import AnswerSet
 from repro.core.policy import ExecutionPolicy
 from repro.core.registry import create
 from repro.core.tasktypes import TaskType
-from repro.engine.sharded import ShardedInferenceEngine
 from repro.experiments.reporting import format_table
 
 from .conftest import save_json, save_report
@@ -94,11 +93,12 @@ def run_benchmark(n_answers: int, n_shards: int = N_SHARDS):
     # Processes only pay off at scale: per-fit pool spawn plus the
     # per-phase IPC dwarfs a smoke-sized fit, so the smoke gate (and any
     # single-core host) stays on the in-process tier.
-    engine = ShardedInferenceEngine(ExecutionPolicy(
+    policy = ExecutionPolicy(
         n_shards=n_shards,
         max_workers=min(n_shards, cpus),
         executor="process" if (cpus > 1 and full_scale) else "serial",
-    ))
+    )
+    mode = policy.resolve(answers).mode
     jobs = [
         ("D&S", MAX_ITER,
          lambda tol, it: reference_confusion_em(
@@ -114,7 +114,8 @@ def run_benchmark(n_answers: int, n_shards: int = N_SHARDS):
         one_shard, one_s = _timed(
             lambda: create(name, seed=0, max_iter=max_iter).fit(answers))
         sharded, sharded_s = _timed(
-            lambda: engine.fit(answers, name, max_iter=max_iter))
+            lambda: create(name, seed=0, max_iter=max_iter).fit(
+                answers, policy=policy))
         bitwise = np.array_equal(naive_posterior, one_shard.posterior)
         agreement = float((sharded.truths == one_shard.truths).mean())
         speedup = naive_s / max(sharded_s, 1e-9)
@@ -128,7 +129,7 @@ def run_benchmark(n_answers: int, n_shards: int = N_SHARDS):
         f"Sharded map-reduce EM vs pre-refactor EM — "
         f"{answers.n_answers:,} answers, {answers.n_tasks:,} tasks, "
         f"{answers.n_workers} workers | {n_shards} shards, "
-        f"executor={engine.last_mode or engine.executor}, {cpus} cpu(s)"
+        f"executor={mode}, {cpus} cpu(s)"
     )
     report = format_table(
         ["method", "answers", "pre-refactor", "sharded(1)",
@@ -138,7 +139,7 @@ def run_benchmark(n_answers: int, n_shards: int = N_SHARDS):
     payload = {
         "n_answers": answers.n_answers,
         "n_shards": n_shards,
-        "executor": engine.last_mode or engine.executor,
+        "executor": mode,
         "methods": [
             {"method": name, "bitwise": bool(bitwise),
              "agreement": agreement, "speedup": speedup, "target": target}

@@ -11,9 +11,10 @@ pin against them and must share one copy so the reference cannot drift:
   bitwise check at benchmark scale.
 
 Do not "improve" this module: its value is that it stays exactly what
-the pre-refactor code computed.  That includes the two row normalisers
-below: the library streams them column by column, so the references
-keep their own axis-reduce copies, and a library rewrite that changes a
+the pre-refactor code computed.  That includes the cold-start EM loop
+and the two row normalisers below: the library runs EM only through its
+sharded drivers and streams the normalisers column by column, so the
+references keep their own copies, and a library rewrite that changes a
 bit fails the one-shard parity checks instead of passing against
 itself.
 """
@@ -28,7 +29,22 @@ from repro.core.framework import (
     clamp_golden_values,
     decode_posterior,
 )
-from repro.inference.em import run_em
+from repro.inference.sharded import EMOutcome
+
+
+def run_em(initial_posterior, *, m_step, e_step, tolerance, max_iter):
+    """Pre-refactor cold-start EM loop: alternate ``m_step``/``e_step``
+    from ``initial_posterior`` until the posterior stabilises."""
+    posterior = np.array(initial_posterior, dtype=np.float64)
+    tracker = ConvergenceTracker(tolerance=tolerance, max_iter=max_iter)
+    while True:
+        parameters = m_step(posterior)
+        posterior = np.asarray(e_step(parameters), dtype=np.float64)
+        if tracker.update(posterior):
+            break
+    return EMOutcome(posterior=posterior, parameters=parameters,
+                     n_iterations=tracker.iteration,
+                     converged=tracker.converged)
 
 
 def normalize_rows(matrix):

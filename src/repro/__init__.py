@@ -30,7 +30,7 @@ Quickstart::
     # How to run: an ExecutionPolicy — sharded map-reduce EM, with the
     # executor tier (serial / threads / processes) resolved per input.
     policy = ExecutionPolicy(n_shards=4)
-    result = create(spec, policy=policy).fit(dataset.answers, policy=policy)
+    result = create(spec).fit(dataset.answers, policy=policy)
 
 Capabilities (warm starts, sharding, golden tasks, ...) are queried
 through ``capabilities(name)`` instead of probing class attributes::

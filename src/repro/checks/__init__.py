@@ -3,9 +3,9 @@
 Three layers, one CLI gate:
 
 - :mod:`repro.checks.lint` — an AST-walking rule engine enforcing the
-  repo-specific invariants (rules R001-R007 in
-  :mod:`repro.checks.rules`) over the source tree, with a per-line
-  pragma escape hatch (``# checks: allow-<slug>(reason)``).
+  repo-specific invariants (the rules in :mod:`repro.checks.rules`)
+  over the source tree, with a per-line pragma escape hatch
+  (``# checks: allow-<slug>(reason)``).
 - :mod:`repro.checks.contracts` — cross-checks every registry method's
   declared :class:`~repro.core.registry.Capabilities` against what its
   implementation actually supports, so the capability table is a

@@ -1,4 +1,5 @@
-"""The repo-specific lint rules (R001-R007).
+"""The repo-specific lint rules (R001-R005 and R007; retired ids are
+not reused).
 
 Each rule is a small object with an ``id`` (``"R001"``), a pragma
 ``slug`` (``"global-rng"`` — suppressed via
@@ -12,7 +13,6 @@ from .crash_paths import TypedCrashPathRule
 from .probes import CapabilityProbeRule
 from .lifecycle import PairedLifecycleRule
 from .broad_except import BroadExceptRule
-from .legacy_kwargs import LegacyKwargRule
 from .retry import AdhocRetryRule
 
 #: Registry order == report order.
@@ -22,7 +22,6 @@ ALL_RULES = (
     CapabilityProbeRule(),
     PairedLifecycleRule(),
     BroadExceptRule(),
-    LegacyKwargRule(),
     AdhocRetryRule(),
 )
 
@@ -42,6 +41,5 @@ __all__ = [
     "CapabilityProbeRule",
     "PairedLifecycleRule",
     "BroadExceptRule",
-    "LegacyKwargRule",
     "AdhocRetryRule",
 ]

@@ -37,8 +37,7 @@ How each fit executes is one :class:`~repro.core.policy.ExecutionPolicy`
 spelled identically on both commands: ``--shards``, ``--workers`` and
 ``--executor {auto,serial,thread,process}`` (``process`` leases the
 persistent shared-memory runtime of :mod:`repro.engine.runtime`
-instead of spawning pools per fit; ``batch --shard-executor`` remains
-as a hidden deprecated alias).  Flag validation is shared across
+instead of spawning pools per fit).  Flag validation is shared across
 commands (:func:`_require_minimums`); ``--shards`` beyond the task
 count is clamped deterministically by the shard layer.
 """
@@ -47,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 from .core.answers import AnswerSet
 from .core.policy import (
@@ -215,13 +213,6 @@ def _require_minimums(*specs: tuple[str, int, int]) -> str | None:
 def _complain(message: str) -> int:
     print(message, file=sys.stderr)
     return 1
-
-
-def _deprecated_flag(old: str, new: str) -> None:
-    """Announce a hidden legacy alias (stderr + DeprecationWarning)."""
-    message = f"{old} is deprecated; use {new}"
-    print(f"warning: {message}", file=sys.stderr)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
 
 
 def _execution_policy(args) -> ExecutionPolicy:
@@ -455,16 +446,6 @@ def _cmd_batch(args) -> int:
                               ("--workers", args.workers, 1))
     if error:
         return _complain(error)
-    if args.shard_executor is not None:
-        _deprecated_flag("--shard-executor", "--executor")
-        if args.executor != "auto":
-            # Refuse to guess which of two explicit executor choices
-            # wins; silently ignoring either would be worse.
-            return _complain(
-                "--shard-executor conflicts with --executor; pass only "
-                "--executor"
-            )
-        args.executor = args.shard_executor
     if args.executor in ("thread", "process") and args.shards <= 1:
         # Before the flag unification, batch --executor chose the *job
         # pool*; it now chooses each fit's execution tier, which is a
@@ -726,8 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "with sharded EM (clamped to each "
                               "dataset's task count)")
     _executor_flag(p_batch)
-    p_batch.add_argument("--shard-executor", choices=["thread", "process"],
-                         default=None, help=argparse.SUPPRESS)
 
     p_plan = sub.add_parser("plan-redundancy",
                             help="estimate the saturation redundancy")

@@ -161,22 +161,21 @@ class TruthInferenceMethod(abc.ABC):
             precedence than ``warm_start`` and ``initial_quality``;
             ignored by methods without ``supports_seed_posterior``.
         shard_runner:
-            Optional pre-built shard runner (e.g. a process-pool runner
-            over shared-memory shards from
-            :mod:`repro.engine.sharded`) that sharded EM methods use in
-            place of the serial runner they would build from
-            ``n_shards``.  Ignored by methods without
-            ``supports_sharding``.
+            Optional pre-built shard runner (e.g. a
+            :class:`~repro.engine.runtime.RuntimeLease` over
+            shared-memory shards) that sharded EM methods use in place
+            of the serial runner they would build from ``n_shards``.
+            Ignored by methods without ``supports_sharding``.
         policy:
             Optional :class:`~repro.core.policy.ExecutionPolicy` (or
             already-resolved plan) deciding *how this one fit* runs:
             resolved against ``answers``, it overrides the instance's
             constructor sharding knobs — serial/thread plans build the
             matching in-process runner, process plans lease the
-            persistent shared-memory runtime (one-shot when the plan
-            says ``persistent=False``).  Ignored by methods without
-            ``supports_sharding`` and whenever ``shard_runner`` is
-            supplied explicitly.
+            persistent shared-memory runtime from the process-wide
+            registry, under the plan's fault policy and fault plan.
+            Ignored by methods without ``supports_sharding`` and
+            whenever ``shard_runner`` is supplied explicitly.
         delta:
             Optional :class:`~repro.inference.sharded.DeltaPlan` opting
             this fit into the incremental (delta-refit) EM path: with a
@@ -349,8 +348,7 @@ class TruthInferenceMethod(abc.ABC):
 
         Serial/thread plans build the in-process runner directly (the
         plan overrides the instance's constructor knobs); process plans
-        lease the persistent shared-memory runtime — or a one-shot
-        process runner when the plan says ``persistent=False``.
+        lease the persistent shared-memory runtime.
         """
         plan = (policy.resolve(answers)
                 if isinstance(policy, ExecutionPolicy) else policy)
@@ -363,20 +361,11 @@ class TruthInferenceMethod(abc.ABC):
                     f"rebuild it; construct {self.name} via "
                     f"create()/MethodSpec instead of the class"
                 )
-            if plan.persistent:
-                from ..engine.runtime import get_runtime_registry
+            from ..engine.runtime import get_runtime_registry
 
-                _, lease = get_runtime_registry().lease(
-                    plan, answers, spec)
-                with lease as runner:
-                    yield runner
-            else:
-                from ..engine.sharded import ProcessShardRunner
-
-                with ProcessShardRunner(
-                        answers, spec, n_shards=plan.n_shards,
-                        max_workers=plan.max_workers) as runner:
-                    yield runner
+            _, lease = get_runtime_registry().lease(plan, answers, spec)
+            with lease as runner:
+                yield runner
             return
         from ..inference.sharded import make_runner
 
@@ -399,10 +388,11 @@ class TruthInferenceMethod(abc.ABC):
                       delta=None):
         """Yield the shard runner a sharded ``_fit`` should use.
 
-        An externally supplied runner (e.g. the process-pool runner from
-        :mod:`repro.engine.sharded`) wins; otherwise the answers are
-        partitioned into ``self.n_shards`` task ranges and run serially,
-        or on a transient thread pool when ``shard_workers > 1``.  A
+        An externally supplied runner (e.g. a process-tier
+        :class:`~repro.engine.runtime.RuntimeLease`) wins; otherwise the
+        answers are partitioned into ``self.n_shards`` task ranges and
+        run serially, or on a transient thread pool when
+        ``shard_workers > 1``.  A
         delta refit (``delta.prev`` set) pins the cuts the cached state
         was fitted with, so its per-shard blocks stay aligned.
         """

@@ -1,22 +1,18 @@
 """One execution vocabulary: :class:`ExecutionPolicy` and :class:`MethodSpec`.
 
-Three PRs of scaling work grew five overlapping entry points, each
-spelling "how to run" with a different kwarg subset (``n_shards=``,
-``shard_workers=``, ``executor=``, ``shard_executor=``, ``persistent=``)
-while "what to run" travelled as ``(method_name, method_kwargs)`` dict
-pairs.  This module is the single configuration surface both collapse
-into:
+"How to run" and "what to run" are two frozen objects, and every layer
+that runs a fit takes them:
 
 * :class:`ExecutionPolicy` — a frozen, declarative description of *how*
-  a fit should execute: shard count, executor tier, pool width,
-  persistence, and the auto-tiering thresholds.  ``resolve(answers)``
-  turns the declaration into a concrete :class:`ExecutionPlan` for one
-  answer set.  Every layer (``create``, ``fit``, the engines, the batch
-  runners, the CLI, the runtime registry) accepts ``policy=``.
+  a fit should execute: shard count, executor tier, pool width, refit
+  mode, durability and recovery.  ``resolve(answers)`` turns the
+  declaration into a concrete :class:`ExecutionPlan` for one answer
+  set.  ``fit(policy=...)``, the engines, the batch runners, the CLI
+  and the runtime registry accept ``policy=``; ``create(spec,
+  policy=...)`` applies the in-process part of it.
 * :class:`MethodSpec` — a frozen ``(name, kwargs)`` description of
-  *what* to run, replacing the loose string + ``method_kwargs`` dict
-  pairs.  Specs are picklable, comparable (cache keys) and carry enough
-  to rebuild the method in a worker process.
+  *what* to run.  Specs are picklable, comparable (cache keys) and
+  carry enough to rebuild the method in a worker process.
 
 The policy is declarative: applying it to a method that cannot shard is
 a no-op (grids set one policy globally and only the sharded-EM methods
@@ -24,17 +20,12 @@ act on it), exactly like the other per-method capability knobs — but a
 policy that *names* explicit parallelism (``n_shards > 1`` or a forced
 thread/process tier) makes ``fit`` emit one :class:`UserWarning` per
 call saying which fields the method ignored.
-
-Legacy spellings remain available everywhere through deprecation shims
-that construct these objects and warn once per call —
-:func:`warn_legacy` is the shared shim vocabulary.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from typing import Any, Mapping
 
 __all__ = [
@@ -43,14 +34,12 @@ __all__ = [
     "FaultPolicy",
     "MethodSpec",
     "StorePolicy",
-    "warn_legacy",
 ]
 
 #: Executor tiers an :class:`ExecutionPolicy` may name.
 EXECUTORS = ("auto", "serial", "thread", "process")
 
-#: ``auto`` reaches for processes at this answer count (the threshold
-#: previously hard-coded in ``repro.engine.sharded``).
+#: ``auto`` reaches for processes at this answer count.
 DEFAULT_PROCESS_THRESHOLD = 200_000
 
 #: ``n_shards=None`` resolves to ``max(2, min(AUTO_SHARD_CAP, cpus))``.
@@ -67,22 +56,6 @@ REFIT_MODES = ("full", "delta")
 #: iterations (and once before declaring convergence) frozen shards get
 #: a fresh E-step to check for drift above the freeze tolerance.
 DEFAULT_VERIFY_EVERY = 5
-
-
-def warn_legacy(surface: str, names: Mapping, replacement: str,
-                stacklevel: int = 3) -> None:
-    """Emit the one :class:`DeprecationWarning` a legacy call gets.
-
-    All legacy kwargs present in a single call are folded into one
-    message, so a call site migrating to ``policy=`` / ``MethodSpec``
-    sees exactly one warning, not one per kwarg.
-    """
-    spelled = ", ".join(sorted(names))
-    warnings.warn(
-        f"{surface}: {spelled} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
 
 
 #: Default per-phase deadline (seconds) for process-tier reply waits.
@@ -154,15 +127,11 @@ class ExecutionPlan:
     max_workers:
         Pool width: thread count for the thread tier, process-pool
         slots for the process tier, ``0`` for serial.
-    persistent:
-        Process tier only: lease pools/segments from the shared runtime
-        registry (True) or build a one-shot runner (False).
     """
 
     mode: str
     n_shards: int
     max_workers: int
-    persistent: bool = True
     #: Recovery policy for the process tier (repr-quiet: the plan's
     #: doctest-visible identity is the execution shape, not recovery).
     fault_policy: FaultPolicy = dataclasses.field(
@@ -264,29 +233,25 @@ class StorePolicy:
 
 @dataclasses.dataclass(frozen=True)
 class ExecutionPolicy:
-    """Declarative "how to run": shards, executor tier, width, warmth.
+    """Declarative "how to run": shards, executor tier, width, refits.
 
     Parameters
     ----------
     n_shards:
         Task-range shards per fit.  ``None`` means *auto*:
-        ``max(2, min(8, cpu_count))``, the default the sharded engine
-        always used.  ``1`` disables sharding.
+        ``max(2, min(8, cpu_count))``.  ``1`` disables sharding.
     executor:
         ``"auto"`` (default) — processes when the input has at least
-        ``process_threshold`` answers and more than one core is
+        ``DEFAULT_PROCESS_THRESHOLD`` answers and more than one core is
         available, otherwise threads (serial on a single-core host
         with no explicit width); ``"serial"`` / ``"thread"`` /
         ``"process"`` force a tier.
     max_workers:
         Pool width; ``None`` picks a tier-appropriate default
         (``min(n_shards, max(2, cpus))`` threads,
-        ``min(n_shards, cpus)`` process slots).
-    persistent:
-        Process tier: reuse warm pools and placed shared-memory
-        segments across fits via the runtime registry (default True).
-    process_threshold:
-        Answer count at which ``auto`` reaches for processes.
+        ``min(n_shards, cpus)`` process slots).  The process tier
+        always leases the shared runtime registry, so warm pools and
+        placed shared-memory segments are reused across fits.
     refit:
         How warm refits on a grown stream re-run EM.  ``"full"``
         (default) keeps every refit a complete E/M sweep over all
@@ -320,14 +285,12 @@ class ExecutionPolicy:
     >>> ExecutionPolicy().executor
     'auto'
     >>> ExecutionPolicy(n_shards=4, executor="serial").resolve(n_answers=100)
-    ExecutionPlan(mode='serial', n_shards=4, max_workers=0, persistent=True)
+    ExecutionPlan(mode='serial', n_shards=4, max_workers=0)
     """
 
     n_shards: int | None = None
     executor: str = "auto"
     max_workers: int | None = None
-    persistent: bool = True
-    process_threshold: int = DEFAULT_PROCESS_THRESHOLD
     refit: str = "full"
     freeze_tol: float | None = None
     verify_every: int = DEFAULT_VERIFY_EVERY
@@ -348,11 +311,6 @@ class ExecutionPolicy:
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError(
                 f"max_workers must be >= 1, got {self.max_workers}"
-            )
-        if self.process_threshold < 0:
-            raise ValueError(
-                f"process_threshold must be >= 0, "
-                f"got {self.process_threshold}"
             )
         if self.refit not in REFIT_MODES:
             raise ValueError(
@@ -400,10 +358,9 @@ class ExecutionPolicy:
         ``answers`` may be anything with an ``n_answers`` attribute (an
         :class:`~repro.core.answers.AnswerSet`, a streaming set); pass
         ``n_answers=`` directly when no answer object exists yet.
-        ``auto`` tiering matches the historical
-        ``ShardedInferenceEngine`` behaviour exactly: processes for
-        large inputs on multi-core hosts, threads otherwise, serial on
-        a single-core host with no explicit pool width.
+        ``auto`` tiering picks processes for large inputs on multi-core
+        hosts, threads otherwise, and serial on a single-core host with
+        no explicit pool width.
         """
         cpus = os.cpu_count() or 1
         if n_answers is None:
@@ -412,7 +369,7 @@ class ExecutionPolicy:
         n_shards = self.resolved_shards
         mode = self.executor
         if mode == "auto":
-            if n_answers >= self.process_threshold and cpus > 1:
+            if n_answers >= DEFAULT_PROCESS_THRESHOLD and cpus > 1:
                 mode = "process"
             elif (self.max_workers or 0) > 1 or cpus > 1:
                 mode = "thread"
@@ -428,33 +385,8 @@ class ExecutionPolicy:
                                                   self.max_workers)
         return ExecutionPlan(mode=mode, n_shards=n_shards,
                              max_workers=max_workers,
-                             persistent=self.persistent,
                              fault_policy=self.fault_policy,
                              faults=self.faults)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_legacy(cls, n_shards: int | None = None,
-                    shard_workers: int | None = None,
-                    shard_executor: str | None = None,
-                    persistent: bool = True) -> "ExecutionPolicy":
-        """The policy a legacy kwarg triple spelled.
-
-        ``shard_executor="process"`` maps to the process tier; a thread
-        width above 1 maps to the thread tier; everything else ran
-        in-process serially.  Shims call this so the legacy path is
-        *literally* the ``policy=`` path plus one warning.
-        """
-        if shard_executor == "process":
-            executor = "process"
-        elif shard_workers and shard_workers > 1:
-            executor = "thread"
-        else:
-            executor = "serial"
-        return cls(n_shards=n_shards if n_shards is not None else 1,
-                   executor=executor,
-                   max_workers=shard_workers or None,
-                   persistent=persistent)
 
 
 def _freeze_kwargs(kwargs: Mapping[str, Any]) -> tuple:
@@ -466,9 +398,8 @@ def _freeze_kwargs(kwargs: Mapping[str, Any]) -> tuple:
 class MethodSpec:
     """What to run: a method name plus its construction kwargs.
 
-    Replaces every ``(method_name, method_kwargs_dict)`` pair in the
-    public API.  Frozen and comparable, so engines can key caches on it
-    and worker processes can rebuild the exact same method from it.
+    Frozen and comparable, so engines can key caches on it and worker
+    processes can rebuild the exact same method from it.
 
     Examples
     --------

@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 from ..exceptions import UnknownMethodError
 from .base import TruthInferenceMethod
-from .policy import ExecutionPlan, ExecutionPolicy, MethodSpec, warn_legacy
+from .policy import ExecutionPlan, ExecutionPolicy, MethodSpec
 from .tasktypes import TaskType
 
 _REGISTRY: dict[str, Callable[..., TruthInferenceMethod]] = {}
@@ -113,32 +113,31 @@ def create(method: str | MethodSpec, *,
     (or an already-resolved plan) to the instance's *in-process*
     execution: methods with sharded EM get ``n_shards`` and — for the
     thread tier — ``shard_workers`` from it; other methods ignore it,
-    so one policy can configure a whole grid.  The process tier needs a
-    runner at fit time — pass the same policy to ``fit(policy=...)``
-    or use the engines, which do.
-
-    The legacy spellings ``create(name, n_shards=..., shard_workers=...)``
-    still work but are deprecated in favour of ``policy=``.
+    so one policy can configure a whole grid.  An ``auto`` policy
+    applies only its shard count.  The process tier needs a runner at
+    fit time, so a sharding method handed ``executor="process"`` (or a
+    process plan) raises :class:`ValueError`: pass that policy to
+    ``fit(policy=...)`` instead.
     """
     spec = MethodSpec.coerce(method, kwargs if isinstance(method, str)
                              else None)
     build_kwargs = spec.kwargs if isinstance(method, str) else {
         **kwargs, **spec.kwargs}
-    if isinstance(method, str):
-        legacy = [k for k in ("n_shards", "shard_workers") if k in kwargs]
-        if legacy:
-            warn_legacy("create()", legacy,
-                        "policy=ExecutionPolicy(n_shards=..., ...)")
     cls = method_class(spec.name)
     if policy is not None and cls.supports_sharding:
-        if isinstance(policy, ExecutionPolicy):
-            # The serial/thread tiers resolve without an input (the
-            # thread width gets its proper default, not 0); auto and
-            # process need answers, so only the shard count applies
-            # here — fit(policy=) / the engines supply the rest.
-            if policy.executor in ("serial", "thread"):
-                policy = policy.resolve(n_answers=0)
+        if isinstance(policy, ExecutionPolicy) and policy.executor != "auto":
+            # A forced tier resolves without an input (the thread width
+            # gets its proper default, not 0); auto needs answers, so
+            # only its shard count applies here.
+            policy = policy.resolve(n_answers=0)
         if isinstance(policy, ExecutionPlan):
+            if policy.mode == "process":
+                raise ValueError(
+                    f"create() cannot run {spec.name} on the process "
+                    f"tier: worker processes need a runner at fit time; "
+                    f"create it without the policy and pass the policy "
+                    f"to fit(policy=...)"
+                )
             n_shards = policy.n_shards
             workers = (policy.max_workers
                        if policy.mode == "thread" else 0)
@@ -196,8 +195,8 @@ def create_all(task_type: TaskType, names: Iterable[str] | None = None,
     """Instantiate every method applicable to ``task_type``.
 
     ``names`` optionally restricts (and orders) the selection; a
-    ``policy`` is applied to every instance (methods that cannot shard
-    ignore it).
+    ``policy`` is applied to every instance as :func:`create` applies
+    it (methods that cannot shard ignore it).
     """
     selected = list(names) if names is not None else methods_for_task_type(task_type)
     instances = {}

@@ -18,9 +18,8 @@ scratch.  This package adds the online layer:
   fan-out for the (dataset, method) grids the comparison experiments run,
   over threads or processes, seeding every cold fit from one shared
   majority-vote posterior per dataset;
-* :class:`~repro.engine.sharded.ShardedInferenceEngine` /
-  :class:`~repro.engine.sharded.ProcessShardRunner` — the multi-core
-  sharded-EM tier (see below).
+* :class:`~repro.engine.runtime.ShardRuntime` — the multi-core
+  sharded-EM tier behind ``fit(policy=...)`` (see below).
 
 Streaming protocol
 ------------------
@@ -50,24 +49,23 @@ add the bundles field-wise (``SufficientStats.total``), and
 ``finalize`` the totals into global parameters.  One shard *is* the
 plain fit, bit-for-bit.  Execution tiers:
 
-* **serial / threads** — ``create(method,
+* **serial / threads** — ``create(method).fit(answers,
   policy=ExecutionPolicy(n_shards=.., executor="thread",
   max_workers=..))``; cheap, in-process, identical numbers;
-* **processes** — the answer arrays live in
-  :mod:`multiprocessing.shared_memory` and the phases are dispatched to
-  pinned worker processes, one pipe message per worker per phase;
-  prefer it for large inputs on multi-core hosts, where thread tiers
-  stall on the GIL-holding NumPy kernels.
+* **processes** — the same call with ``executor="process"``: the answer
+  arrays live in :mod:`multiprocessing.shared_memory` and the phases
+  are dispatched to pinned worker processes, one pipe message per
+  worker per phase; prefer it for large inputs on multi-core hosts,
+  where thread tiers stall on the GIL-holding NumPy kernels.
   GLAD trades one message round per gradient step, so it needs bigger
   shards than the one-round-trip statistics methods before processes
   win.  ``ExecutionPolicy(executor="auto")`` — the default — applies
-  exactly that tiering automatically, and
-  :class:`~repro.engine.sharded.ShardedInferenceEngine` is its facade.
+  exactly that tiering automatically.
 
 How to run and what to run are first-class objects
 (:class:`~repro.core.policy.ExecutionPolicy` /
 :class:`~repro.core.policy.MethodSpec`), accepted as ``policy=`` /
-method arguments by ``create``, ``fit``, the engines, the batch
+method arguments by ``create``, ``fit``, the engine, the batch
 runners and the CLI; answer input is a declared-schema
 :class:`~repro.engine.sources.AnswerSource` (CSV, in-memory records,
 or a live line-delimited stream such as stdin or a socket).
@@ -77,8 +75,6 @@ repeated fits lease a :class:`~repro.engine.runtime.ShardRuntime` from
 a shared :class:`~repro.engine.runtime.RuntimeRegistry` — a method
 sweep or a stream of refits spawns processes once, and a grown stream
 appends only its new tail to the placed segments.
-:class:`~repro.engine.sharded.ProcessShardRunner` remains the one-shot
-per-fit spelling.
 
 Example
 -------
@@ -113,7 +109,6 @@ from .runtime import (
     ShardRuntime,
     get_runtime_registry,
 )
-from .sharded import ProcessShardRunner, ShardedInferenceEngine
 from .sources import (
     AnswerSource,
     CsvAnswerSource,
@@ -134,12 +129,10 @@ __all__ = [
     "IterableAnswerSource",
     "LineAnswerSource",
     "MethodSpec",
-    "ProcessShardRunner",
     "RuntimeLease",
     "RuntimeRegistry",
     "SerialShardSession",
     "ShardRuntime",
-    "ShardedInferenceEngine",
     "StorePolicy",
     "StreamingAnswerSet",
     "TaskSchema",

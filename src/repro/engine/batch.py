@@ -30,22 +30,15 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..core.policy import ExecutionPolicy, MethodSpec, warn_legacy
+from ..core.policy import ExecutionPolicy, MethodSpec
 from ..datasets.schema import Dataset
 from ..exceptions import EngineError
 from ..experiments.runner import MethodRun, run_method
-
-_EXECUTORS = {
-    "thread": ThreadPoolExecutor,
-    "process": ProcessPoolExecutor,
-}
-
-_UNSET = object()
 
 
 @dataclasses.dataclass
@@ -54,9 +47,7 @@ class BatchJob:
 
     ``method`` is a registry name or a
     :class:`~repro.core.policy.MethodSpec`; ``policy`` optionally
-    overrides the runner's execution policy for this one job.  The
-    legacy ``method_kwargs=`` / ``shard_executor=`` fields still work
-    (folded into the spec / policy with one warning).
+    overrides the runner's execution policy for this one job.
     """
 
     dataset: Dataset
@@ -68,29 +59,6 @@ class BatchJob:
     #: Optional shared majority-vote posterior to seed a cold fit from;
     #: filled in by :meth:`BatchRunner.run` when left as ``None``.
     seed_posterior: np.ndarray | None = None
-    #: Deprecated: construction kwargs for a string ``method``; use a
-    #: :class:`MethodSpec` instead.
-    method_kwargs: dict | None = None
-    #: Deprecated: ``"process"``/``"thread"`` shard tier; use ``policy``.
-    shard_executor: str | None = None
-
-    def __post_init__(self) -> None:
-        legacy = {}
-        if self.method_kwargs is not None:
-            legacy["method_kwargs"] = self.method_kwargs
-        if self.shard_executor is not None:
-            legacy["shard_executor"] = self.shard_executor
-        if not legacy:
-            return
-        warn_legacy("BatchJob", legacy, "MethodSpec / policy=")
-        if self.method_kwargs is not None:
-            self.method = MethodSpec.coerce(self.method, self.method_kwargs)
-            self.method_kwargs = None
-        if self.shard_executor is not None:
-            base = self.policy or ExecutionPolicy(n_shards=1)
-            self.policy = dataclasses.replace(base,
-                                              executor=self.shard_executor)
-            self.shard_executor = None
 
     @property
     def spec(self) -> MethodSpec:
@@ -123,50 +91,14 @@ class BatchRunner:
     share_mv_seed:
         Compute the majority-vote posterior once per (categorical)
         dataset and seed every supporting method's cold fit from it.
-
-    The legacy ``executor=`` (job-pool type) and ``shard_executor=``
-    spellings still work and warn once.
     """
 
     def __init__(self, max_workers: int | None = None,
                  executor_factory=ThreadPoolExecutor,
                  policy: ExecutionPolicy | None = None,
-                 share_mv_seed: bool = True,
-                 executor=_UNSET,
-                 shard_executor=_UNSET) -> None:
+                 share_mv_seed: bool = True) -> None:
         if max_workers is not None and max_workers < 1:
             raise EngineError(f"max_workers must be >= 1, got {max_workers}")
-        legacy = {}
-        if executor is not _UNSET and executor is not None:
-            if executor not in _EXECUTORS:
-                raise EngineError(
-                    f"executor must be one of {sorted(_EXECUTORS)}, "
-                    f"got {executor!r}"
-                )
-            legacy["executor"] = executor
-        if shard_executor is not _UNSET and shard_executor is not None:
-            if shard_executor not in ("thread", "process"):
-                raise EngineError(
-                    f"shard_executor must be 'thread' or 'process', "
-                    f"got {shard_executor!r}"
-                )
-            legacy["shard_executor"] = shard_executor
-        if legacy:
-            warn_legacy("BatchRunner", legacy,
-                        "executor_factory= / policy=ExecutionPolicy(...)")
-            if "executor" in legacy:
-                executor_factory = _EXECUTORS[legacy["executor"]]
-            if "shard_executor" in legacy:
-                if policy is not None:
-                    raise EngineError(
-                        "pass either policy= or shard_executor=, not both"
-                    )
-                # n_shards=1, not auto: the legacy runner-level flag
-                # only changed *where* sharded fits ran — the shard
-                # count still came from each job's method kwargs (see
-                # run_method's per-spec override).
-                policy = ExecutionPolicy(
-                    n_shards=1, executor=legacy["shard_executor"])
         self.max_workers = max_workers or min(8, os.cpu_count() or 1)
         self.executor_factory = executor_factory
         self.policy = policy
@@ -226,7 +158,6 @@ class BatchRunner:
         methods: Iterable[str] | None = None,
         seed: int = 0,
         policy: ExecutionPolicy | None = None,
-        n_shards=_UNSET,
     ) -> list[MethodRun]:
         """Cross every dataset with every applicable method and run all.
 
@@ -234,17 +165,10 @@ class BatchRunner:
         the '×' cells of the paper's Table 6.  With ``methods=None`` each
         dataset gets every registered method for its task type.  A
         ``policy`` turns on sharded EM for the methods that support it
-        (others ignore it); the legacy ``n_shards=`` spelling still
-        works and warns once.
+        (others ignore it).
         """
         from ..core.registry import methods_for_task_type
 
-        if n_shards is not _UNSET and n_shards is not None:
-            warn_legacy("run_grid", ["n_shards"],
-                        "policy=ExecutionPolicy(n_shards=...)")
-            if policy is None and n_shards > 1:
-                policy = ExecutionPolicy(n_shards=n_shards,
-                                         executor="serial")
         jobs = []
         for dataset in datasets:
             applicable = methods_for_task_type(dataset.task_type)

@@ -27,20 +27,13 @@ import itertools
 import warnings
 from typing import Iterable, Sequence
 
-from ..core.policy import (
-    ExecutionPolicy,
-    MethodSpec,
-    StorePolicy,
-    warn_legacy,
-)
+from ..core.policy import ExecutionPolicy, MethodSpec, StorePolicy
 from ..core.registry import capabilities, create
 from ..core.result import InferenceResult
 from ..core.tasktypes import TaskType
 from ..core.warmstart import pad_result_labels
 from ..exceptions import EngineError, RecoveryError, StoreError
 from .stream import StreamingAnswerSet
-
-_UNSET = object()
 
 
 # Process-unique stream identities for runtime stream keys.  id() is
@@ -121,10 +114,6 @@ class InferenceEngine:
         sharding support fall back to the plain fit either way.  The
         engine is a context manager — ``close()`` releases the runtime.
 
-    The legacy spellings (``n_shards=``, ``shard_workers=``,
-    ``shard_executor=``) still work — they assemble the equivalent
-    policy and warn once.
-
     Example
     -------
     >>> engine = InferenceEngine(TaskType.DECISION_MAKING)
@@ -143,35 +132,7 @@ class InferenceEngine:
         seed: int | None = 0,
         policy: ExecutionPolicy | None = None,
         registry=None,
-        n_shards=_UNSET,
-        shard_workers=_UNSET,
-        shard_executor=_UNSET,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (("n_shards", n_shards),
-                                ("shard_workers", shard_workers),
-                                ("shard_executor", shard_executor))
-            if value is not _UNSET
-        }
-        if legacy:
-            if policy is not None:
-                raise EngineError(
-                    "pass either policy= or the legacy kwargs, not both"
-                )
-            executor = legacy.get("shard_executor", "thread")
-            if executor not in ("thread", "process"):
-                raise EngineError(
-                    f"shard_executor must be 'thread' or 'process', "
-                    f"got {executor!r}"
-                )
-            warn_legacy("InferenceEngine", legacy,
-                        "policy=ExecutionPolicy(...)")
-            policy = ExecutionPolicy.from_legacy(
-                n_shards=legacy.get("n_shards", 1),
-                shard_workers=legacy.get("shard_workers", 0),
-                shard_executor=executor,
-            )
         self.stream = StreamingAnswerSet(
             task_type=task_type,
             n_choices=n_choices,

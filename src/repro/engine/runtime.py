@@ -1,14 +1,12 @@
 """Persistent shard runtime: pinned workers and shared memory that outlive fits.
 
-:class:`~repro.engine.sharded.ProcessShardRunner` originally paid the
-full cost of process-parallel EM on **every** ``fit()``: spawn one
-worker process per slot, allocate three ``/dev/shm`` segments, copy
-the task-sorted answer arrays in, run EM, tear everything down.  The
-workloads this repo reproduces are *repeated-fit* workloads — method
-sweeps over one dataset, streaming refits over a growing answer set,
-redundancy grids — so that overhead dominates once the EM itself is
-warm-started and fast.  This module makes the expensive parts
-persistent:
+Process-parallel EM has a fixed cost per runtime: spawn one worker
+process per slot, allocate three ``/dev/shm`` segments, copy the
+task-sorted answer arrays in.  The workloads this repo reproduces are
+*repeated-fit* workloads — method sweeps over one dataset, streaming
+refits over a growing answer set, redundancy grids — so paying that on
+every fit would dominate once the EM itself is warm-started and fast.
+This module makes the expensive parts persistent:
 
 * :class:`ShardRuntime` — owns the shared-memory answer segments and
   the pinned worker processes *across* fits.  A fit acquires a
@@ -26,7 +24,7 @@ persistent:
   reallocates (and re-attaches) only O(log n) times.
 * :class:`RuntimeRegistry` — a process-wide pool of runtimes keyed by
   ``(n_shards, max_workers)`` with idle-TTL eviction, so independent
-  call sites (:class:`~repro.engine.sharded.ShardedInferenceEngine`,
+  call sites (``fit(policy=...)``,
   :class:`~repro.engine.engine.InferenceEngine`,
   :class:`~repro.engine.batch.BatchRunner`, the CLI) share warm
   workers instead of each spawning their own.
@@ -77,14 +75,11 @@ next acquire, (b) idle-TTL eviction, checked lazily on each acquire,
 and (c) the registry's ``atexit`` hook, so a interpreter never exits
 with live workers.  Closing is idempotent.
 
-When per-fit runners are still used
------------------------------------
-:class:`~repro.engine.sharded.ProcessShardRunner` remains the one-shot
-spelling: it builds a *private* runtime, leases it once, and tears it
-down on ``close()``.  Use it for a single large fit where nothing will
-be refitted; use the registry (directly or through the engines) for
-sweeps and streams.  The in-process serial/thread tiers never involve
-this module.
+A one-shot fit on a private runtime is a :class:`ShardRuntime` plus
+one lease, closed together (``with ShardRuntime(...) as runtime,
+runtime.lease(...) as runner``).  Sweeps and streams lease from the
+registry, directly or through ``fit(policy=...)`` and the engine.  The
+in-process serial/thread tiers never involve this module.
 """
 
 from __future__ import annotations
@@ -1780,14 +1775,15 @@ class RuntimeRegistry:
             runtime.last_used = time.monotonic()
             return runtime
 
-    def lease(self, policy, *args, stream_key=None,
+    def lease(self, policy: ExecutionPolicy | ExecutionPlan,
+              answers: AnswerSet, spec: MethodSpec, *, stream_key=None,
               ) -> tuple[ShardRuntime, RuntimeLease]:
         """Acquire a runtime and lease it in one step.
 
-        Preferred form: ``lease(plan_or_policy, answers, spec)`` with a
-        :class:`~repro.core.policy.MethodSpec`.  The legacy positional
-        form ``lease(n_shards, max_workers, answers, method,
-        method_kwargs)`` is still accepted for low-level callers.
+        ``policy`` (a policy or resolved plan) picks the runtime and
+        carries the fault policy and fault plan the lease dispatches
+        under; ``spec`` is the :class:`~repro.core.policy.MethodSpec`
+        the workers rebuild.
 
         Retries when another holder's ``close()`` lands between the
         acquire and the lease (any holder may close a shared runtime at
@@ -1795,26 +1791,13 @@ class RuntimeRegistry:
         respawns).  Returns ``(runtime, lease)`` so callers can keep
         the runtime for introspection or an explicit ``close()``.
         """
-        fault_policy = None
-        faults = None
-        if isinstance(policy, (ExecutionPolicy, ExecutionPlan)):
-            answers, method = args[0], args[1]
-            method_kwargs = args[2] if len(args) > 2 else None
-            acquire_args = (policy,)
-            fault_policy = policy.fault_policy
-            faults = policy.faults
-        else:
-            max_workers, answers, method = args[0], args[1], args[2]
-            method_kwargs = args[3] if len(args) > 3 else None
-            acquire_args = (policy, max_workers)
-        spec = MethodSpec.coerce(method, method_kwargs)
         while True:
-            runtime = self.acquire(*acquire_args)
+            runtime = self.acquire(policy)
             try:
-                return runtime, runtime.lease(answers, spec,
-                                              stream_key=stream_key,
-                                              fault_policy=fault_policy,
-                                              faults=faults)
+                return runtime, runtime.lease(
+                    answers, spec, stream_key=stream_key,
+                    fault_policy=policy.fault_policy,
+                    faults=policy.faults)
             except RuntimeError:
                 if not runtime.closed:
                     raise

@@ -44,9 +44,9 @@ class AnswerSourceError(ReproError, ValueError):
 class EngineError(ReproError, ValueError):
     """Raised when an engine-layer component is misconfigured or misused.
 
-    Covers the streaming/batch/sharded engines and the persistent shard
-    runtime: bad construction arguments, conflicting legacy kwargs, and
-    fits requested on methods that cannot honour them.  Also a
+    Covers the streaming and batch engines and the persistent shard
+    runtime: bad construction arguments and fits requested on methods
+    that cannot honour them.  Also a
     :class:`ValueError` so call sites that predate the dedicated type
     keep catching it.
     """

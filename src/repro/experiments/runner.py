@@ -14,11 +14,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..core.policy import ExecutionPolicy, MethodSpec, warn_legacy
+from ..core.policy import ExecutionPolicy, MethodSpec
 from ..core.registry import capabilities, create, methods_for_task_type
 from ..datasets.schema import Dataset
-
-_UNSET = object()
 
 
 @dataclasses.dataclass
@@ -33,48 +31,6 @@ class MethodRun:
     converged: bool
 
 
-def _coerce_legacy_executor(surface: str, executor):
-    """Map the legacy job-pool ``executor=`` kwarg to a pool factory
-    (warning once); None when the kwarg was not passed."""
-    if executor is _UNSET or executor is None:
-        return None
-    from ..engine.batch import _EXECUTORS
-
-    if executor not in _EXECUTORS:
-        raise ValueError(
-            f"executor must be one of {sorted(_EXECUTORS)}, "
-            f"got {executor!r}"
-        )
-    warn_legacy(surface, ["executor"],
-                "BatchRunner(executor_factory=...)")
-    return _EXECUTORS[executor]
-
-
-def _coerce_legacy_policy(surface: str, policy: ExecutionPolicy | None,
-                          n_shards, shard_workers, shard_executor,
-                          ) -> ExecutionPolicy | None:
-    """Fold the legacy sharding kwargs into a policy, warning once."""
-    legacy = {
-        name: value
-        for name, value in (("n_shards", n_shards),
-                            ("shard_workers", shard_workers),
-                            ("shard_executor", shard_executor))
-        if value is not _UNSET and value is not None
-    }
-    if not legacy:
-        return policy
-    warn_legacy(surface, legacy, "policy=ExecutionPolicy(...)")
-    if policy is not None:
-        raise ValueError(
-            "pass either policy= or the legacy sharding kwargs, not both"
-        )
-    return ExecutionPolicy.from_legacy(
-        n_shards=legacy.get("n_shards"),
-        shard_workers=legacy.get("shard_workers"),
-        shard_executor=legacy.get("shard_executor"),
-    )
-
-
 def run_method(
     method: str | MethodSpec,
     dataset: Dataset,
@@ -83,10 +39,6 @@ def run_method(
     initial_quality: np.ndarray | None = None,
     seed_posterior: np.ndarray | None = None,
     policy: ExecutionPolicy | None = None,
-    method_kwargs=_UNSET,
-    n_shards=_UNSET,
-    shard_workers=_UNSET,
-    shard_executor=_UNSET,
 ) -> MethodRun:
     """Run one method on one dataset and score it.
 
@@ -101,23 +53,13 @@ def run_method(
     persistent :class:`~repro.engine.runtime.ShardRuntime` from the
     shared registry — repeated calls on the same ``dataset.answers``
     (a method sweep) reuse the warm pools and placed segments.
-
-    The legacy ``method_kwargs=`` / ``n_shards=`` / ``shard_workers=``
-    / ``shard_executor=`` spellings still work and warn once.
     """
-    if method_kwargs is not _UNSET and method_kwargs is not None:
-        warn_legacy("run_method", ["method_kwargs"],
-                    "MethodSpec(name, **kwargs)")
-        method = MethodSpec.coerce(method, method_kwargs)
-    policy = _coerce_legacy_policy("run_method", policy, n_shards,
-                                   shard_workers, shard_executor)
     spec = MethodSpec.coerce(method).with_defaults(seed=seed)
     caps = capabilities(spec.name)
     plan = None
     if policy is not None and caps.sharding:
         # A shard count spelled in the spec's own kwargs wins over the
-        # grid-level policy, matching the historical method_kwargs
-        # precedence (and what lets a runner-level executor choice
+        # grid-level policy (what lets a runner-level executor choice
         # combine with per-job shard counts).
         spec_shards = spec.kwargs.get("n_shards")
         if spec_shards is not None:
@@ -149,10 +91,6 @@ def run_many(
     seed: int = 0,
     max_workers: int | None = None,
     policy: ExecutionPolicy | None = None,
-    n_shards=_UNSET,
-    executor=_UNSET,
-    shard_executor=_UNSET,
-    method_names=_UNSET,
     **kwargs,
 ) -> list[MethodRun]:
     """Run several methods (default: all applicable) on one dataset.
@@ -163,39 +101,21 @@ def run_many(
     how each fit executes — sharded EM for the methods that support it,
     and its process tier runs those fits on the shared persistent
     runtime (one pool spawn + data placement for the whole sweep).
-
-    The legacy ``n_shards=`` / ``executor=`` (job-pool type) /
-    ``shard_executor=`` spellings still work and warn once.
     """
-    executor_factory = _coerce_legacy_executor("run_many", executor)
-    policy = _coerce_legacy_policy("run_many", policy, n_shards,
-                                   _UNSET, shard_executor)
-    if method_names is not _UNSET:
-        warn_legacy("run_many", ["method_names"], "methods=")
-        if methods is None:
-            methods = method_names
     if methods is None:
         methods = methods_for_task_type(dataset.task_type)
-    method_kwargs = kwargs.pop("method_kwargs", None)
-    if method_kwargs:
-        warn_legacy("run_many", ["method_kwargs"],
-                    "MethodSpec(name, **kwargs)")
     # Materialise up front: the capability scans below iterate the
     # names before the run loop does, which would drain a generator.
-    specs = [MethodSpec.coerce(m, method_kwargs) for m in methods]
+    specs = [MethodSpec.coerce(m) for m in methods]
     if max_workers is not None:
         from ..engine.batch import BatchJob, BatchRunner
-        from concurrent.futures import ThreadPoolExecutor
 
         jobs = [
             BatchJob(dataset=dataset, method=spec, seed=seed,
                      policy=policy, **kwargs)
             for spec in specs
         ]
-        return BatchRunner(
-            max_workers=max_workers,
-            executor_factory=executor_factory or ThreadPoolExecutor,
-        ).run(jobs)
+        return BatchRunner(max_workers=max_workers).run(jobs)
     # Serial path: still share one majority-vote posterior per dataset
     # across every method that can start from it.
     seed_posterior = None
@@ -215,30 +135,19 @@ def run_grid(
     seed: int = 0,
     max_workers: int | None = None,
     policy: ExecutionPolicy | None = None,
-    n_shards=_UNSET,
-    executor=_UNSET,
-    shard_executor=_UNSET,
 ) -> list[MethodRun]:
     """Cross datasets with applicable methods, optionally in parallel.
 
     Thin wrapper over :meth:`repro.engine.batch.BatchRunner.run_grid`
     so the comparison experiments can fan out without importing the
     engine package directly.  ``policy`` configures each fit's
-    execution; the legacy ``n_shards=`` / ``executor=`` /
-    ``shard_executor=`` spellings still work and warn once.
+    execution.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     from ..engine.batch import BatchRunner
 
-    executor_factory = _coerce_legacy_executor("run_grid", executor)
-    policy = _coerce_legacy_policy("run_grid", policy, n_shards,
-                                   _UNSET, shard_executor)
-    return BatchRunner(
-        max_workers=max_workers or 1,
-        executor_factory=executor_factory or ThreadPoolExecutor,
-        policy=policy,
-    ).run_grid(datasets, methods=methods, seed=seed)
+    return BatchRunner(max_workers=max_workers or 1,
+                       policy=policy).run_grid(datasets, methods=methods,
+                                               seed=seed)
 
 
 def average_scores(runs: list[MethodRun]) -> dict[str, float]:

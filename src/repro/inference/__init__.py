@@ -1,8 +1,8 @@
 """Reusable inference machinery shared by the method implementations.
 
-These are the "substrates" the paper's algorithms are built on: an EM
-loop, a Gibbs-chain runner, mean-field/BP message helpers, gradient
-ascent, and distribution utilities.
+These are the "substrates" the paper's algorithms are built on: the
+sharded EM, alternating and Gibbs drivers, segment operators,
+variational helpers, and distribution utilities.
 """
 
 from .distributions import (
@@ -12,11 +12,9 @@ from .distributions import (
     sample_categorical_rows,
     sample_dirichlet_rows,
 )
-from .em import EMOutcome, run_em
-from .gibbs import GibbsResult, run_gibbs
-from .optimize import gradient_ascent, projected_simplex
 from .segops import BasedScatterAdd, SegmentSum
 from .sharded import (
+    EMOutcome,
     SerialShardRunner,
     ShardedEMSpec,
     SufficientStats,
@@ -29,7 +27,6 @@ __all__ = [
     "BasedScatterAdd",
     "BetaPrior",
     "EMOutcome",
-    "GibbsResult",
     "SegmentSum",
     "SerialShardRunner",
     "ShardedEMSpec",
@@ -40,11 +37,7 @@ __all__ = [
     "chi_square_confidence",
     "dirichlet_expected_log",
     "expected_log_beta_counts",
-    "gradient_ascent",
     "posterior_mean_accuracy",
-    "projected_simplex",
-    "run_em",
-    "run_gibbs",
     "sample_categorical_rows",
     "sample_dirichlet_rows",
 ]

@@ -1,8 +1,10 @@
 """Sharded map-reduce EM: mergeable sufficient statistics over shards.
 
-The generic loop of :func:`repro.inference.em.run_em` closes its two
-steps over one global answer array.  This module is the partition-first
-re-expression of that loop:
+ZC, GLAD, D&S, LFC and LFC_N (and the zoo's other EM-style methods)
+share one control flow: start from a truth estimate, alternate an
+M-step (parameters from the current truth posterior) and an E-step
+(truth posterior from the parameters), and stop when the posterior
+stabilises.  This module expresses that loop partition-first:
 
 * the **E-step** maps over :class:`~repro.core.shards.AnswerShard`\\ s —
   each shard computes the posterior block of its own task range from its
@@ -14,17 +16,16 @@ re-expression of that loop:
 
 A method participates by providing a :class:`ShardedEMSpec` describing
 its statistics; :func:`run_em_sharded` supplies the control flow, warm
-starts, golden-task clamping and convergence tracking with exactly the
-semantics of :func:`~repro.inference.em.run_em`.  With one shard the
-computation reduces to the unsharded math bit-for-bit (the shard is the
+starts, golden-task clamping and convergence tracking.  With one shard
+the computation reduces to the unsharded math bit-for-bit (the shard is the
 original arrays, and the :mod:`~repro.inference.segops` operators
 reproduce the scalar kernels' accumulation order exactly); with many
 shards only the merge order of worker-side partial sums differs, which
 perturbs posteriors at the last-ulp level (~1e-15 per iteration).
 
 Execution is pluggable: :class:`SerialShardRunner` runs shards in the
-calling thread or fans them over a thread pool;
-:class:`repro.engine.sharded.ProcessShardRunner` runs the same phases in
+calling thread or fans them over a thread pool; a process-tier
+:class:`~repro.engine.runtime.RuntimeLease` runs the same phases in
 worker processes over shared-memory answer arrays.
 
 Delta refits
@@ -82,9 +83,9 @@ from ..core.policy import DEFAULT_VERIFY_EVERY
 from ..exceptions import ConvergenceError, InferenceError
 from ..core.result import FitStats
 from ..core.shards import AnswerShard, ShardedAnswerSet
-from .em import EMOutcome
 
 __all__ = [
+    "EMOutcome",
     "SufficientStats",
     "ShardedEMSpec",
     "AlternatingSpec",
@@ -338,8 +339,9 @@ class SerialShardRunner:
     (e.g. a ``ThreadPoolExecutor``); ``None`` runs in the calling
     thread.  NumPy/SciPy hold the GIL through most of these kernels, so
     threads mainly help when shards are large enough for the released
-    sections to overlap — the process runner in
-    :mod:`repro.engine.sharded` is the true multi-core path.
+    sections to overlap — the process tier's
+    :class:`~repro.engine.runtime.RuntimeLease` is the true multi-core
+    path.
     """
 
     def __init__(self, spec: ShardedEMSpec, shards: Sequence[AnswerShard],
@@ -530,6 +532,24 @@ class DeltaPlan:
         missing)."""
         return DeltaPlan(prev=None, freeze_tol=self.freeze_tol,
                          verify_every=self.verify_every)
+
+
+@dataclasses.dataclass
+class EMOutcome:
+    """Result of :func:`run_em_sharded` (and of the alternating
+    driver): the final posterior plus diagnostics.
+
+    ``fit_stats`` carries the EM telemetry of every fit, and
+    ``shard_state`` — when a delta plan asked for it — the per-shard
+    posterior/statistics cache seeding the next delta refit.
+    """
+
+    posterior: np.ndarray
+    parameters: object
+    n_iterations: int
+    converged: bool
+    fit_stats: object | None = None
+    shard_state: object | None = None
 
 
 def dirty_shards(task_cuts: Sequence[int], new_tasks: np.ndarray,
@@ -870,16 +890,16 @@ def run_em_sharded(
     initial_parameters: object | None = None,
     delta: DeltaPlan | None = None,
 ) -> EMOutcome:
-    """Sharded analogue of :func:`repro.inference.em.run_em`.
+    """Run sharded EM to convergence over ``runner``'s shards.
 
     Per iteration: one ``m_step`` (map ``accumulate`` over shards, merge,
     finalize — or the spec's own inner map-reduce), one mapped E-step,
     reassembly of the global state by concatenating the task-range
     blocks, golden clamping, and a convergence check on the global
-    state.  Warm-start semantics mirror ``run_em`` exactly: with
-    ``initial_parameters`` the loop opens with a priming E-step that is
-    counted as an iteration; ``initial_posterior`` starts the loop
-    without counting.  ``initial_parameters`` wins when both are given.
+    state.  Warm starts: with ``initial_parameters`` the loop opens
+    with a priming E-step that is counted as an iteration;
+    ``initial_posterior`` starts the loop without counting.
+    ``initial_parameters`` wins when both are given.
 
     ``delta`` opts into the incremental path (module docstring):
     ``DeltaPlan(prev=None)`` runs the normal full sweep but collects a
@@ -932,8 +952,8 @@ def run_em_sharded(
         state = assemble(runner.call("init_block"))
 
     tracker = ConvergenceTracker(tolerance=tolerance, max_iter=max_iter)
-    # As in run_em, the priming E-step of a warm start is real work:
-    # count it so warm and cold iteration totals compare honestly.
+    # The priming E-step of a warm start is real work: count it so
+    # warm and cold iteration totals compare honestly.
     done = initial_parameters is not None and tracker.update(state)
     parameters = initial_parameters
     while not done:

@@ -40,8 +40,8 @@ from ..core.registry import register
 from ..core.result import InferenceResult
 from ..core.shards import AnswerShard
 from ..core.tasktypes import LABEL_FALSE, LABEL_TRUE
-from ..inference.em import EMOutcome
 from ..inference.sharded import (
+    EMOutcome,
     ShardedEMSpec,
     SufficientStats,
     pad_rows,

@@ -23,7 +23,6 @@ FIXTURE_FOR = {
     "R003": ("r003_capability_probe.py", "r003_capability_probe.py"),
     "R004": ("r004_unpaired_acquire.py", "r004_unpaired_acquire.py"),
     "R005": ("r005_broad_except.py", "r005_broad_except.py"),
-    "R006": ("r006_legacy_kwarg.py", "r006_legacy_kwarg.py"),
     "R007": ("r007_adhoc_retry.py", "r007_adhoc_retry.py"),
 }
 
@@ -44,8 +43,9 @@ def violation_line(src: SourceFile, rule_id: str) -> int:
     return lines[0]
 
 
-def test_all_seven_rules_are_registered():
-    assert sorted(RULE_BY_ID) == [f"R00{i}" for i in range(1, 8)]
+def test_all_six_rules_are_registered():
+    # R006 was retired; rule ids are never renumbered.
+    assert sorted(RULE_BY_ID) == [f"R00{i}" for i in (1, 2, 3, 4, 5, 7)]
     assert sorted(FIXTURE_FOR) == sorted(RULE_BY_ID)
 
 

@@ -2,15 +2,19 @@
 
 import os
 import pickle
+import warnings
 
 import pytest
 
 from repro.core.policy import (
+    DEFAULT_PROCESS_THRESHOLD,
     ExecutionPlan,
     ExecutionPolicy,
     MethodSpec,
     resolve_process_workers,
 )
+from repro.core.registry import create, create_all
+from repro.core.tasktypes import TaskType
 
 
 class TestExecutionPolicy:
@@ -18,7 +22,6 @@ class TestExecutionPolicy:
         policy = ExecutionPolicy()
         assert policy.n_shards is None
         assert policy.executor == "auto"
-        assert policy.persistent is True
 
     def test_frozen(self):
         policy = ExecutionPolicy()
@@ -29,7 +32,11 @@ class TestExecutionPolicy:
         dict(executor="gpu"),
         dict(n_shards=0),
         dict(max_workers=0),
-        dict(process_threshold=-1),
+        dict(refit="sometimes"),
+        dict(freeze_tol=0.0),
+        dict(verify_every=0),
+        dict(store="wal"),
+        dict(fault_policy="strict"),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -44,7 +51,7 @@ class TestExecutionPolicy:
         plan = ExecutionPolicy(n_shards=4, executor="serial").resolve(
             n_answers=10)
         assert plan == ExecutionPlan(mode="serial", n_shards=4,
-                                     max_workers=0, persistent=True)
+                                     max_workers=0)
         assert plan.sharded
 
     def test_thread_plan_defaults_width(self):
@@ -62,16 +69,18 @@ class TestExecutionPolicy:
         assert plan.runtime_key == (2, 2)
 
     def test_auto_reaches_for_processes_above_threshold(self):
-        policy = ExecutionPolicy(n_shards=2, process_threshold=100)
-        plan = policy.resolve(n_answers=1000)
+        policy = ExecutionPolicy(n_shards=2)
+        plan = policy.resolve(n_answers=DEFAULT_PROCESS_THRESHOLD)
         if (os.cpu_count() or 1) > 1:
             assert plan.mode == "process"
         else:
             assert plan.mode in ("serial", "thread")
 
     def test_auto_stays_in_process_below_threshold(self):
-        policy = ExecutionPolicy(n_shards=2, process_threshold=10**9)
-        assert policy.resolve(n_answers=100).mode in ("serial", "thread")
+        policy = ExecutionPolicy(n_shards=2)
+        assert policy.resolve(
+            n_answers=DEFAULT_PROCESS_THRESHOLD - 1).mode in ("serial",
+                                                              "thread")
 
     def test_resolve_reads_n_answers_off_answer_objects(self):
         class Fake:
@@ -79,16 +88,6 @@ class TestExecutionPolicy:
 
         policy = ExecutionPolicy(n_shards=2)
         assert policy.resolve(Fake()) == policy.resolve(n_answers=10**9)
-
-    def test_from_legacy_mappings(self):
-        assert ExecutionPolicy.from_legacy(n_shards=4).executor == "serial"
-        assert ExecutionPolicy.from_legacy(
-            n_shards=4, shard_workers=1).executor == "serial"
-        threaded = ExecutionPolicy.from_legacy(n_shards=4, shard_workers=3)
-        assert threaded.executor == "thread"
-        assert threaded.max_workers == 3
-        assert ExecutionPolicy.from_legacy(
-            n_shards=4, shard_executor="process").executor == "process"
 
     def test_resolve_process_workers_formula(self):
         cpus = os.cpu_count() or 1
@@ -141,6 +140,27 @@ class TestMethodSpec:
         # Methods without sharded EM ignore the policy outright.
         assert MethodSpec("MV").create(policy=policy).n_shards == 1
 
+    @pytest.mark.parametrize("policy", [
+        ExecutionPolicy(n_shards=2, executor="process"),
+        ExecutionPolicy(n_shards=2, executor="process").resolve(
+            n_answers=0),
+    ], ids=["policy", "plan"])
+    def test_create_rejects_the_process_tier(self, policy):
+        # A process-tier instance needs a runner at fit time; create()
+        # must not hand back a silently serial instance instead.
+        with pytest.raises(ValueError, match=r"fit\(policy=\.\.\.\)"):
+            MethodSpec("D&S", seed=0).create(policy=policy)
+        with pytest.raises(ValueError, match="process"):
+            create_all(TaskType.DECISION_MAKING, names=["D&S"],
+                       policy=policy)
+
+    def test_create_ignores_process_tier_for_non_sharding_methods(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            instance = create("MV", policy=ExecutionPolicy(
+                n_shards=4, executor="process"))
+        assert instance.n_shards == 1
+
     def test_create_thread_policy_defaults_a_real_width(self):
         # A forced thread tier must actually thread: the default pool
         # width resolves like ExecutionPolicy.resolve, not to 0.
@@ -159,7 +179,6 @@ class TestFitPolicy:
         import numpy as np
 
         from repro.core.answers import AnswerSet
-        from repro.core.tasktypes import TaskType
 
         rng = np.random.default_rng(0)
         return AnswerSet(rng.integers(0, 30, 300), rng.integers(0, 6, 300),
@@ -169,8 +188,6 @@ class TestFitPolicy:
     def test_fit_policy_matches_constructor_sharding(self):
         import numpy as np
 
-        from repro.core.registry import create
-
         answers = self._answers()
         policy = ExecutionPolicy(n_shards=3, executor="serial")
         via_create = create("D&S", seed=0, policy=policy).fit(answers)
@@ -178,8 +195,6 @@ class TestFitPolicy:
         assert np.array_equal(via_create.posterior, via_fit.posterior)
 
     def test_fit_policy_overrides_constructor(self):
-        from repro.core.registry import create
-
         answers = self._answers()
         instance = create("D&S", seed=0,
                           policy=ExecutionPolicy(n_shards=2,
@@ -206,7 +221,6 @@ class TestIgnoredPolicyWarning:
         import numpy as np
 
         from repro.core.answers import AnswerSet
-        from repro.core.tasktypes import TaskType
 
         rng = np.random.default_rng(0)
         return AnswerSet(rng.integers(0, 30, 300), rng.integers(0, 6, 300),
@@ -214,8 +228,6 @@ class TestIgnoredPolicyWarning:
                          n_tasks=30, n_workers=6)
 
     def test_warns_once_naming_method_and_fields(self):
-        from repro.core.registry import create
-
         answers = self._answers()
         policy = ExecutionPolicy(n_shards=4, executor="process")
         with pytest.warns(UserWarning) as caught:
@@ -228,8 +240,6 @@ class TestIgnoredPolicyWarning:
         assert "executor='process'" in messages[0]
 
     def test_resolved_plan_warns_with_mode(self):
-        from repro.core.registry import create
-
         answers = self._answers()
         plan = ExecutionPolicy(n_shards=4, executor="thread").resolve(
             answers)
@@ -238,8 +248,6 @@ class TestIgnoredPolicyWarning:
 
     def test_default_policy_stays_silent(self):
         import warnings as _warnings
-
-        from repro.core.registry import create
 
         answers = self._answers()
         # Auto tiering with no explicit shard count — how grids apply
@@ -254,8 +262,6 @@ class TestIgnoredPolicyWarning:
 
     def test_sharded_method_does_not_warn(self):
         import warnings as _warnings
-
-        from repro.core.registry import create
 
         answers = self._answers()
         with _warnings.catch_warnings():

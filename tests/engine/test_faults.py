@@ -26,8 +26,7 @@ from repro.core.answers import AnswerSet
 from repro.core.policy import ExecutionPolicy, FaultPolicy, MethodSpec
 from repro.core.registry import create
 from repro.core.tasktypes import TaskType
-from repro.engine.runtime import ShardRuntime
-from repro.engine.sharded import ShardedInferenceEngine
+from repro.engine.runtime import ShardRuntime, get_runtime_registry
 from repro.exceptions import PhaseTimeoutError, WorkerCrashError
 from repro.faults import Backoff, FaultPlan, FaultTrigger
 
@@ -248,11 +247,12 @@ class TestKillRecovery:
     def test_fit_stats_surface_the_recovery(self, answers, reference):
         plan = FaultPlan.parse("kill:shard=0,on=2")
         policy = ExecutionPolicy(
-            n_shards=4, executor="process", persistent=False,
-            max_workers=2, faults=plan,
+            n_shards=4, executor="process", max_workers=2, faults=plan,
             fault_policy=FaultPolicy(deadline=30.0))
-        with ShardedInferenceEngine(policy) as engine:
-            result = engine.fit(answers, "D&S")
+        try:
+            result = create("D&S", seed=0).fit(answers, policy=policy)
+        finally:
+            get_runtime_registry().close_all()
         assert result.fit_stats.respawns >= 1
         assert result.fit_stats.retries >= 1
         assert "respawns" in result.fit_stats.summary()

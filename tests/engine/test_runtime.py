@@ -2,7 +2,7 @@
 
 Covers the PR-3 contracts:
 
-* same-version reuse is bit-identical to a fresh per-fit runner;
+* same-version reuse is bit-identical to a fresh private runtime;
 * a grown stream extends the placed segments (not a rebuild) and the
   result matches the unsharded fit to 1e-10;
 * eviction/close tears everything down exactly once;
@@ -21,12 +21,15 @@ import numpy as np
 import pytest
 
 from repro.core.answers import AnswerSet
-from repro.core.policy import ExecutionPolicy
+from repro.core.policy import ExecutionPolicy, MethodSpec
 from repro.core.registry import create
 from repro.core.tasktypes import TaskType
 from repro.engine.engine import InferenceEngine
-from repro.engine.runtime import RuntimeRegistry, ShardRuntime
-from repro.engine.sharded import ProcessShardRunner, ShardedInferenceEngine
+from repro.engine.runtime import (
+    RuntimeRegistry,
+    ShardRuntime,
+    get_runtime_registry,
+)
 
 
 def build_answers(seed=0, n_tasks=60, n_workers=8, n_answers=400):
@@ -73,8 +76,8 @@ class TestLeaseReuse:
 
     def test_same_version_reuse_bit_identical_to_fresh_runner(self):
         answers = build_answers(seed=3)
-        with ProcessShardRunner(answers, "D&S", {"seed": 0},
-                                n_shards=3, max_workers=2) as runner:
+        with ShardRuntime(n_shards=3, max_workers=2) as private, \
+                private.lease(answers, "D&S", {"seed": 0}) as runner:
             fresh = create("D&S", seed=0).fit(answers, shard_runner=runner)
         with ShardRuntime(n_shards=3, max_workers=2) as rt:
             # Warm the runtime on another fit first, then reuse.
@@ -103,8 +106,8 @@ class TestLeaseReuse:
 class TestPhaseTimes:
     def test_lease_times_each_dispatch_round_trip(self):
         answers = build_answers()
-        with ProcessShardRunner(answers, "D&S", {"seed": 0},
-                                n_shards=2, max_workers=1) as runner:
+        with ShardRuntime(n_shards=2, max_workers=1) as runtime, \
+                runtime.lease(answers, "D&S", {"seed": 0}) as runner:
             stats = create("D&S", seed=0).fit(
                 answers, shard_runner=runner).fit_stats
             assert stats.phase_seconds == runner.phase_seconds
@@ -277,7 +280,9 @@ class TestEvictionAndClose:
         answers = build_answers()
         stale = registry.acquire(2, 1)
         stale.close()
-        runtime, lease = registry.lease(2, 1, answers, "ZC", {"seed": 0})
+        runtime, lease = registry.lease(
+            ExecutionPolicy(n_shards=2, executor="process", max_workers=1),
+            answers, MethodSpec("ZC", seed=0))
         try:
             assert runtime is not stale and not runtime.closed
             create("ZC", seed=0).fit(answers, shard_runner=lease)
@@ -316,37 +321,39 @@ class TestExceptionLeaks:
         def boom(self, stats):
             raise RuntimeError("m-step exploded")
 
-        engine = ShardedInferenceEngine(
-            ExecutionPolicy(n_shards=2, max_workers=1,
-                            executor="process"),
-            registry=RuntimeRegistry())
-        # First a clean fit, so the runtime is warm and placed.
-        engine.fit(answers, "D&S")
-        names = engine._runtime.segment_names()
-        assert names
-        # The master-side spec finalize runs in this process: patch it
-        # to blow up in the middle of EM.
-        monkeypatch.setattr(_ConfusionSpec, "finalize", boom)
-        with pytest.raises(RuntimeError, match="exploded"):
-            engine.fit(answers, "D&S")
-        # The failing lease reset the runtime: nothing may linger.
-        assert_unlinked(names)
-        assert multiprocessing.active_children() == []
-        monkeypatch.undo()
-        # The engine recovers on the next fit.
-        result = engine.fit(answers, "D&S")
-        assert result.posterior is not None
-        engine.close()
+        policy = ExecutionPolicy(n_shards=2, max_workers=1,
+                                 executor="process")
+        registry = get_runtime_registry()
+        try:
+            # First a clean fit, so the runtime is warm and placed.
+            create("D&S", seed=0).fit(answers, policy=policy)
+            runtime = registry.acquire(policy)
+            names = runtime.segment_names()
+            assert names
+            # The master-side spec finalize runs in this process: patch
+            # it to blow up in the middle of EM.
+            monkeypatch.setattr(_ConfusionSpec, "finalize", boom)
+            with pytest.raises(RuntimeError, match="exploded"):
+                create("D&S", seed=0).fit(answers, policy=policy)
+            # The failing lease reset the runtime: nothing may linger.
+            assert_unlinked(names)
+            assert multiprocessing.active_children() == []
+            monkeypatch.undo()
+            # The runtime recovers on the next fit.
+            result = create("D&S", seed=0).fit(answers, policy=policy)
+            assert result.posterior is not None
+        finally:
+            registry.close_all()
         assert multiprocessing.active_children() == []
 
     def test_one_shot_runner_context_exits_clean_on_error(self):
         answers = build_answers()
-        runner = ProcessShardRunner(answers, "ZC", {"seed": 0},
-                                    n_shards=2, max_workers=1)
-        names = runner.segment_names()
+        runtime = ShardRuntime(n_shards=2, max_workers=1)
+        lease = runtime.lease(answers, "ZC", {"seed": 0})
+        names = runtime.segment_names()
         with pytest.raises(AttributeError):
-            with runner:
-                runner.call("phase_that_does_not_exist")
+            with runtime, lease:
+                lease.call("phase_that_does_not_exist")
         assert_unlinked(names)
         assert multiprocessing.active_children() == []
 
@@ -356,14 +363,14 @@ import numpy as np
 from repro.core.answers import AnswerSet
 from repro.core.registry import create
 from repro.core.tasktypes import TaskType
-from repro.engine.sharded import ProcessShardRunner
+from repro.engine.runtime import ShardRuntime
 
 rng = np.random.default_rng(0)
 answers = AnswerSet(rng.integers(0, 30, 200), rng.integers(0, 6, 200),
                     rng.integers(0, 2, 200), TaskType.DECISION_MAKING,
                     n_tasks=30, n_workers=6)
-with ProcessShardRunner(answers, "D&S", {"seed": 0}, n_shards=2,
-                        max_workers=2) as runner:
+with ShardRuntime(n_shards=2, max_workers=2) as runtime, \
+        runtime.lease(answers, "D&S", {"seed": 0}) as runner:
     create("D&S", seed=0).fit(answers, shard_runner=runner)
 print("OK")
 """
@@ -371,6 +378,7 @@ print("OK")
 _LEASED_EXIT_SCRIPT = """
 import numpy as np
 from repro.core.answers import AnswerSet
+from repro.core.policy import ExecutionPolicy, MethodSpec
 from repro.core.tasktypes import TaskType
 from repro.engine.runtime import get_runtime_registry
 
@@ -379,7 +387,9 @@ answers = AnswerSet(rng.integers(0, 30, 200), rng.integers(0, 6, 200),
                     rng.integers(0, 2, 200), TaskType.DECISION_MAKING,
                     n_tasks=30, n_workers=6)
 registry = get_runtime_registry()
-runtime, lease = registry.lease(2, None, answers, "D&S", {"seed": 0})
+runtime, lease = registry.lease(ExecutionPolicy(n_shards=2,
+                                                executor="process"),
+                                answers, MethodSpec("D&S", seed=0))
 lease.call("init_block")
 print("OK")
 # Exit WITHOUT closing the lease: the process-wide atexit hook must
@@ -478,23 +488,28 @@ class TestEngineIntegration:
 
     def test_sharded_engine_persistent_reuses_runtime(self):
         answers = build_answers(seed=11)
-        registry = RuntimeRegistry()
-        with ShardedInferenceEngine(
-                ExecutionPolicy(n_shards=2, max_workers=1,
-                                executor="process"),
-                registry=registry) as engine:
-            a = engine.fit(answers, "D&S")
-            b = engine.fit(answers, "ZC")
-            runtime = engine._runtime
+        policy = ExecutionPolicy(n_shards=2, max_workers=1,
+                                 executor="process")
+        registry = get_runtime_registry()
+        # Start from no runtime at this key, so the counters below are
+        # this test's own.
+        registry.close_all()
+        try:
+            a = create("D&S", seed=0).fit(answers, policy=policy)
+            b = create("ZC", seed=0).fit(answers, policy=policy)
+            runtime = registry.acquire(policy)
             assert runtime.pool_spawns == 1
             assert runtime.reuses >= 1
+        finally:
+            registry.close_all()
         assert runtime.closed
-        serial = ShardedInferenceEngine(
-            ExecutionPolicy(n_shards=2, executor="serial"))
-        assert np.array_equal(a.posterior,
-                              serial.fit(answers, "D&S").posterior)
-        assert np.array_equal(b.posterior,
-                              serial.fit(answers, "ZC").posterior)
+        serial = ExecutionPolicy(n_shards=2, executor="serial")
+        assert np.array_equal(
+            a.posterior,
+            create("D&S", seed=0).fit(answers, policy=serial).posterior)
+        assert np.array_equal(
+            b.posterior,
+            create("ZC", seed=0).fit(answers, policy=serial).posterior)
 
     def test_run_many_process_shard_executor_matches_serial(self):
         from repro.datasets.schema import Dataset

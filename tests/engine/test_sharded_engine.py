@@ -1,4 +1,4 @@
-"""Process-pool sharded engine, BatchRunner pools, and the MV seed cache."""
+"""Sharded fits on every tier, BatchRunner pools, and the MV seed cache."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.core.registry import create
 from repro.core.tasktypes import TaskType
 from repro.datasets.schema import Dataset
 from repro.engine.batch import BatchJob, BatchRunner
-from repro.engine.sharded import ProcessShardRunner, ShardedInferenceEngine
+from repro.engine.runtime import ShardRuntime, get_runtime_registry
 
 
 def build_answers(seed=0, n_tasks=80, n_workers=10, n_choices=2,
@@ -35,60 +35,77 @@ def build_dataset(seed=0, **kwargs):
     return Dataset(name=f"synthetic-{seed}", answers=answers, truth=truth)
 
 
-class TestProcessShardRunner:
-    def test_matches_in_process_sharded_fit_bitwise(self):
+@pytest.fixture
+def process_registry():
+    """The process-wide runtime registry ``fit(policy=...)`` leases
+    from, closed afterwards so no warm pools outlive the test."""
+    registry = get_runtime_registry()
+    yield registry
+    registry.close_all()
+
+
+class TestProcessTierFit:
+    def test_matches_in_process_sharded_fit_bitwise(self,
+                                                     process_registry):
         answers, _ = build_answers()
         serial = create("D&S", seed=0,
                         policy=ExecutionPolicy(n_shards=3,
                                                executor="serial")
                         ).fit(answers)
-        with ProcessShardRunner(answers, "D&S", n_shards=3,
-                                max_workers=2) as runner:
-            proc = create("D&S", seed=0).fit(answers, shard_runner=runner)
+        proc = create("D&S", seed=0).fit(
+            answers, policy=ExecutionPolicy(n_shards=3, executor="process",
+                                            max_workers=2))
+        assert proc.fit_stats.ipc["messages"] > 0
         assert np.array_equal(serial.posterior, proc.posterior)
         assert np.array_equal(serial.worker_quality, proc.worker_quality)
 
-    def test_glad_gradient_rounds_through_processes(self):
+    def test_glad_gradient_rounds_through_processes(self,
+                                                    process_registry):
         answers, _ = build_answers(seed=1)
         serial = create(
             MethodSpec("GLAD", seed=0, max_iter=8),
             policy=ExecutionPolicy(n_shards=2, executor="serial"),
         ).fit(answers)
-        with ProcessShardRunner(answers, "GLAD", {"max_iter": 8},
-                                n_shards=2, max_workers=2) as runner:
-            proc = create("GLAD", seed=0, max_iter=8).fit(
-                answers, shard_runner=runner)
+        proc = create(MethodSpec("GLAD", seed=0, max_iter=8)).fit(
+            answers, policy=ExecutionPolicy(n_shards=2, executor="process",
+                                            max_workers=2))
+        assert proc.fit_stats.ipc["messages"] > 0
         assert np.array_equal(serial.posterior, proc.posterior)
 
     def test_close_releases_shared_memory(self):
         from multiprocessing import shared_memory
 
         answers, _ = build_answers()
-        runner = ProcessShardRunner(answers, "ZC", n_shards=2,
-                                    max_workers=1)
-        names = runner.segment_names()
-        create("ZC", seed=0).fit(answers, shard_runner=runner)
-        runner.close()
-        runner.close()  # idempotent
+        runtime = ShardRuntime(n_shards=2, max_workers=1)
+        lease = runtime.lease(answers, "ZC", {"seed": 0})
+        names = runtime.segment_names()
+        create("ZC", seed=0).fit(answers, shard_runner=lease)
+        lease.close()
+        runtime.close()
+        runtime.close()  # idempotent
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
     def test_rejects_methods_without_sharding(self):
         answers, _ = build_answers()
-        with pytest.raises(ValueError, match="sharded"):
-            ProcessShardRunner(answers, "MV", n_shards=2)
+        with ShardRuntime(n_shards=2) as runtime:
+            with pytest.raises(ValueError, match="sharded"):
+                runtime.lease(answers, "MV")
 
 
-class TestShardedInferenceEngine:
-    def test_tiers_agree_bitwise(self):
+class TestPolicyTiers:
+    def test_tiers_agree_bitwise(self, process_registry):
         answers, _ = build_answers(seed=2)
         results = {}
         for mode in ("serial", "thread", "process"):
-            engine = ShardedInferenceEngine(
-                ExecutionPolicy(n_shards=4, executor=mode, max_workers=2))
-            results[mode] = engine.fit(answers, "D&S")
-            assert engine.last_mode == mode
+            policy = ExecutionPolicy(n_shards=4, executor=mode,
+                                     max_workers=2)
+            assert policy.resolve(answers).mode == mode
+            results[mode] = create("D&S", seed=0).fit(answers,
+                                                      policy=policy)
+        assert results["serial"].fit_stats.ipc is None
+        assert results["process"].fit_stats.ipc["messages"] > 0
         assert np.array_equal(results["serial"].posterior,
                               results["thread"].posterior)
         assert np.array_equal(results["serial"].posterior,
@@ -96,29 +113,28 @@ class TestShardedInferenceEngine:
 
     def test_auto_stays_in_process_below_threshold(self):
         answers, _ = build_answers()
-        engine = ShardedInferenceEngine(
-            ExecutionPolicy(n_shards=2, executor="auto",
-                            process_threshold=10**9))
-        engine.fit(answers, "ZC")
-        assert engine.last_mode in ("serial", "thread")
+        policy = ExecutionPolicy(n_shards=2, executor="auto")
+        assert policy.resolve(answers).mode in ("serial", "thread")
+        result = create("ZC", seed=0).fit(answers, policy=policy)
+        assert result.fit_stats.ipc is None
 
-    def test_rejects_unsupported_method(self):
+    def test_rejects_unsupported_method(self, process_registry):
         answers, _ = build_answers()
-        engine = ShardedInferenceEngine(
-            ExecutionPolicy(n_shards=2, executor="serial"))
         with pytest.raises(ValueError, match="sharded"):
-            engine.fit(answers, "MV")
+            process_registry.lease(
+                ExecutionPolicy(n_shards=2, executor="process"), answers,
+                MethodSpec("MV"))
 
     def test_invalid_executor_name(self):
         with pytest.raises(ValueError, match="executor"):
-            ShardedInferenceEngine(ExecutionPolicy(executor="gpu"))
+            ExecutionPolicy(executor="gpu")
 
     def test_warm_start_passes_through(self):
         answers, _ = build_answers(seed=4)
-        engine = ShardedInferenceEngine(
-            ExecutionPolicy(n_shards=3, executor="serial"))
-        first = engine.fit(answers, "D&S")
-        warm = engine.fit(answers, "D&S", warm_start=first)
+        policy = ExecutionPolicy(n_shards=3, executor="serial")
+        first = create("D&S", seed=0).fit(answers, policy=policy)
+        warm = create("D&S", seed=0).fit(answers, policy=policy,
+                                         warm_start=first)
         assert warm.extras["warm_started"] is True
 
 
@@ -137,12 +153,6 @@ class TestBatchRunnerPools:
             [r.method for r in process_runs]
         for a, b in zip(thread_runs, process_runs):
             assert a.scores == b.scores
-
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            BatchRunner(executor="fiber")
-        with pytest.raises(ValueError, match="executor"):
-            BatchRunner(shard_executor="fiber")
 
     def test_run_grid_with_sharding(self):
         dataset = build_dataset(seed=3, n_answers=400)

@@ -29,7 +29,6 @@ from repro.core.registry import create
 from repro.core.result import FitStats
 from repro.core.tasktypes import TaskType
 from repro.engine.runtime import ShardRuntime
-from repro.engine.sharded import ProcessShardRunner
 from repro.exceptions import PhaseTimeoutError, WorkerReplyError
 from repro.faults import FaultPlan
 
@@ -119,8 +118,8 @@ class TestOneMessagePerSlot:
 
     def test_fit_stats_carry_the_lease_counters(self):
         answers = build_answers()
-        with ProcessShardRunner(answers, SPEC, n_shards=2,
-                                max_workers=2) as runner:
+        with ShardRuntime(n_shards=2, max_workers=2) as rt, \
+                rt.lease(answers, SPEC) as runner:
             stats = create(SPEC).fit(answers,
                                      shard_runner=runner).fit_stats
             assert stats.ipc == runner.ipc

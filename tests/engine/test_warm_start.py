@@ -21,7 +21,6 @@ from repro.core.warmstart import (
     expand_worker_vector,
 )
 from repro.engine import StreamingAnswerSet
-from repro.inference.em import run_em
 
 WARM_CATEGORICAL = ["D&S", "ZC", "GLAD", "LFC"]
 
@@ -206,39 +205,6 @@ class TestWarmStartValidation:
         assert warm.extras["warm_started"] is True
         np.testing.assert_array_equal(warm.truths, cold.truths)
         assert warm.n_iterations < cold.n_iterations
-
-
-class TestRunEMWarmAPI:
-    def test_requires_a_starting_point(self):
-        with pytest.raises(ValueError, match="initial_posterior"):
-            run_em(m_step=lambda p: p, e_step=lambda p: p)
-
-    def test_steps_are_keyword_only_and_required(self):
-        with pytest.raises(TypeError):
-            run_em(initial_posterior=np.array([[0.5, 0.5]]))
-
-    def test_initial_parameters_take_precedence(self):
-        target = np.array([[0.9, 0.1]])
-        m_step_inputs = []
-
-        def m_step(posterior):
-            m_step_inputs.append(posterior.copy())
-            return "params"
-
-        outcome = run_em(
-            initial_posterior=np.array([[0.5, 0.5]]),
-            m_step=m_step,
-            e_step=lambda params: target,
-            tolerance=1e-6,
-            max_iter=10,
-            initial_parameters="warm",
-        )
-        # The first M-step saw e_step(initial_parameters), not the
-        # initial_posterior: parameters took precedence.
-        np.testing.assert_allclose(m_step_inputs[0], target)
-        assert outcome.converged
-        # e_step is a fixed point: one update to set, one to confirm.
-        assert outcome.n_iterations == 2
 
 
 class TestExpansionHelpers:

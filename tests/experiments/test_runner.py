@@ -31,12 +31,6 @@ class TestRunMethod:
                          small_product, seed=0)
         assert run.n_iterations == 7
 
-    def test_legacy_method_kwargs_still_work(self, small_product):
-        with pytest.warns(DeprecationWarning, match="method_kwargs"):
-            run = run_method("BCC", small_product, seed=0,
-                             method_kwargs={"n_samples": 5, "burn_in": 2})
-        assert run.n_iterations == 7
-
 
 class TestRunMany:
     def test_defaults_to_all_applicable(self, small_emotion):
@@ -47,11 +41,6 @@ class TestRunMany:
     def test_explicit_subset(self, small_product):
         runs = run_many(small_product, ["MV", "D&S"], seed=0)
         assert [r.method for r in runs] == ["MV", "D&S"]
-
-    def test_legacy_method_names_keyword(self, small_product):
-        with pytest.warns(DeprecationWarning, match="method_names"):
-            runs = run_many(small_product, method_names=["MV"], seed=0)
-        assert [r.method for r in runs] == ["MV"]
 
 
 class TestAveraging:

@@ -271,10 +271,9 @@ def test_process_tier_matches_serial(name):
         name, seed=0,
         policy=ExecutionPolicy(n_shards=4, executor="serial"),
     ).fit(answers)
-    process = create(
-        name, seed=0,
-        policy=ExecutionPolicy(n_shards=4, executor="process",
-                               persistent=False, process_threshold=0),
-    ).fit(answers)
+    process = create(name, seed=0).fit(
+        answers, policy=ExecutionPolicy(n_shards=4, executor="process"))
+    # The fit really crossed the pipe (not a serial fit in disguise).
+    assert process.fit_stats.ipc["messages"] > 0
     diff = np.max(np.abs(process.posterior - serial.posterior))
     assert diff <= 1e-8, f"{name}: process-tier posterior diff {diff:.2e}"

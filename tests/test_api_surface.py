@@ -1,16 +1,15 @@
-"""Public API surface: export snapshots and deprecation-shim parity.
+"""Public API surface: export snapshots and the one execution entry point.
 
-Two contracts of the ExecutionPolicy/MethodSpec redesign:
-
-1. The ``__all__`` exports of :mod:`repro` and :mod:`repro.engine` are
-   pinned, so a refactor cannot silently drop (or leak) a public name.
-2. Every legacy kwarg spelling (``n_shards=``, ``executor=``,
-   ``shard_executor=``, ``shard_workers=``, ``method_kwargs=``) still
-   works, emits **exactly one** :class:`DeprecationWarning` per call,
-   and produces bit-identical results to the ``policy=`` /
-   ``MethodSpec`` spelling.
+1. The ``__all__`` exports of :mod:`repro` and :mod:`repro.engine`, and
+   the fields of ``ExecutionPolicy``/``ExecutionPlan``, are pinned, so a
+   refactor cannot silently drop (or leak) a public name or knob.
+2. Grid-level policies combine with per-spec shard counts the way the
+   batch layer documents, on every tier.
+3. A method-kwarg shard count matches the ``policy=`` spelling; knobs
+   with no entry point left fail at the call with a ``TypeError``.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -19,11 +18,12 @@ import pytest
 import repro
 import repro.engine
 from repro.core.answers import AnswerSet
-from repro.core.policy import ExecutionPolicy, MethodSpec
+from repro.core.policy import ExecutionPlan, ExecutionPolicy, MethodSpec
 from repro.core.registry import create
 from repro.core.tasktypes import TaskType
 from repro.datasets.schema import Dataset
 from repro.engine import BatchJob, BatchRunner, InferenceEngine
+from repro.engine.runtime import RuntimeRegistry
 from repro.experiments.runner import run_grid, run_many, run_method
 
 REPRO_ALL = [
@@ -60,17 +60,22 @@ ENGINE_ALL = [
     "IterableAnswerSource",
     "LineAnswerSource",
     "MethodSpec",
-    "ProcessShardRunner",
     "RuntimeLease",
     "RuntimeRegistry",
     "SerialShardSession",
     "ShardRuntime",
-    "ShardedInferenceEngine",
     "StorePolicy",
     "StreamingAnswerSet",
     "TaskSchema",
     "get_runtime_registry",
 ]
+
+
+#: Every execution knob a fit can be given, in declaration order.
+POLICY_FIELDS = ["n_shards", "executor", "max_workers", "refit",
+                 "freeze_tol", "verify_every", "store", "fault_policy",
+                 "faults"]
+PLAN_FIELDS = ["mode", "n_shards", "max_workers", "fault_policy", "faults"]
 
 
 class TestExports:
@@ -80,6 +85,11 @@ class TestExports:
     def test_engine_all_snapshot(self):
         assert repro.engine.__all__ == ENGINE_ALL
 
+    @pytest.mark.parametrize("cls,names", [
+        (ExecutionPolicy, POLICY_FIELDS), (ExecutionPlan, PLAN_FIELDS)])
+    def test_execution_fields_snapshot(self, cls, names):
+        assert [f.name for f in dataclasses.fields(cls)] == names
+
     @pytest.mark.parametrize("module,names", [
         (repro, REPRO_ALL), (repro.engine, ENGINE_ALL)])
     def test_every_export_resolves(self, module, names):
@@ -88,7 +98,7 @@ class TestExports:
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims: one warning, bit-identical results
+# Grid policies and per-spec shard counts
 # ----------------------------------------------------------------------
 def build_answers(seed=0, n_tasks=40, n_workers=6, n_answers=320):
     rng = np.random.default_rng(seed)
@@ -103,257 +113,112 @@ def build_answers(seed=0, n_tasks=40, n_workers=6, n_answers=320):
 
 
 @pytest.fixture()
-def answers():
-    return build_answers()[0]
-
-
-@pytest.fixture()
 def dataset():
     answers, truth = build_answers(seed=2)
     return Dataset(name="synthetic", answers=answers, truth=truth)
 
 
-def one_warning(calling):
-    """Run ``calling()`` asserting exactly one DeprecationWarning."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = calling()
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1, (
-        f"expected exactly one DeprecationWarning, got "
-        f"{[str(w.message) for w in deprecations]}"
-    )
-    return result
+class TestCreateKwargs:
+    @pytest.mark.parametrize("kwargs,policy", [
+        ({"n_shards": 3}, ExecutionPolicy(n_shards=3, executor="serial")),
+        ({"n_shards": 3, "shard_workers": 2},
+         ExecutionPolicy(n_shards=3, executor="thread", max_workers=2)),
+    ], ids=["n_shards", "shard_workers"])
+    def test_per_spec_kwargs_match_the_policy(self, kwargs, policy):
+        answers = build_answers()[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            per_spec = create("D&S", seed=0, **kwargs).fit(answers)
+        modern = create("D&S", seed=0, policy=policy).fit(answers)
+        assert per_spec.n_iterations == modern.n_iterations
+        np.testing.assert_array_equal(per_spec.posterior, modern.posterior)
+        np.testing.assert_array_equal(per_spec.worker_quality,
+                                      modern.worker_quality)
 
 
-def assert_identical(a, b):
-    assert a.n_iterations == b.n_iterations
-    if a.posterior is not None:
-        np.testing.assert_array_equal(a.posterior, b.posterior)
-    np.testing.assert_array_equal(a.truths, b.truths)
-    np.testing.assert_array_equal(a.worker_quality, b.worker_quality)
+#: Execution knobs with no entry point left, each spelled at the call it
+#: used to be accepted by.
+REMOVED_SPELLINGS = {
+    "engine-n_shards": lambda ds: InferenceEngine(
+        TaskType.DECISION_MAKING, n_shards=3),
+    "engine-shard_workers": lambda ds: InferenceEngine(
+        TaskType.DECISION_MAKING, shard_workers=2),
+    "run_method-method_kwargs": lambda ds: run_method(
+        "D&S", ds, method_kwargs={"max_iter": 7}),
+    "run_method-n_shards": lambda ds: run_method("D&S", ds, n_shards=3),
+    "run_method-shard_workers": lambda ds: run_method(
+        "D&S", ds, shard_workers=2),
+    "run_many-method_names": lambda ds: run_many(ds, method_names=["MV"]),
+    "run_many-executor": lambda ds: run_many(
+        ds, ["MV"], max_workers=2, executor="thread"),
+    "run_many-n_shards": lambda ds: run_many(ds, ["MV"], n_shards=3),
+    "run_grid-n_shards": lambda ds: run_grid([ds], methods=["MV"],
+                                             n_shards=3),
+    "run_grid-executor": lambda ds: run_grid([ds], executor="thread"),
+    "BatchJob-method_kwargs": lambda ds: BatchJob(
+        dataset=ds, method="D&S", method_kwargs={"max_iter": 7}),
+    "BatchRunner-executor": lambda ds: BatchRunner(max_workers=2,
+                                                   executor="thread"),
+    "BatchRunner.run_grid-n_shards": lambda ds: BatchRunner(
+        max_workers=1).run_grid([ds], methods=["MV"], n_shards=3),
+    "lease-positional": lambda ds: RuntimeRegistry().lease(
+        2, None, ds.answers, "D&S", {}),
+}
 
 
-class TestCreateShims:
-    def test_n_shards_kwarg(self, answers):
-        legacy = one_warning(lambda: create("D&S", seed=0, n_shards=3))
-        modern = create("D&S", seed=0,
-                        policy=ExecutionPolicy(n_shards=3,
-                                               executor="serial"))
-        assert_identical(legacy.fit(answers), modern.fit(answers))
-
-    def test_shard_workers_kwarg(self, answers):
-        legacy = one_warning(
-            lambda: create("D&S", seed=0, n_shards=3, shard_workers=2))
-        modern = create("D&S", seed=0,
-                        policy=ExecutionPolicy(n_shards=3,
-                                               executor="thread",
-                                               max_workers=2))
-        assert_identical(legacy.fit(answers), modern.fit(answers))
+class TestRemovedSpellings:
+    @pytest.mark.parametrize("spelling", sorted(REMOVED_SPELLINGS))
+    def test_fails_at_the_call(self, spelling, dataset):
+        with pytest.raises(TypeError, match="unexpected keyword argument"
+                           "|positional arguments but"):
+            REMOVED_SPELLINGS[spelling](dataset)
 
 
-class TestEngineShims:
-    def _records(self):
-        answers = build_answers(seed=4)[0]
-        return [(f"t{t}", f"w{w}", int(v)) for t, w, v in
-                zip(answers.tasks, answers.workers, answers.values)]
-
-    def _truths(self, engine):
-        engine.add_answers(self._records())
-        return engine.infer("D&S")
-
-    def test_inference_engine_legacy_kwargs(self):
-        legacy_engine = one_warning(lambda: InferenceEngine(
-            TaskType.DECISION_MAKING, seed=0, n_shards=3, shard_workers=2))
-        modern_engine = InferenceEngine(
-            TaskType.DECISION_MAKING, seed=0,
-            policy=ExecutionPolicy(n_shards=3, executor="thread",
-                                   max_workers=2))
-        assert_identical(self._truths(legacy_engine),
-                         self._truths(modern_engine))
-
-    def test_sharded_engine_legacy_kwargs(self, answers):
-        legacy_engine = one_warning(lambda: repro.engine.ShardedInferenceEngine(
-            n_shards=3, executor="serial"))
-        modern_engine = repro.engine.ShardedInferenceEngine(
-            ExecutionPolicy(n_shards=3, executor="serial"))
-        assert_identical(legacy_engine.fit(answers, "D&S"),
-                         modern_engine.fit(answers, "D&S"))
-
-    def test_mixing_legacy_and_policy_rejected(self):
-        with pytest.raises(ValueError, match="not both"), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            InferenceEngine(TaskType.DECISION_MAKING,
-                            policy=ExecutionPolicy(), n_shards=2)
-
-
-class TestRunnerShims:
-    def test_run_method_method_kwargs(self, dataset):
-        legacy = one_warning(lambda: run_method(
-            "D&S", dataset, seed=0, method_kwargs={"max_iter": 7}))
-        modern = run_method(MethodSpec("D&S", max_iter=7), dataset, seed=0)
-        assert legacy.scores == modern.scores
-        assert legacy.n_iterations == modern.n_iterations
-
-    def test_run_method_n_shards(self, dataset):
-        legacy = one_warning(lambda: run_method(
-            "D&S", dataset, seed=0, n_shards=3))
-        modern = run_method("D&S", dataset, seed=0,
-                            policy=ExecutionPolicy(n_shards=3,
-                                                   executor="serial"))
-        assert legacy.scores == modern.scores
-        assert legacy.n_iterations == modern.n_iterations
-
-    def test_run_method_shard_workers(self, dataset):
-        legacy = one_warning(lambda: run_method(
-            "D&S", dataset, seed=0, n_shards=3, shard_workers=2))
-        modern = run_method("D&S", dataset, seed=0,
-                            policy=ExecutionPolicy(n_shards=3,
-                                                   executor="thread",
-                                                   max_workers=2))
-        assert legacy.scores == modern.scores
-
-    def test_run_method_shard_executor_process(self, dataset):
-        from repro.engine.runtime import get_runtime_registry
-
-        try:
-            legacy = one_warning(lambda: run_method(
-                "D&S", dataset, seed=0, n_shards=2,
-                shard_executor="process"))
-            modern = run_method(
-                "D&S", dataset, seed=0,
-                policy=ExecutionPolicy(n_shards=2, executor="process"))
-        finally:
-            get_runtime_registry().close_all()
-        assert legacy.scores == modern.scores
-        assert legacy.n_iterations == modern.n_iterations
-
-    def test_run_many_executor(self, dataset):
-        legacy = one_warning(lambda: run_many(
-            dataset, ["MV", "D&S"], seed=0, max_workers=2,
-            executor="thread"))
-        modern = run_many(dataset, ["MV", "D&S"], seed=0, max_workers=2)
-        for a, b in zip(legacy, modern):
-            assert a.scores == b.scores
-
-    def test_run_grid_n_shards(self, dataset):
-        legacy = one_warning(lambda: run_grid(
-            [dataset], methods=["MV", "D&S"], seed=0, n_shards=3))
-        modern = run_grid([dataset], methods=["MV", "D&S"], seed=0,
-                          policy=ExecutionPolicy(n_shards=3,
-                                                 executor="serial"))
-        for a, b in zip(legacy, modern):
-            assert a.scores == b.scores
-            assert a.n_iterations == b.n_iterations
-
-
-class TestBatchShims:
-    def test_batch_runner_executor(self, dataset):
-        legacy_runner = one_warning(
-            lambda: BatchRunner(max_workers=2, executor="thread"))
-        modern_runner = BatchRunner(max_workers=2)
-        jobs = [BatchJob(dataset=dataset, method="D&S", seed=0)]
-        legacy = legacy_runner.run(list(jobs))
-        modern = modern_runner.run(
-            [BatchJob(dataset=dataset, method="D&S", seed=0)])
-        assert legacy[0].scores == modern[0].scores
-
-    def test_batch_runner_shard_executor(self, dataset):
-        legacy_runner = one_warning(
-            lambda: BatchRunner(max_workers=1, shard_executor="thread"))
-        # n_shards stays 1: the runner-level flag never invented a
-        # shard count — that always came from each job's method kwargs.
-        assert legacy_runner.policy == ExecutionPolicy(n_shards=1,
-                                                       executor="thread")
-
-    def test_batch_runner_shard_executor_keeps_unsharded_jobs_plain(
+class TestBatchPolicies:
+    def test_unsharded_jobs_stay_plain_under_a_process_policy(
             self, dataset):
         """Jobs with no shard count must not be silently auto-sharded
         (and must not spawn the process runtime) just because the
-        runner carries a legacy shard_executor."""
-        from repro.engine.runtime import RuntimeRegistry
-
-        registry = RuntimeRegistry()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            runner = BatchRunner(max_workers=1,
-                                 shard_executor="process")
-        legacy = runner.run([BatchJob(dataset=dataset, method="D&S",
-                                      seed=0)])
-        plain = run_method("D&S", dataset, seed=0)
-        assert len(registry) == 0
-        assert legacy[0].scores == plain.scores
-        assert legacy[0].n_iterations == plain.n_iterations
-
-    def test_batch_job_method_kwargs_shards_reach_the_runtime(
-            self, dataset):
-        """The historical coupling: shard counts spelled in
-        method_kwargs combine with a process shard_executor — the fit
-        must actually run on the leased runtime at that shard count."""
+        runner carries a process-tier policy."""
         from repro.engine.runtime import get_runtime_registry
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            job = BatchJob(dataset=dataset, method="D&S",
-                           method_kwargs={"n_shards": 2},
-                           shard_executor="process")
+        registry = get_runtime_registry()
+        before = len(registry)
+        runner = BatchRunner(max_workers=1,
+                             policy=ExecutionPolicy(n_shards=1,
+                                                    executor="process"))
+        runs = runner.run([BatchJob(dataset=dataset, method="D&S",
+                                    seed=0)])
+        plain = run_method("D&S", dataset, seed=0)
+        assert len(registry) == before
+        assert runs[0].scores == plain.scores
+        assert runs[0].n_iterations == plain.n_iterations
+
+    def test_spec_shard_counts_reach_the_runtime(self, dataset):
+        """A shard count spelled in the job's spec combines with a
+        process-tier policy: the fit must actually run on the leased
+        runtime at that shard count."""
+        from repro.engine.runtime import get_runtime_registry
+
+        job = BatchJob(dataset=dataset,
+                       method=MethodSpec("D&S", n_shards=2),
+                       policy=ExecutionPolicy(n_shards=1,
+                                              executor="process"))
         registry = get_runtime_registry()
         try:
-            legacy = BatchRunner(max_workers=1).run([job])
+            runs = BatchRunner(max_workers=1).run([job])
             runtime = registry.acquire(2, None)
             assert runtime.placements >= 1  # the lease really happened
         finally:
             registry.close_all()
-        modern = run_method("D&S", dataset, seed=0,
+        serial = run_method("D&S", dataset, seed=0,
                             policy=ExecutionPolicy(n_shards=2,
                                                    executor="serial"))
-        assert legacy[0].scores == modern.scores
-        assert legacy[0].n_iterations == modern.n_iterations
-
-    def test_batch_job_method_kwargs(self, dataset):
-        job = one_warning(lambda: BatchJob(
-            dataset=dataset, method="D&S",
-            method_kwargs={"max_iter": 7}))
-        assert job.method == MethodSpec("D&S", max_iter=7)
-        assert job.method_kwargs is None
-
-    def test_batch_job_shard_executor(self, dataset):
-        job = one_warning(lambda: BatchJob(
-            dataset=dataset, method="D&S", shard_executor="process"))
-        assert job.policy.executor == "process"
-        assert job.shard_executor is None
+        assert runs[0].scores == serial.scores
+        assert runs[0].n_iterations == serial.n_iterations
 
 
-class TestCliAliases:
-    def test_batch_shard_executor_flag_warns(self, capsys):
-        from repro.cli import main
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["batch", "--datasets", "D_PosSent", "--methods",
-                         "MV", "--scale", "0.05", "--workers", "1",
-                         "--shard-executor", "thread"])
-        assert code == 0
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert "--shard-executor is deprecated" in capsys.readouterr().err
-
-    def test_batch_conflicting_executor_flags_rejected(self, capsys):
-        """Two explicit executor choices must error, not silently pick
-        one (the pre-unification combination of job pool + shard tier
-        no longer exists)."""
-        from repro.cli import main
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            code = main(["batch", "--datasets", "D_PosSent", "--methods",
-                         "MV", "--scale", "0.05", "--executor", "thread",
-                         "--shard-executor", "process"])
-        assert code == 1
-        assert "conflicts with --executor" in capsys.readouterr().err
-
+class TestCliFlags:
     def test_batch_executor_without_shards_notes_new_meaning(self,
                                                              capsys):
         """batch --executor used to pick the job pool; the unified flag

@@ -24,7 +24,7 @@ class TestParser:
             ["batch", "--datasets", "D_PosSent", "--methods", "MV",
              "--workers", "2"],
             ["batch", "--methods", "D&S", "--shards", "4",
-             "--shard-executor", "process"],
+             "--executor", "process"],
             ["plan-redundancy", "--dataset", "D_PosSent"],
         ):
             args = parser.parse_args(argv)
@@ -215,13 +215,13 @@ class TestCommands:
         assert "warm refit" in out
         assert "t0,no" in out and "t1,yes" in out
 
-    def test_batch_shard_executor_process_end_to_end(self, capsys):
+    def test_batch_process_executor_end_to_end(self, capsys):
         from repro.engine.runtime import get_runtime_registry
 
         try:
             code = main(["batch", "--datasets", "D_PosSent", "--methods",
                          "D&S", "ZC", "--scale", "0.05", "--workers", "1",
-                         "--shards", "2", "--shard-executor", "process"])
+                         "--shards", "2", "--executor", "process"])
         finally:
             get_runtime_registry().close_all()
         assert code == 0
