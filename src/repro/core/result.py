@@ -20,14 +20,15 @@ import numpy as np
 class FitStats:
     """Telemetry of one EM fit: what the iteration actually did.
 
-    Produced by :func:`repro.inference.sharded.run_em_sharded` for every
-    sharded-EM fit (``mode="full"``) and filled in detail by delta
-    refits (``mode="delta"``), where the per-iteration active/frozen
-    shard counts show how much work the freeze protocol skipped.
-    Wall-time is split into the EM loop proper (``em_seconds``) and
-    everything around it (``overhead_seconds`` — runner construction,
-    warm-start assembly, result packaging), which is what the runtime
-    and delta-refit benchmarks report.
+    Produced by the sharded drivers for every fit.  Full fits
+    (``mode="full"``) and delta refits (``mode="delta"``) run the same
+    active-set loop and count the same work; in a delta refit the
+    per-iteration active/frozen shard counts show how much of it the
+    freeze protocol skipped.  Wall-time is split into the EM loop
+    proper (``em_seconds``) and everything around it
+    (``overhead_seconds`` — runner construction, warm-start assembly,
+    result packaging), which is what the runtime and delta-refit
+    benchmarks report.
     """
 
     mode: str = "full"
@@ -41,9 +42,11 @@ class FitStats:
     frozen_shards: list[int] = dataclasses.field(default_factory=list)
     #: Per-shard E-step evaluations, verify passes included.
     e_block_calls: int = 0
-    #: Per-shard M-step statistic evaluations actually computed
-    #: (cached :class:`~repro.inference.sharded.SufficientStats` reuse
-    #: does not count).
+    #: Per-shard calls of the M-step's map phase actually computed:
+    #: ``accumulate``, or the rounds of a spec's own M-step hook (GLAD's
+    #: gradient steps).  Cached
+    #: :class:`~repro.inference.sharded.SufficientStats` reuse does not
+    #: count.
     accumulate_calls: int = 0
     #: Full-verify E-steps over the frozen set (delta refits).
     verify_passes: int = 0

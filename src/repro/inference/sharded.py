@@ -15,13 +15,17 @@ stabilises.  This module expresses that loop partition-first:
   ``finalize`` once on the totals to obtain global parameters.
 
 A method participates by providing a :class:`ShardedEMSpec` describing
-its statistics; :func:`run_em_sharded` supplies the control flow, warm
-starts, golden-task clamping and convergence tracking.  With one shard
-the computation reduces to the unsharded math bit-for-bit (the shard is the
-original arrays, and the :mod:`~repro.inference.segops` operators
-reproduce the scalar kernels' accumulation order exactly); with many
-shards only the merge order of worker-side partial sums differs, which
-perturbs posteriors at the last-ulp level (~1e-15 per iteration).
+its statistics; one driver supplies the control flow, warm starts,
+golden-task clamping and convergence tracking for the whole family.
+:func:`run_em_sharded` runs it in EM order (M-step, E-step, converge on
+the posterior); :func:`run_alternating_sharded` runs the truth/weight
+estimators (CATD, PM) in their order (weight step, converge on the
+weights, truth step).  With one shard the computation reduces to the
+unsharded math bit-for-bit (the shard is the original arrays, and the
+:mod:`~repro.inference.segops` operators reproduce the scalar kernels'
+accumulation order exactly); with many shards only the merge order of
+worker-side partial sums differs, which perturbs posteriors at the
+last-ulp level (~1e-15 per iteration).
 
 Execution is pluggable: :class:`SerialShardRunner` runs shards in the
 calling thread or fans them over a thread pool; a process-tier
@@ -52,16 +56,20 @@ what changed rather than with total history:
   drift reached ``freeze_tol``, so a frozen shard can never silently
   diverge.  The final verify adopts the fresh blocks, so the returned
   posterior is a genuine E-step output at the final parameters, exactly
-  like the full path's.
+  like a full fit's.
+
+Both fit kinds run through the same active-set loop.  A full fit is
+the case where every shard stays active: it primes every shard, never
+freezes one and so never verifies, and stays bit-identical to the
+historical full loops.  The iteration cap holds on every path, verify
+passes included.
 
 The delta refit is approximate by design: frozen shards lag the global
 parameters by at most ``freeze_tol`` between verifies.  The default
 ``freeze_tol`` (the EM tolerance) keeps that lag inside the convergence
-threshold; both paths stop only when a full E-step pass moves no
+threshold; both fit kinds stop only when a full E-step pass moves no
 posterior entry by the tolerance, so their final states agree to well
-below it in practice.  ``refit="full"`` (the default policy) never
-enters this code path and stays bit-identical to the historical
-behaviour.
+below it in practice.
 """
 
 from __future__ import annotations
@@ -76,7 +84,6 @@ import numpy as np
 from ..core.framework import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOLERANCE,
-    ConvergenceTracker,
     clamp_golden_posterior,
 )
 from ..core.policy import DEFAULT_VERIFY_EVERY
@@ -163,7 +170,7 @@ class SufficientStats:
 
 
 class ShardedEMSpec(abc.ABC):
-    """Method-specific shard computations for :func:`run_em_sharded`.
+    """Method-specific shard computations for the sharded EM driver.
 
     Subclasses implement the four phase hooks; every hook receives the
     shard plus the per-shard static operators built (once) by
@@ -171,10 +178,12 @@ class ShardedEMSpec(abc.ABC):
     the spec's construction-time configuration, so the same spec can be
     rebuilt inside worker processes.
 
-    ``m_step`` has a default map-reduce implementation over
-    ``accumulate``/``total``/``finalize``; methods whose M-step is
-    itself iterative (GLAD's gradient ascent) override it and use the
-    runner for their inner map-reduce rounds.
+    :meth:`m_step` is the spec's one M-step hook, for full fits and
+    delta refits alike.  Its default is a map-reduce over
+    ``accumulate``/``total``/``finalize`` that reuses cached per-shard
+    statistics; methods whose M-step is itself iterative (GLAD's
+    gradient ascent) override it and use the runner for their inner
+    map-reduce rounds.
     """
 
     #: Clamp applied to the assembled global state after every E-step
@@ -182,11 +191,12 @@ class ShardedEMSpec(abc.ABC):
     #: methods override with :func:`clamp_golden_values`.
     golden_clamp = staticmethod(clamp_golden_posterior)
 
-    #: Whether the default map-reduce M-step over
-    #: ``accumulate``/``total``/``finalize`` is in use.  Delta refits
-    #: manage a per-shard statistics cache through that path; specs that
-    #: override :meth:`m_step` with their own iterated protocol (GLAD)
-    #: set this False and implement :meth:`m_step_delta` instead.
+    #: Whether the per-shard cache entries :meth:`m_step` leaves are
+    #: this spec's ``accumulate`` statistics.  A collecting fit then
+    #: fills every missing entry at the final blocks and hands the
+    #: cache to the next delta refit.  Specs that override
+    #: :meth:`m_step` set this False: their entries (worker-side
+    #: markers, uncollected partials) do not outlive the fit.
     statistics_m_step = True
 
     #: Whether per-shard ``ops`` is *mutated* by the phase hooks (KOS
@@ -196,6 +206,11 @@ class ShardedEMSpec(abc.ABC):
     #: recovery stays bit-identical; stateless specs — ops built once
     #: from shard data, never written — skip the log entirely.
     stateful_ops = False
+
+    #: Extra positional arguments appended to every ``accumulate`` call
+    #: (master-computed constants such as a numeric distance scale);
+    #: must pickle for the process tier.
+    accumulate_shared: tuple = ()
 
     def __init__(self) -> None:
         self._ops: dict[int, object] = {}
@@ -261,57 +276,10 @@ class ShardedEMSpec(abc.ABC):
         covering ``[shard.task_start, shard.task_stop)``."""
 
     # -- control -------------------------------------------------------
-    def m_step(self, runner: "SerialShardRunner", blocks: Sequence[np.ndarray],
-               prev_params):
-        """One M-step: map ``accumulate``, reduce ``total``, ``finalize``.
-
-        ``prev_params`` is the previous iteration's parameter object
-        (``None`` on the first iteration); the default statistics path
-        ignores it, iterative M-steps (GLAD) resume from it.
-        """
-        stats = runner.call("accumulate", per_shard=blocks)
-        return self.finalize(SufficientStats.total(stats))
-
-    def m_step_delta(self, runner: "SerialShardRunner",
-                     blocks: Sequence[np.ndarray], prev_params,
-                     frozen: set, stats_cache: list,
-                     fit_stats: FitStats | None = None):
-        """Frozen-aware M-step for delta refits.
-
-        Only specs with ``statistics_m_step = False`` need this (the
-        statistics path is handled generically by the delta loop, which
-        recomputes ``accumulate`` for shards whose cache entry is
-        ``None`` and merges the cache); iterated M-steps (GLAD) override
-        it to fold frozen shards' cached partials into every round.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} overrides m_step but not m_step_delta"
-        )
-
-
-class AlternatingSpec(ShardedEMSpec):
-    """Spec base for truth/weight *alternating* estimators (CATD, PM).
-
-    These methods iterate E-then-M — a truth step from the current
-    source weights, then a weight step from the per-worker losses — and
-    track convergence on the **weights**, the reverse of the EM loop's
-    M-then-E with convergence on the posterior.  They run under
-    :func:`run_alternating_sharded` instead of :func:`run_em_sharded`;
-    the statistics contract is unchanged (``accumulate`` maps over
-    shards, ``total`` reduces, ``finalize`` turns merged losses into
-    weights), so the same spec also drives the generic delta-refit
-    machinery (:class:`DeltaPlan`) and the process runtime.
-    """
-
-    #: Extra positional arguments appended to every ``accumulate`` call
-    #: (master-computed constants such as a numeric distance scale);
-    #: must pickle for the process tier.
-    accumulate_shared: tuple = ()
-
     def prepare_accumulate(self, state: np.ndarray,
                            ranges: Sequence[tuple[int, int]],
                            rng, only: Sequence[int] | None = None) -> list:
-        """Master-side hook: the assembled truth state -> per-shard
+        """Master-side hook: the assembled state -> per-shard
         ``accumulate`` inputs (aligned to ``only`` when given).
 
         The default passes each shard its state slice; specs whose
@@ -321,6 +289,41 @@ class AlternatingSpec(ShardedEMSpec):
         """
         indices = range(len(ranges)) if only is None else only
         return [state[ranges[k][0]:ranges[k][1]] for k in indices]
+
+    def m_step(self, runner: "SerialShardRunner", state: np.ndarray,
+               prev_params, frozen: set, stats: list,
+               fit_stats: FitStats | None = None, rng=None):
+        """One M-step over the global ``state`` -> global parameters.
+
+        ``stats`` is the per-shard cache the hook reads and refills: an
+        entry is ``None`` when its shard's block changed since the
+        entry was made.  ``frozen`` names the shards whose blocks stay
+        pinned (empty in a full fit).  ``prev_params`` is the previous
+        parameter object (``None`` on a cold fit's first M-step);
+        ``fit_stats``, when given, counts the hook's map-phase shard
+        calls in ``accumulate_calls``; ``rng`` feeds
+        :meth:`prepare_accumulate`.
+
+        The default maps ``accumulate`` over the shards whose entry is
+        ``None``, merges the whole cache in shard order and finalizes
+        the totals.
+        """
+        return self.finalize(SufficientStats.total(
+            _accumulate(runner, state, stats, rng, fit_stats)))
+
+
+class AlternatingSpec(ShardedEMSpec):
+    """Spec base for truth/weight *alternating* estimators (CATD, PM).
+
+    These methods iterate a truth step from the current source weights
+    and a weight step from the per-worker losses, and track
+    convergence on the **weights**, where EM tracks the posterior.
+    They run under :func:`run_alternating_sharded`, the driver's
+    alternating order; the statistics contract is unchanged
+    (``accumulate`` maps over shards, ``total`` reduces, ``finalize``
+    turns merged losses into weights), so the same spec also drives
+    delta refits (:class:`DeltaPlan`) and the process runtime.
+    """
 
     def init_block(self, shard: AnswerShard, ops) -> np.ndarray:
         raise NotImplementedError(
@@ -368,11 +371,16 @@ class SerialShardRunner:
         """Global ``(task_start, task_stop)`` of every shard, in order."""
         return [(s.task_start, s.task_stop) for s in self.shards]
 
-    def m_step(self, state: np.ndarray, prev_params=None):
-        """Run the spec's M-step on the global state (blocks sliced
-        here), returning the new global parameters."""
-        return self.spec.m_step(self, _split_blocks_ranges(
-            state, self.task_ranges), prev_params)
+    def m_step(self, state: np.ndarray, prev_params=None,
+               frozen: set = frozenset(), stats: list | None = None,
+               fit_stats: FitStats | None = None, rng=None):
+        """Run the spec's M-step hook (:meth:`ShardedEMSpec.m_step`) on
+        the global state, returning the new global parameters; without
+        a ``stats`` cache every shard's contribution is computed."""
+        if stats is None:
+            stats = [None] * self.n_shards
+        return self.spec.m_step(self, state, prev_params, frozen, stats,
+                                fit_stats, rng)
 
     def call(self, phase: str, per_shard: Sequence | None = None,
              shared: tuple = (), only: Sequence[int] | None = None) -> list:
@@ -428,13 +436,6 @@ def pad_rows(array: np.ndarray, n_rows: int) -> np.ndarray:
     return np.concatenate([array, pad])
 
 
-def _split_blocks_ranges(state: np.ndarray,
-                         ranges: Sequence[tuple[int, int]]
-                         ) -> list[np.ndarray]:
-    """Slice a global state array into per-shard task-range views."""
-    return [state[start:stop] for start, stop in ranges]
-
-
 def majority_block(shard: AnswerShard) -> np.ndarray:
     """Per-shard majority-vote posterior (normalised local vote counts).
 
@@ -462,12 +463,11 @@ class ShardState:
     ``blocks`` are copies of the final per-shard posterior blocks;
     ``stats`` holds each shard's cacheable M-step contribution — the
     :class:`SufficientStats` of ``accumulate`` at that block for
-    statistics specs, a spec-defined partial (GLAD's per-worker
-    ability-gradient sum) otherwise, or ``None`` when nothing valid was
-    captured (the next delta refit recomputes lazily).  A stats entry
-    may lag its block by less than the freeze tolerance when the final
-    verify polished the block; the lag is inside the error budget the
-    freeze protocol already grants.
+    statistics specs — or ``None`` when nothing valid was captured (the
+    next delta refit recomputes lazily).  A stats entry may lag its
+    block by less than the freeze tolerance when the final verify
+    polished the block; the lag is inside the error budget the freeze
+    protocol already grants.
 
     ``task_cuts`` pin the shard layout: a delta refit is only valid
     over the *same* cuts (the last cut may grow with new tasks).
@@ -493,6 +493,31 @@ class ShardState:
     base_answers: int = 0
     session: Any = None
 
+    @classmethod
+    def collect(cls, runner: SerialShardRunner, blocks: Sequence,
+                delta: "DeltaPlan", *, stats: Sequence | None = None,
+                session: Any = None) -> "ShardState":
+        """The state a fit over ``runner``'s shards leaves behind.
+
+        The cuts come from the runner's task ranges and the sizes from
+        its spec; ``blocks`` (one per shard) are copied, and ``stats``
+        defaults to nothing cached.  A delta refit carries its cached
+        state's ``base_answers`` forward; the fitting method stamps
+        ``n_answers`` (and a full fit's ``base_answers``).
+        """
+        ranges = runner.task_ranges
+        return cls(
+            task_cuts=(int(ranges[0][0]),) + tuple(int(stop)
+                                                   for _, stop in ranges),
+            sizes=_spec_sizes(runner.spec),
+            blocks=[np.array(block) for block in blocks],
+            stats=([None] * len(ranges) if stats is None
+                   else list(stats)),
+            base_answers=(delta.prev.base_answers
+                          if delta.prev is not None else 0),
+            session=session,
+        )
+
     @property
     def n_shards(self) -> int:
         return len(self.task_cuts) - 1
@@ -512,7 +537,7 @@ class ShardState:
 
 @dataclasses.dataclass
 class DeltaPlan:
-    """What :func:`run_em_sharded` needs to run one delta refit.
+    """What the sharded drivers need to run one delta refit.
 
     ``prev=None`` asks for a *collecting full fit*: the normal full
     E/M sweep, plus a :class:`ShardState` on the way out (the seed of
@@ -603,275 +628,336 @@ def check_delta_layout(ranges: Sequence[tuple[int, int]], prev: ShardState,
             )
 
 
+# ----------------------------------------------------------------------
+# The driver: one active-set loop for EM and alternating estimators
+# ----------------------------------------------------------------------
+
+def _spec_sizes(spec) -> tuple[int, int, int]:
+    """The global ``(n_tasks, n_workers, n_choices)`` a spec is built
+    for (zero for a size the spec does not carry)."""
+    return (getattr(spec, "n_tasks", 0), getattr(spec, "n_workers", 0),
+            getattr(spec, "n_choices", 0))
+
+
 def _block_delta(a: np.ndarray, b: np.ndarray) -> float:
     """Max absolute difference between two blocks (0 for empty ones)."""
     return float(np.max(np.abs(a - b))) if a.size else 0.0
 
 
-def _m_step_cached(runner: SerialShardRunner, state: np.ndarray,
-                   prev_params, frozen: set, stats_cache: list,
-                   fit_stats: FitStats):
-    """One M-step reusing cached per-shard statistics where valid.
+def _complete(phase: str, results: list, shards: Sequence[int]) -> list:
+    """``results`` of ``phase`` over ``shards``, checked complete:
+    recovery re-dispatches and degraded executions must hand back one
+    result per shard like an uninterrupted dispatch (phases are
+    idempotent pure maps; a partial set means the runner's recovery
+    contract broke)."""
+    if len(results) != len(shards):
+        raise InferenceError(
+            f"{phase} returned {len(results)} results for {len(shards)} "
+            f"shards; phase dispatch must be idempotent and complete")
+    return results
 
-    Statistics specs: ``accumulate`` runs only for shards whose cache
-    entry is ``None`` (active shards after an E-step, plus frozen
-    shards whose cached stats were dropped); the merge covers all
-    shards in shard order.  Other specs delegate to
-    :meth:`ShardedEMSpec.m_step_delta`.
+
+def _accumulate(runner: SerialShardRunner, state: np.ndarray, stats: list,
+                rng=None, fit_stats: FitStats | None = None) -> list:
+    """Fill every ``None`` entry of the per-shard ``stats`` cache with a
+    fresh ``accumulate`` at ``state`` and return the cache.
+
+    The inputs come from the spec's ``prepare_accumulate`` (for the
+    shards that need one), with its ``accumulate_shared`` appended;
+    ``fit_stats`` counts the shard calls.
     """
-    spec = runner.spec
-    ranges = runner.task_ranges
-    blocks = _split_blocks_ranges(state, ranges)
-    if not spec.statistics_m_step:
-        return spec.m_step_delta(runner, blocks, prev_params, frozen,
-                                 stats_cache, fit_stats)
-    need = [k for k in range(len(blocks)) if stats_cache[k] is None]
+    need = [k for k, entry in enumerate(stats) if entry is None]
     if need:
-        computed = runner.call("accumulate",
-                               per_shard=[blocks[k] for k in need],
-                               only=need)
-        for k, stats in zip(need, computed):
-            stats_cache[k] = stats
-        fit_stats.accumulate_calls += len(need)
-    return spec.finalize(SufficientStats.total(stats_cache))
-
-
-def _collect_state(runner: SerialShardRunner, state: np.ndarray,
-                   stats_cache: list | None, fit_stats: FitStats,
-                   base_answers: int = 0) -> ShardState:
-    """Capture the per-shard cache a finished fit leaves behind.
-
-    For statistics specs, shards with no valid cached stats get one
-    ``accumulate`` at their final block so the next delta refit's first
-    M-step is pure cache reuse; other specs keep whatever partials the
-    loop cached (missing ones are recomputed lazily next time).
-    """
-    spec = runner.spec
-    ranges = runner.task_ranges
-    blocks = [np.array(state[start:stop]) for start, stop in ranges]
-    if stats_cache is None or not spec.statistics_m_step:
-        # Non-statistics specs (GLAD) hold their cacheable M-step state
-        # worker-side, which does not outlive the fit's runner: the
-        # next delta refit re-seeds it lazily.
-        stats_cache = [None] * len(ranges)
-    if spec.statistics_m_step:
-        need = [k for k in range(len(ranges)) if stats_cache[k] is None]
-        if need:
-            computed = runner.call("accumulate",
-                                   per_shard=[blocks[k] for k in need],
-                                   only=need)
-            for k, stats in zip(need, computed):
-                stats_cache[k] = stats
+        spec = runner.spec
+        per_shard = spec.prepare_accumulate(state, runner.task_ranges, rng,
+                                            only=need)
+        computed = _complete("accumulate", runner.call(
+            "accumulate", per_shard=per_shard,
+            shared=tuple(spec.accumulate_shared), only=need), need)
+        for k, entry in zip(need, computed):
+            stats[k] = entry
+        if fit_stats is not None:
             fit_stats.accumulate_calls += len(need)
-    cuts = [ranges[0][0]] + [stop for _, stop in ranges]
-    return ShardState(
-        task_cuts=tuple(int(c) for c in cuts),
-        sizes=(getattr(spec, "n_tasks", 0), getattr(spec, "n_workers", 0),
-               getattr(spec, "n_choices", 0)),
-        blocks=blocks,
-        stats=list(stats_cache),
-        base_answers=base_answers,
-    )
+    return stats
 
 
-def _verify_frozen(runner: SerialShardRunner, state: np.ndarray,
-                   parameters, frozen: set, stats_cache: list,
-                   golden, freeze_tol: float, thaw_tol: float,
-                   adopt_all: bool,
-                   fit_stats: FitStats) -> tuple[bool, float]:
-    """Full-verify E-step over the frozen set.
+def _weights(parameters, iteration: int) -> np.ndarray:
+    """A flat float copy of alternating weights, checked finite."""
+    weights = np.array(parameters, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(weights)):
+        raise ConvergenceError(
+            f"non-finite parameters at iteration {iteration}")
+    return weights
 
-    Recomputes every frozen shard's block at the current parameters and
-    grades the drift since the shard was last updated:
 
-    * ``drift >= thaw_tol`` — the shard *thaws*: the fresh block is
-      adopted, its cached stats dropped, and it rejoins the active set.
-    * ``freeze_tol <= drift < thaw_tol`` — the shard is *refreshed in
-      place*: the fresh block is adopted and its stats recomputed at
-      the next M-step, but it stays frozen (a Neal–Hinton partial
-      E-step — the drift accumulated over ``verify_every`` iterations,
-      so its per-iteration rate is still below the freeze threshold
-      and batched verify updates lose nothing).
-    * ``drift < freeze_tol`` — nothing to do; the cached block and
-      stats stay exactly consistent (``adopt_all``, the verify before
-      declaring convergence, adopts even these so the returned
-      posterior is an E-step output at the final parameters
-      everywhere).
+class _ActiveSet:
+    """The iterate of one fit: the assembled global state, each shard's
+    cached M-step contribution (``None``: recompute at the next
+    M-step) and the frozen shards, which E-steps skip until a verify
+    pass refreshes or thaws them."""
 
-    Returns ``(drifted, adopted)``: whether any drift reached
-    ``freeze_tol`` (the signal that convergence must not be declared
-    yet) and the largest adopted state change (which the next
-    convergence check must account for).
-    """
-    spec = runner.spec
-    ranges = runner.task_ranges
-    idx = sorted(frozen)
-    if not idx:
-        return False, 0.0
-    fresh = runner.call("e_block", shared=(parameters,), only=idx)
-    fit_stats.e_block_calls += len(idx)
-    fit_stats.verify_passes += 1
-    if golden:
-        # Golden rows are clamped constants: compare post-clamp so a
-        # clamped row's raw E-step output never reads as drift.
-        scratch = state.copy()
+    def __init__(self, runner: SerialShardRunner, golden,
+                 fit_stats: FitStats) -> None:
+        self.runner = runner
+        self.ranges = runner.task_ranges
+        self.golden = golden
+        self.fit_stats = fit_stats
+        # A full fit keeps every shard active: nothing moves less than 0.
+        self.freeze_tol = 0.0
+        self.state = np.empty(0)
+        self.stats: list = [None] * runner.n_shards
+        self.frozen: set[int] = set()
+
+    def block(self, k: int) -> np.ndarray:
+        """Shard ``k``'s task-range view of the state."""
+        start, stop = self.ranges[k]
+        return self.state[start:stop]
+
+    def active(self) -> list[int]:
+        return [k for k in range(len(self.ranges)) if k not in self.frozen]
+
+    def assemble(self, blocks: Sequence) -> None:
+        """Adopt a whole state, one block per shard, golden-clamped."""
+        state = np.concatenate([np.asarray(block, dtype=np.float64)
+                                for block in blocks], axis=0)
+        if not np.all(np.isfinite(state)):
+            raise ConvergenceError("non-finite initial state")
+        self.state = self.runner.spec.golden_clamp(state, self.golden)
+
+    def e_blocks(self, parameters, shards: list[int]) -> list:
+        """The E-step blocks of ``shards`` at ``parameters`` (no
+        dispatch at all for none)."""
+        if not shards:
+            return []
+        blocks = _complete("e_block", self.runner.call(
+            "e_block", shared=(parameters,), only=shards), shards)
+        self.fit_stats.e_block_calls += len(shards)
+        return blocks
+
+    def advance(self, parameters) -> float:
+        """One E-step over the active shards: adopt their blocks (their
+        cached statistics go stale), clamp, and freeze every shard that
+        moved less than the freeze tolerance.  Returns the largest
+        movement."""
+        active = self.active()
+        previous = [self.block(k).copy() for k in active]
+        for k, block in zip(active, self.e_blocks(parameters, active)):
+            self.block(k)[...] = block
+            self.stats[k] = None
+        self.state = self.runner.spec.golden_clamp(self.state, self.golden)
+        moved = 0.0
+        for k, before in zip(active, previous):
+            block = self.block(k)
+            if not np.all(np.isfinite(block)):
+                raise ConvergenceError(
+                    f"non-finite state in the E-step of shard {k}")
+            change = _block_delta(block, before)
+            moved = max(moved, change)
+            if change < self.freeze_tol:
+                self.frozen.add(k)
+        return moved
+
+    def verify(self, parameters, thaw_tol: float,
+               adopt_all: bool) -> tuple[bool, float]:
+        """Full-verify E-step over the frozen set.
+
+        Recomputes every frozen shard's block at ``parameters`` and
+        grades the drift since the shard was last updated:
+
+        * ``drift >= thaw_tol`` — the shard *thaws*: the fresh block is
+          adopted, its cached stats dropped, and it rejoins the active
+          set.
+        * ``freeze_tol <= drift < thaw_tol`` — the shard is *refreshed
+          in place*: the fresh block is adopted and its stats
+          recomputed at the next M-step, but it stays frozen (a
+          Neal–Hinton partial E-step — the drift accumulated over
+          ``verify_every`` iterations, so its per-iteration rate is
+          still below the freeze threshold and batched verify updates
+          lose nothing).
+        * ``drift < freeze_tol`` — nothing to do; the cached block and
+          stats stay exactly consistent (``adopt_all``, the verify
+          before declaring convergence or stopping at the cap, adopts
+          even these so the returned posterior is an E-step output at
+          the final parameters everywhere).
+
+        Returns ``(drifted, adopted)``: whether any drift reached
+        ``freeze_tol`` (the signal that convergence must not be
+        declared yet) and the largest adopted state change (which the
+        next convergence check must account for).
+        """
+        idx = sorted(self.frozen)
+        if not idx:
+            return False, 0.0
+        fresh = self.e_blocks(parameters, idx)
+        self.fit_stats.verify_passes += 1
+        if self.golden:
+            # Golden rows are clamped constants: compare post-clamp so a
+            # clamped row's raw E-step output never reads as drift.
+            scratch = self.state.copy()
+            for k, block in zip(idx, fresh):
+                start, stop = self.ranges[k]
+                scratch[start:stop] = block
+            scratch = self.runner.spec.golden_clamp(scratch, self.golden)
+            fresh = [scratch[self.ranges[k][0]:self.ranges[k][1]]
+                     for k in idx]
+        drifted = False
+        adopted = 0.0
         for k, block in zip(idx, fresh):
-            start, stop = ranges[k]
-            scratch[start:stop] = block
-        scratch = spec.golden_clamp(scratch, golden)
-        fresh = [scratch[ranges[k][0]:ranges[k][1]] for k in idx]
-    drifted = False
-    adopted = 0.0
-    for k, block in zip(idx, fresh):
-        start, stop = ranges[k]
-        block = np.asarray(block, dtype=np.float64)
-        if not np.all(np.isfinite(block)):
-            raise ConvergenceError(
-                f"non-finite posterior in verify E-step of shard {k}"
+            block = np.asarray(block, dtype=np.float64)
+            if not np.all(np.isfinite(block)):
+                raise ConvergenceError(
+                    f"non-finite state in the verify E-step of shard {k}")
+            drift = _block_delta(block, self.block(k))
+            if drift >= self.freeze_tol:
+                self.block(k)[...] = block
+                self.stats[k] = None
+                drifted = True
+                adopted = max(adopted, drift)
+                if drift >= thaw_tol:
+                    self.frozen.discard(k)
+                    self.fit_stats.thaws += 1
+            elif adopt_all:
+                self.block(k)[...] = block
+                adopted = max(adopted, drift)
+        return drifted, adopted
+
+    def collect(self, delta: DeltaPlan, rng) -> ShardState:
+        """The :class:`ShardState` this fit leaves behind.  Statistics
+        specs first fill every missing stats entry at the final blocks,
+        so the next delta refit's first M-step is pure cache reuse;
+        other specs' entries do not outlive the runner and are dropped
+        (the next refit recomputes them lazily)."""
+        stats = None
+        if self.runner.spec.statistics_m_step:
+            stats = _accumulate(self.runner, self.state, self.stats, rng,
+                                self.fit_stats)
+        return ShardState.collect(
+            self.runner, [self.block(k) for k in range(len(self.ranges))],
+            delta, stats=stats)
+
+
+def _drive(runner: SerialShardRunner, *, em_order: bool, tolerance: float,
+           max_iter: int, golden, posterior, parameters, counted: bool,
+           rng, delta: DeltaPlan | None) -> EMOutcome:
+    """The one sharded EM driver (see the module docstring).
+
+    Primes the state — an E-step at ``parameters`` over the dirty
+    shards (every shard in a full fit), else ``posterior``, else the
+    spec's ``init_block`` — then iterates an M-step over the cached
+    per-shard statistics and an E-step over the active shards.  In EM
+    order (``em_order``) the convergence check grades the posterior the
+    E-step produced; otherwise it grades the M-step's weights, and the
+    E-step follows the check.  ``counted`` makes the priming a counted
+    iteration and the baseline of the first check.
+    """
+    if tolerance <= 0:
+        raise InferenceError(f"tolerance must be positive, got {tolerance}")
+    if max_iter < 1:
+        raise InferenceError(f"max_iter must be >= 1, got {max_iter}")
+    started = time.perf_counter()
+    n_shards = runner.n_shards
+    refit = delta is not None and delta.prev is not None
+    fit_stats = FitStats(mode="delta" if refit else "full",
+                         n_shards=n_shards)
+    live = _ActiveSet(runner, golden, fit_stats)
+    verify_every = 1
+    if refit:
+        if parameters is None:
+            raise InferenceError(
+                "a delta refit resumes a previous fit; pass "
+                "initial_parameters (warm start)"
             )
-        drift = _block_delta(block, state[start:stop])
-        if drift >= freeze_tol:
-            state[start:stop] = block
-            stats_cache[k] = None
-            drifted = True
-            adopted = max(adopted, drift)
-            if drift >= thaw_tol:
-                frozen.discard(k)
-                fit_stats.thaws += 1
-        elif adopt_all:
-            state[start:stop] = block
-            adopted = max(adopted, drift)
-    return drifted, adopted
+        # Clean shards start frozen, on their cached blocks and (when
+        # the global sizes are unchanged) their cached statistics.
+        prev = delta.prev
+        dirty = np.asarray(delta.dirty, dtype=bool)
+        check_delta_layout(runner.task_ranges, prev, dirty)
+        live.freeze_tol = (delta.freeze_tol if delta.freeze_tol is not None
+                           else tolerance)
+        verify_every = max(1, int(delta.verify_every))
+        live.frozen = {k for k in range(n_shards) if not dirty[k]}
+        fit_stats.dirty_shards = n_shards - len(live.frozen)
+        if prev.stats is not None and tuple(prev.sizes) == _spec_sizes(
+                runner.spec):
+            for k in live.frozen:
+                live.stats[k] = prev.stats[k]
+    if parameters is not None:
+        active = live.active()
+        primed = dict(zip(active, live.e_blocks(parameters, active)))
+        live.assemble([primed[k] if k in primed else delta.prev.blocks[k]
+                       for k in range(n_shards)])
+    elif posterior is not None:
+        live.assemble([posterior])
+    else:
+        live.assemble(_complete("init_block", runner.call("init_block"),
+                                range(n_shards)))
 
-
-def _run_em_delta(runner: SerialShardRunner, plan: DeltaPlan, *,
-                  tolerance: float, max_iter: int, golden,
-                  initial_parameters, fit_stats: FitStats) -> EMOutcome:
-    """The delta-refit loop (see the module docstring)."""
-    spec = runner.spec
-    ranges = runner.task_ranges
-    n_shards = len(ranges)
-    prev = plan.prev
-    freeze_tol = (plan.freeze_tol if plan.freeze_tol is not None
-                  else tolerance)
-    verify_every = max(1, int(plan.verify_every))
-    dirty = np.asarray(plan.dirty, dtype=bool)
-    check_delta_layout(ranges, prev, dirty)
-
-    # --- prime: E-step over dirty shards only; clean blocks are exact.
-    dirty_idx = [k for k in range(n_shards) if dirty[k]]
-    clean_idx = [k for k in range(n_shards) if not dirty[k]]
-    fit_stats.dirty_shards = len(dirty_idx)
-    primed = runner.call("e_block", shared=(initial_parameters,),
-                         only=dirty_idx) if dirty_idx else []
-    fit_stats.e_block_calls += len(dirty_idx)
-    primed_blocks = dict(zip(dirty_idx, primed))
-    state = np.concatenate(
-        [np.asarray(primed_blocks.get(k, prev.blocks[k]), dtype=np.float64)
-         for k in range(n_shards)], axis=0)
-    state = spec.golden_clamp(state, golden)
-
-    stats_cache: list = [None] * n_shards
-    sizes = (getattr(spec, "n_tasks", 0), getattr(spec, "n_workers", 0),
-             getattr(spec, "n_choices", 0))
-    if prev.stats is not None and tuple(prev.sizes) == sizes:
-        for k in clean_idx:
-            stats_cache[k] = prev.stats[k]
-    frozen = set(clean_idx)
-
-    # Convergence accounting mirrors ConvergenceTracker on the global
-    # state, but assembled from the per-shard deltas the loop measures
-    # anyway: frozen shards contribute zero between verifies, active
-    # shards their E-step movement, verify refreshes the drift they
-    # adopted — so no full-state copy/compare per iteration.
-    parameters = initial_parameters
-    iteration = 1  # the priming E-step, counted as in the full warm path
-    converged = False
-    pending = 0.0  # state change adopted by verifies since the last check
-    # Per-iteration movement scale of the active frontier, feeding the
-    # thaw threshold: a frozen shard rejoins the active set only when
-    # its accumulated verify drift outpaces what the active shards
-    # moved over the same window — anything slower is delivered more
-    # cheaply as batched verify refreshes (Neal–Hinton scheduling).
+    iteration = 1 if counted else 0
+    # EM order: state change adopted by verifies since the last check.
+    pending = 0.0
+    # Alternating order: the weights of the last check.
+    weights = (_weights(parameters, iteration) if counted and not em_order
+               else None)
+    # Per-iteration movement of the active frontier, feeding the thaw
+    # threshold: a frozen shard rejoins the active set only when its
+    # accumulated verify drift outpaces what the active shards moved
+    # over the same window — anything slower is delivered more cheaply
+    # as batched verify refreshes (Neal–Hinton scheduling).
     active_scale = float("inf")
-
-    def thaw_threshold() -> float:
-        return verify_every * max(freeze_tol, active_scale)
-
-    while True:
-        if converged:
-            if not frozen:
-                break
-            # Never declare convergence over unverified frozen shards:
-            # one full verify; any drift at or above the freeze
-            # tolerance means the iteration must continue.  Drifted
-            # shards are refreshed in place (an incremental partial
-            # E-step), not thawed: the continuation loop alternates
-            # cheap cached M-steps with these verify refreshes — full
-            # EM restricted to what still moves — until a verify pass
-            # finds everything settled.
-            drifted, adopted = _verify_frozen(
-                runner, state, parameters, frozen, stats_cache, golden,
-                freeze_tol, float("inf"), adopt_all=True,
-                fit_stats=fit_stats)
-            if not drifted:
-                break
-            pending = max(pending, adopted)
-            converged = False
-        elif iteration >= max_iter:
-            if frozen:
-                # Iteration cap: adopt fresh frozen blocks for an
-                # honest (if unconverged) final state, then stop.
-                _verify_frozen(runner, state, parameters, frozen,
-                               stats_cache, golden, freeze_tol,
-                               float("inf"), adopt_all=True,
-                               fit_stats=fit_stats)
-            break
-        active = [k for k in range(n_shards) if k not in frozen]
-        fit_stats.active_shards.append(len(active))
-        fit_stats.frozen_shards.append(n_shards - len(active))
-        parameters = _m_step_cached(runner, state, parameters, frozen,
-                                    stats_cache, fit_stats)
-        previous = {k: state[ranges[k][0]:ranges[k][1]].copy()
-                    for k in active}
-        if active:
-            fresh = runner.call("e_block", shared=(parameters,),
-                                only=active)
-            fit_stats.e_block_calls += len(active)
-            for k, block in zip(active, fresh):
-                start, stop = ranges[k]
-                block = np.asarray(block, dtype=np.float64)
-                if not np.all(np.isfinite(block)):
-                    raise ConvergenceError(
-                        f"non-finite posterior in E-step of shard {k} "
-                        f"at iteration {iteration}"
-                    )
-                state[start:stop] = block
-                stats_cache[k] = None
-        state = spec.golden_clamp(state, golden)
-        active_scale = 0.0
-        for k in active:
-            start, stop = ranges[k]
-            moved = _block_delta(state[start:stop], previous[k])
-            active_scale = max(active_scale, moved)
-            if moved < freeze_tol:
-                frozen.add(k)
+    converged = refreshed = False
+    # A counted EM priming is a checked posterior: the cap applies
+    # before the first M-step.
+    capped = em_order and iteration >= max_iter
+    while not capped:
+        fit_stats.active_shards.append(n_shards - len(live.frozen))
+        fit_stats.frozen_shards.append(len(live.frozen))
+        parameters = runner.m_step(live.state, parameters, live.frozen,
+                                   live.stats, fit_stats, rng)
+        if em_order:
+            active_scale = live.advance(parameters)
+            moved, pending = max(active_scale, pending), 0.0
+        else:
+            current = _weights(parameters, iteration + 1)
+            moved = (_block_delta(current, weights) if weights is not None
+                     else float("inf"))
+            weights = current
+        # The first step of an uncounted start has nothing to compare.
+        converged = iteration > 0 and moved < tolerance
         iteration += 1
-        converged = max(active_scale, pending) < tolerance
-        pending = 0.0
-        if not converged and iteration < max_iter and frozen \
-                and iteration % verify_every == 0:
-            _, adopted = _verify_frozen(
-                runner, state, parameters, frozen, stats_cache, golden,
-                freeze_tol, thaw_threshold(), adopt_all=False,
-                fit_stats=fit_stats)
+        refreshed = False
+        if converged and live.frozen:
+            # Never declare convergence over unverified frozen shards:
+            # one full verify; a drifted shard is refreshed in place (an
+            # incremental partial E-step), not thawed, and the loop goes
+            # straight back to the M-step — full EM restricted to what
+            # still moves — until a verify finds everything settled.
+            refreshed, adopted = live.verify(parameters, float("inf"),
+                                             adopt_all=True)
+            converged = not refreshed
             pending = max(pending, adopted)
+        if converged:
+            break
+        capped = iteration >= max_iter
+        if capped or refreshed:
+            continue
+        if not em_order:
+            active_scale = live.advance(parameters)
+        if live.frozen and iteration % verify_every == 0:
+            _, adopted = live.verify(
+                parameters, verify_every * max(live.freeze_tol, active_scale),
+                adopt_all=False)
+            pending = max(pending, adopted)
+    if capped and live.frozen and not refreshed:
+        # Iteration cap: adopt fresh frozen blocks for an honest (if
+        # unconverged) final state.
+        live.verify(parameters, float("inf"), adopt_all=True)
 
-    shard_state = _collect_state(runner, state, stats_cache, fit_stats,
-                                 base_answers=prev.base_answers)
+    shard_state = live.collect(delta, rng) if delta is not None else None
     fit_stats.iterations = iteration
+    fit_stats.em_seconds = time.perf_counter() - started
+    fit_stats.record_runner(runner)
     return EMOutcome(
-        posterior=state,
+        posterior=live.state,
         parameters=parameters,
         n_iterations=iteration,
         converged=converged,
@@ -892,271 +978,33 @@ def run_em_sharded(
 ) -> EMOutcome:
     """Run sharded EM to convergence over ``runner``'s shards.
 
-    Per iteration: one ``m_step`` (map ``accumulate`` over shards, merge,
-    finalize — or the spec's own inner map-reduce), one mapped E-step,
-    reassembly of the global state by concatenating the task-range
-    blocks, golden clamping, and a convergence check on the global
-    state.  Warm starts: with ``initial_parameters`` the loop opens
-    with a priming E-step that is counted as an iteration;
+    Per iteration: the spec's M-step hook over the cached per-shard
+    statistics, one mapped E-step over the active shards (reassembled
+    into the global state and golden-clamped), and a convergence check
+    on the posterior.  Warm starts: with ``initial_parameters`` the
+    loop opens with a priming E-step that is counted as an iteration;
     ``initial_posterior`` starts the loop without counting.
     ``initial_parameters`` wins when both are given.
 
     ``delta`` opts into the incremental path (module docstring):
-    ``DeltaPlan(prev=None)`` runs the normal full sweep but collects a
+    ``DeltaPlan(prev=None)`` runs the full fit but collects a
     :class:`ShardState` for the next refit; a plan with a cached
-    ``prev`` runs the dirty-shard/freezing loop and **requires**
-    ``initial_parameters`` (delta refits are warm by definition).
-    Without ``delta`` the computation is untouched — bit-identical to
-    the historical full path — and only the :class:`FitStats` counters
-    are recorded.
+    ``prev`` primes only the dirty shards, starts with the clean ones
+    frozen, and **requires** ``initial_parameters`` (delta refits are
+    warm by definition).  Without ``delta`` only the
+    :class:`FitStats` counters are recorded.
     """
-    spec = runner.spec
-    started = time.perf_counter()
-    fit_stats = FitStats(mode="full", n_shards=runner.n_shards)
-
-    if delta is not None and delta.prev is not None:
-        if initial_parameters is None:
-            raise InferenceError(
-                "a delta refit resumes a previous fit; pass "
-                "initial_parameters (warm start)"
-            )
-        fit_stats.mode = "delta"
-        outcome = _run_em_delta(runner, delta, tolerance=tolerance,
-                                max_iter=max_iter, golden=golden,
-                                initial_parameters=initial_parameters,
-                                fit_stats=fit_stats)
-        fit_stats.em_seconds = time.perf_counter() - started
-        fit_stats.record_runner(runner)
-        return outcome
-
-    def assemble(blocks: list[np.ndarray]) -> np.ndarray:
-        # Recovery re-dispatches and degraded executions must hand back
-        # one block per shard like an uninterrupted dispatch (phases
-        # are idempotent pure maps; a partial set means the runner's
-        # recovery contract broke).
-        if len(blocks) != runner.n_shards:
-            raise InferenceError(
-                f"e_block returned {len(blocks)} blocks for "
-                f"{runner.n_shards} shards; phase dispatch must be "
-                f"idempotent and complete")
-        state = np.concatenate(blocks, axis=0)
-        return spec.golden_clamp(state, golden)
-
-    if initial_parameters is not None:
-        state = assemble(runner.call("e_block", shared=(initial_parameters,)))
-        fit_stats.e_block_calls += runner.n_shards
-    elif initial_posterior is not None:
-        state = spec.golden_clamp(
-            np.array(initial_posterior, dtype=np.float64), golden)
-    else:
-        state = assemble(runner.call("init_block"))
-
-    tracker = ConvergenceTracker(tolerance=tolerance, max_iter=max_iter)
-    # The priming E-step of a warm start is real work: count it so
-    # warm and cold iteration totals compare honestly.
-    done = initial_parameters is not None and tracker.update(state)
-    parameters = initial_parameters
-    while not done:
-        fit_stats.active_shards.append(runner.n_shards)
-        fit_stats.frozen_shards.append(0)
-        parameters = runner.m_step(state, parameters)
-        if spec.statistics_m_step:
-            fit_stats.accumulate_calls += runner.n_shards
-        state = assemble(runner.call("e_block", shared=(parameters,)))
-        fit_stats.e_block_calls += runner.n_shards
-        if tracker.update(state):
-            break
-    shard_state = None
-    if delta is not None:
-        shard_state = _collect_state(runner, state, None, fit_stats)
-    fit_stats.iterations = tracker.iteration
-    fit_stats.em_seconds = time.perf_counter() - started
-    fit_stats.record_runner(runner)
-    return EMOutcome(
-        posterior=state,
-        parameters=parameters,
-        n_iterations=tracker.iteration,
-        converged=tracker.converged,
-        fit_stats=fit_stats,
-        shard_state=shard_state,
-    )
+    return _drive(runner, em_order=True, tolerance=tolerance,
+                  max_iter=max_iter, golden=golden,
+                  posterior=initial_posterior,
+                  parameters=initial_parameters,
+                  counted=initial_parameters is not None, rng=None,
+                  delta=delta)
 
 
 # ----------------------------------------------------------------------
 # Alternating truth/weight estimation (CATD, PM)
 # ----------------------------------------------------------------------
-
-def _accumulate_alternating(runner: SerialShardRunner, state: np.ndarray,
-                            stats_cache: list, rng,
-                            fit_stats: FitStats) -> None:
-    """Fill every ``None`` entry of ``stats_cache`` with a fresh
-    ``accumulate`` at the current state (the alternating analogue of the
-    recompute half of :func:`_m_step_cached`)."""
-    spec = runner.spec
-    ranges = runner.task_ranges
-    need = [k for k in range(len(ranges)) if stats_cache[k] is None]
-    if need:
-        per_shard = spec.prepare_accumulate(state, ranges, rng, only=need)
-        computed = runner.call("accumulate", per_shard=per_shard,
-                               shared=tuple(spec.accumulate_shared),
-                               only=need)
-        if len(computed) != len(need):
-            raise InferenceError(
-                f"accumulate returned {len(computed)} results for "
-                f"{len(need)} requested shards; phase dispatch must be "
-                f"idempotent and complete")
-        for k, stats in zip(need, computed):
-            stats_cache[k] = stats
-        fit_stats.accumulate_calls += len(need)
-
-
-def _collect_alternating_state(runner: SerialShardRunner, state: np.ndarray,
-                               stats_cache: list, rng, fit_stats: FitStats,
-                               base_answers: int = 0) -> ShardState:
-    """Alternating analogue of :func:`_collect_state` (the accumulate
-    inputs go through ``prepare_accumulate``, so the generic collector
-    cannot recompute them)."""
-    spec = runner.spec
-    ranges = runner.task_ranges
-    blocks = [np.array(state[start:stop]) for start, stop in ranges]
-    _accumulate_alternating(runner, state, stats_cache, rng, fit_stats)
-    cuts = [ranges[0][0]] + [stop for _, stop in ranges]
-    return ShardState(
-        task_cuts=tuple(int(c) for c in cuts),
-        sizes=(getattr(spec, "n_tasks", 0), getattr(spec, "n_workers", 0),
-               getattr(spec, "n_choices", 0)),
-        blocks=blocks,
-        stats=list(stats_cache),
-        base_answers=base_answers,
-    )
-
-
-def _run_alternating_delta(runner: SerialShardRunner, plan: DeltaPlan, *,
-                           tolerance: float, max_iter: int, golden,
-                           initial_parameters, rng,
-                           fit_stats: FitStats) -> EMOutcome:
-    """Dirty-shard/freezing loop for alternating specs.
-
-    Convergence is tracked on the (small) weight vector with a plain
-    :class:`~repro.core.framework.ConvergenceTracker` — no per-shard
-    delta bookkeeping needed for it — while freezing and verification
-    still grade per-shard *truth-block* movement exactly as
-    :func:`_run_em_delta` does (:func:`_verify_frozen` is shared: it
-    only needs ``e_block`` and the golden clamp).
-    """
-    spec = runner.spec
-    ranges = runner.task_ranges
-    n_shards = len(ranges)
-    prev = plan.prev
-    freeze_tol = (plan.freeze_tol if plan.freeze_tol is not None
-                  else tolerance)
-    verify_every = max(1, int(plan.verify_every))
-    dirty = np.asarray(plan.dirty, dtype=bool)
-    check_delta_layout(ranges, prev, dirty)
-
-    # --- prime: truth step over dirty shards only at the warm weights.
-    dirty_idx = [k for k in range(n_shards) if dirty[k]]
-    clean_idx = [k for k in range(n_shards) if not dirty[k]]
-    fit_stats.dirty_shards = len(dirty_idx)
-    parameters = initial_parameters
-    primed = runner.call("e_block", shared=(parameters,),
-                         only=dirty_idx) if dirty_idx else []
-    fit_stats.e_block_calls += len(dirty_idx)
-    primed_blocks = dict(zip(dirty_idx, primed))
-    state = np.concatenate(
-        [np.asarray(primed_blocks.get(k, prev.blocks[k]), dtype=np.float64)
-         for k in range(n_shards)], axis=0)
-    state = spec.golden_clamp(state, golden)
-
-    stats_cache: list = [None] * n_shards
-    sizes = (getattr(spec, "n_tasks", 0), getattr(spec, "n_workers", 0),
-             getattr(spec, "n_choices", 0))
-    if prev.stats is not None and tuple(prev.sizes) == sizes:
-        for k in clean_idx:
-            stats_cache[k] = prev.stats[k]
-    frozen = set(clean_idx)
-
-    tracker = ConvergenceTracker(tolerance=tolerance, max_iter=max_iter)
-    # The warm weights prime the tracker (counted, as in the full warm
-    # path): the refit may then converge after a single weight step.
-    tracker.update(parameters)
-    converged = False
-    active_scale = float("inf")
-
-    def thaw_threshold() -> float:
-        return verify_every * max(freeze_tol, active_scale)
-
-    while True:
-        active = [k for k in range(n_shards) if k not in frozen]
-        fit_stats.active_shards.append(len(active))
-        fit_stats.frozen_shards.append(n_shards - len(active))
-        _accumulate_alternating(runner, state, stats_cache, rng, fit_stats)
-        parameters = spec.finalize(SufficientStats.total(stats_cache))
-        done = tracker.update(parameters)
-        if done and tracker.converged:
-            if not frozen:
-                converged = True
-                break
-            # Never declare convergence over unverified frozen shards
-            # (see _run_em_delta): drifted blocks are refreshed in
-            # place, their stats dropped, and the weight step re-runs.
-            drifted, _ = _verify_frozen(
-                runner, state, parameters, frozen, stats_cache, golden,
-                freeze_tol, float("inf"), adopt_all=True,
-                fit_stats=fit_stats)
-            if not drifted:
-                converged = True
-                break
-            continue
-        if done:
-            if frozen:
-                _verify_frozen(runner, state, parameters, frozen,
-                               stats_cache, golden, freeze_tol,
-                               float("inf"), adopt_all=True,
-                               fit_stats=fit_stats)
-            break
-        previous = {k: state[ranges[k][0]:ranges[k][1]].copy()
-                    for k in active}
-        if active:
-            fresh = runner.call("e_block", shared=(parameters,),
-                                only=active)
-            fit_stats.e_block_calls += len(active)
-            for k, block in zip(active, fresh):
-                start, stop = ranges[k]
-                block = np.asarray(block, dtype=np.float64)
-                if not np.all(np.isfinite(block)):
-                    raise ConvergenceError(
-                        f"non-finite truth state in shard {k} at "
-                        f"iteration {tracker.iteration}"
-                    )
-                state[start:stop] = block
-                stats_cache[k] = None
-        state = spec.golden_clamp(state, golden)
-        active_scale = 0.0
-        for k in active:
-            start, stop = ranges[k]
-            moved = _block_delta(state[start:stop], previous[k])
-            active_scale = max(active_scale, moved)
-            if moved < freeze_tol:
-                frozen.add(k)
-        if frozen and tracker.iteration % verify_every == 0:
-            _verify_frozen(runner, state, parameters, frozen, stats_cache,
-                           golden, freeze_tol, thaw_threshold(),
-                           adopt_all=False, fit_stats=fit_stats)
-
-    shard_state = _collect_alternating_state(
-        runner, state, stats_cache, rng, fit_stats,
-        base_answers=prev.base_answers)
-    fit_stats.iterations = tracker.iteration
-    return EMOutcome(
-        posterior=state,
-        parameters=parameters,
-        n_iterations=tracker.iteration,
-        converged=converged,
-        fit_stats=fit_stats,
-        shard_state=shard_state,
-    )
-
 
 def run_alternating_sharded(
     runner: SerialShardRunner,
@@ -1171,75 +1019,30 @@ def run_alternating_sharded(
 ) -> EMOutcome:
     """Sharded driver for alternating truth/weight estimators.
 
-    Per iteration: a mapped truth step (``e_block`` at the current
-    weights, reassembled and golden-clamped), then a weight step (map
-    ``accumulate`` over the ``prepare_accumulate`` inputs, merge,
-    ``finalize``), then a convergence check **on the weights** — exactly
-    the unsharded CATD/PM loop shape, bit-identical at one shard.
+    Opens with a mapped truth step (``e_block`` at the initial weights,
+    reassembled and golden-clamped); each iteration is then a weight
+    step (map ``accumulate`` over the ``prepare_accumulate`` inputs,
+    merge, ``finalize``), a convergence check **on the weights**, and
+    the next truth step — exactly the unsharded CATD/PM loop shape,
+    bit-identical at one shard.
 
     ``initial_parameters`` (the starting weights) is required; with
-    ``count_prime=True`` it also primes the convergence tracker (a warm
+    ``count_prime=True`` it also primes the convergence check (a warm
     refit may then stop after one weight step, mirroring
-    :func:`run_em_sharded`'s counted warm prime).  ``rng`` feeds only
-    master-side ``prepare_accumulate`` (random tie-breaking); ``delta``
-    has :func:`run_em_sharded`'s semantics.
+    :func:`run_em_sharded`'s counted warm prime; a delta refit always
+    counts it).  ``rng`` feeds only master-side ``prepare_accumulate``
+    (random tie-breaking); ``delta`` has :func:`run_em_sharded`'s
+    semantics.
     """
     if initial_parameters is None:
         raise InferenceError("alternating estimation starts from weights; "
-                         "pass initial_parameters")
-    spec = runner.spec
-    started = time.perf_counter()
-    fit_stats = FitStats(mode="full", n_shards=runner.n_shards)
-
-    if delta is not None and delta.prev is not None:
-        fit_stats.mode = "delta"
-        outcome = _run_alternating_delta(
-            runner, delta, tolerance=tolerance, max_iter=max_iter,
-            golden=golden, initial_parameters=initial_parameters,
-            rng=rng, fit_stats=fit_stats)
-        fit_stats.em_seconds = time.perf_counter() - started
-        fit_stats.record_runner(runner)
-        return outcome
-
-    ranges = runner.task_ranges
-    shared = tuple(spec.accumulate_shared)
-    tracker = ConvergenceTracker(tolerance=tolerance, max_iter=max_iter)
-    if count_prime:
-        tracker.update(initial_parameters)
-    parameters = initial_parameters
-    state = None
-    stats = None
-    while True:
-        fit_stats.active_shards.append(runner.n_shards)
-        fit_stats.frozen_shards.append(0)
-        state = spec.golden_clamp(np.concatenate(
-            runner.call("e_block", shared=(parameters,)), axis=0), golden)
-        fit_stats.e_block_calls += runner.n_shards
-        stats = runner.call(
-            "accumulate",
-            per_shard=spec.prepare_accumulate(state, ranges, rng),
-            shared=shared)
-        fit_stats.accumulate_calls += runner.n_shards
-        parameters = spec.finalize(SufficientStats.total(stats))
-        if tracker.update(parameters):
-            break
-    shard_state = None
-    if delta is not None:
-        # The loop broke right after a weight step, so ``stats`` is the
-        # full per-shard statistics list at the final truth state.
-        shard_state = _collect_alternating_state(
-            runner, state, list(stats), rng, fit_stats)
-    fit_stats.iterations = tracker.iteration
-    fit_stats.em_seconds = time.perf_counter() - started
-    fit_stats.record_runner(runner)
-    return EMOutcome(
-        posterior=state,
-        parameters=parameters,
-        n_iterations=tracker.iteration,
-        converged=tracker.converged,
-        fit_stats=fit_stats,
-        shard_state=shard_state,
-    )
+                             "pass initial_parameters")
+    return _drive(runner, em_order=False, tolerance=tolerance,
+                  max_iter=max_iter, golden=golden, posterior=None,
+                  parameters=initial_parameters,
+                  counted=count_prime or (delta is not None
+                                          and delta.prev is not None),
+                  rng=rng, delta=delta)
 
 
 # ----------------------------------------------------------------------
@@ -1311,8 +1114,8 @@ def run_gibbs_sharded(
     for sweep in range(n_sweeps):
         fit_stats.active_shards.append(runner.n_shards)
         fit_stats.frozen_shards.append(0)
-        stats = runner.call("accumulate",
-                            per_shard=_split_blocks_ranges(state, ranges))
+        stats = runner.call("accumulate", per_shard=[
+            state[start:stop] for start, stop in ranges])
         fit_stats.accumulate_calls += runner.n_shards
         parameters = sample(SufficientStats.total(stats), sweep)
         state = spec.golden_clamp(np.concatenate(

@@ -103,19 +103,10 @@ def chain_restart(session, prev: ShardState, ranges, dirty: np.ndarray,
 def chain_state(runner, outcome, delta, session) -> ShardState:
     """The :class:`ShardState` a finished Gibbs fit leaves behind: the
     final assignment blocks plus the opaque chain payload."""
-    ranges = runner.task_ranges
-    spec = runner.spec
-    cuts = [ranges[0][0]] + [stop for _, stop in ranges]
-    return ShardState(
-        task_cuts=tuple(int(c) for c in cuts),
-        sizes=(spec.n_tasks, spec.n_workers, spec.n_choices),
-        blocks=[np.array(outcome.state[start:stop])
-                for start, stop in ranges],
-        stats=[None] * len(ranges),
-        base_answers=(delta.prev.base_answers
-                      if delta.prev is not None else 0),
-        session=session,
-    )
+    return ShardState.collect(
+        runner, [outcome.state[start:stop]
+                 for start, stop in runner.task_ranges],
+        delta, session=session)
 
 
 class _ConfusionCountSpec(ShardedEMSpec):

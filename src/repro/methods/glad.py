@@ -91,7 +91,7 @@ class _GladSpec(ShardedEMSpec):
         self._match: dict[int, np.ndarray] = {}
 
     #: GLAD's M-step is an iterated gradient map-reduce, not mergeable
-    #: statistics; delta refits go through :meth:`m_step_delta`.
+    #: statistics: its cache entries are worker-side markers.
     statistics_m_step = False
 
     def build_ops(self, shard: AnswerShard):
@@ -119,17 +119,48 @@ class _GladSpec(ShardedEMSpec):
         return majority_block(shard)
 
     # -- M-step: iterated gradient map-reduce --------------------------
-    def m_step(self, runner, blocks, prev_params):
+    #: Marker recorded in the stats cache for a frozen shard whose
+    #: posterior match is held worker-side (valid until the shard's
+    #: block changes).  Never carried across fits.
+    MATCH_CACHED = "glad-match-cached"
+
+    def m_step(self, runner, state, prev_params, frozen, stats,
+               fit_stats=None, rng=None):
+        """Gradient ascent from the previous ``(alpha, log_beta)`` (the
+        cold ``initial_state`` on a cold fit's first M-step).
+
+        A frozen shard freezes its *posterior match*, not its gradient:
+        a cached per-worker gradient partial destabilises the ascent
+        (the data gradient depends strongly on the current
+        ``alpha``/``beta``, so replaying a stale partial for twelve
+        rounds sends the ascent off), whereas gradients computed fresh
+        against a frozen posterior are exactly the incremental-EM
+        M-step given the frozen E-state — stable by construction.  The
+        saving for a frozen shard is its skipped E-steps plus the
+        ``begin_m_step`` payload: its match stays cached worker-side
+        across M-steps (and, in the process tier, across fit messages),
+        so no posterior block is shipped for it.
+        """
         if prev_params is not None:
             alpha, log_beta = prev_params
         else:
             assert self.initial_state is not None, \
                 "cold GLAD m_step needs spec.initial_state"
             alpha, log_beta = self.initial_state
+        alpha = np.asarray(alpha, dtype=np.float64)
+        log_beta = np.asarray(log_beta, dtype=np.float64)
         ranges = runner.task_ranges
         # One pass caches each shard's posterior-match vector so the
         # gradient rounds neither regather it nor reship the blocks.
-        runner.call("begin_m_step", per_shard=blocks)
+        need = [k for k in range(runner.n_shards)
+                if stats[k] is not self.MATCH_CACHED]
+        if need:
+            runner.call("begin_m_step",
+                        per_shard=[state[ranges[k][0]:ranges[k][1]]
+                                   for k in need],
+                        only=need)
+        for k in frozen:
+            stats[k] = self.MATCH_CACHED
         for _ in range(self.gradient_steps):
             partials = runner.call(
                 "grad_step",
@@ -147,67 +178,6 @@ class _GladSpec(ShardedEMSpec):
             log_beta = log_beta + self.learning_rate * grad_logbeta
             # Mild clamping keeps exp(log_beta) finite on pathological
             # inputs without affecting normal runs.
-            log_beta = np.clip(log_beta, -5.0, 5.0)
-            alpha = np.clip(alpha, -10.0, 10.0)
-        return (alpha, log_beta)
-
-    #: Marker recorded in a delta refit's stats cache for a frozen
-    #: shard whose posterior-match is held worker-side (valid until the
-    #: shard's block changes).  Never carried across fits.
-    MATCH_CACHED = "glad-match-cached"
-
-    def m_step_delta(self, runner, blocks, prev_params, frozen,
-                     stats_cache, fit_stats=None):
-        """Frozen-aware gradient M-step for delta refits.
-
-        GLAD freezes the *posterior match* of a frozen shard, not its
-        gradient: a cached per-worker gradient partial destabilises the
-        ascent (the data gradient depends strongly on the current
-        ``alpha``/``beta``, so replaying a stale partial for twelve
-        rounds sends the ascent off), whereas gradients computed fresh
-        against a frozen posterior are exactly the incremental-EM
-        M-step given the frozen E-state — stable by construction.  The
-        saving for a frozen shard is its skipped E-steps plus the
-        ``begin_m_step`` payload: its match stays cached worker-side
-        across M-steps (and, in the process tier, across fit messages),
-        so no posterior block is shipped for it.
-        """
-        if prev_params is not None:
-            alpha, log_beta = prev_params
-        else:
-            assert self.initial_state is not None, \
-                "cold GLAD m_step needs spec.initial_state"
-            alpha, log_beta = self.initial_state
-        alpha = np.array(alpha, dtype=np.float64)
-        log_beta = np.array(log_beta, dtype=np.float64)
-        ranges = runner.task_ranges
-        need_begin = [k for k in range(runner.n_shards)
-                      if k not in frozen
-                      or stats_cache[k] is not self.MATCH_CACHED]
-        if need_begin:
-            runner.call("begin_m_step",
-                        per_shard=[blocks[k] for k in need_begin],
-                        only=need_begin)
-        for k in frozen:
-            stats_cache[k] = self.MATCH_CACHED
-        # The gradient rounds mirror m_step exactly (same dispatch,
-        # same summation order); only the begin payloads were skipped.
-        for _ in range(self.gradient_steps):
-            partials = runner.call(
-                "grad_step",
-                per_shard=[log_beta[start:stop]
-                           for start, stop in ranges],
-                shared=(alpha,),
-            )
-            data_alpha = partials[0][0]
-            for part, _unused in partials[1:]:
-                data_alpha = data_alpha + part
-            grad_alpha = data_alpha - self.prior_strength * (alpha - 1.0)
-            data_beta = (partials[0][1] if len(partials) == 1 else
-                         np.concatenate([p[1] for p in partials]))
-            grad_logbeta = data_beta - self.prior_strength * log_beta
-            alpha = alpha + self.learning_rate * grad_alpha
-            log_beta = log_beta + self.learning_rate * grad_logbeta
             log_beta = np.clip(log_beta, -5.0, 5.0)
             alpha = np.clip(alpha, -10.0, 10.0)
         if fit_stats is not None:

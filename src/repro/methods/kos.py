@@ -462,16 +462,8 @@ class KOS(BinaryMethod):
     def _collect_state(runner, packed, delta) -> ShardState:
         """Capture the per-shard message session the next delta refit
         resumes from (collected by the combined final sweep)."""
-        ranges = runner.task_ranges
-        cuts = [ranges[0][0]] + [stop for _, stop in ranges]
-        spec = runner.spec
-        return ShardState(
-            task_cuts=tuple(int(c) for c in cuts),
-            sizes=(spec.n_tasks, spec.n_workers, spec.n_choices),
-            blocks=[np.array(scores) for scores, _, _, _, _ in packed],
-            stats=[None] * runner.n_shards,
-            base_answers=(delta.prev.base_answers
-                          if delta.prev is not None else 0),
+        return ShardState.collect(
+            runner, [scores for scores, _, _, _, _ in packed], delta,
             session={
                 "family": "kos",
                 "y": [y for _, _, y, _, _ in packed],

@@ -31,8 +31,8 @@ mirroring the regularised variant of Zhou et al.'s follow-up work):
 The survey finds Minimax slow (an optimisation problem per iteration)
 and notably weaker than the pack on D_Product; both reproduce here.
 
-Sharding: the M-step is itself iterative (``statistics_m_step = False``
-like GLAD), so the spec drives the inner gradient rounds through the
+Sharding: the M-step is itself iterative (its own ``m_step`` hook, like
+GLAD), so the spec drives the inner gradient rounds through the
 runner — each round maps a shard-local residual kernel (``τ`` gradients
 never leave their shard; ``σ`` gradient partials merge per round) and
 the parameter updates run on the master.  The per-edge posterior and
@@ -165,8 +165,7 @@ class _MinimaxSpec(ShardedEMSpec):
 
     def _gradient_rounds(self, runner, tau: np.ndarray, sigma: np.ndarray,
                          frozen=frozenset()) -> tuple[np.ndarray, np.ndarray]:
-        """The master-driven ascent rounds (shared by the full and
-        delta M-steps — same dispatch, same summation order).
+        """The master-driven ascent rounds of one M-step.
 
         ``frozen`` (delta refits only) names shards whose posterior is
         pinned for this whole M-step.  Every ``FULL_ROUND_EVERY``-th
@@ -236,48 +235,40 @@ class _MinimaxSpec(ShardedEMSpec):
             np.concatenate(blocks).mean(axis=0), 1e-6, None)
         return class_prior / class_prior.sum()
 
-    def m_step(self, runner, blocks, prev_params):
-        if prev_params is None:
-            tau = np.zeros((self.n_tasks, self.n_choices))
-            sigma = self._init_sigma(runner, blocks)
-        else:
-            tau, sigma = prev_params[0], prev_params[1]
-        runner.call("begin_m_step", per_shard=blocks)
-        tau, sigma = self._gradient_rounds(runner, tau, sigma)
-        return tau, sigma, self._class_prior(blocks)
-
-    #: Marker recorded in a delta refit's stats cache for a frozen
-    #: shard whose begin_m_step payload is held worker-side (valid
-    #: until the shard's block changes).  Never carried across fits.
+    #: Marker recorded in the stats cache for a frozen shard whose
+    #: begin_m_step payload is held worker-side (valid until the
+    #: shard's block changes).  Never carried across fits.
     MATCH_CACHED = "minimax-begin-cached"
 
-    def _delta_begin(self, runner, blocks, frozen, stats_cache) -> None:
+    def _begin(self, runner, blocks, frozen, stats) -> None:
         """Ship begin_m_step payloads only where the worker-side cache
         is stale (active shards, or frozen ones whose cached payload
         was dropped) — the GLAD pattern: frozen shards keep their
         per-edge tensors resident, so no posterior block is reshipped
         for them."""
         need = [k for k in range(runner.n_shards)
-                if k not in frozen
-                or stats_cache[k] is not self.MATCH_CACHED]
+                if stats[k] is not self.MATCH_CACHED]
         if need:
             runner.call("begin_m_step",
                         per_shard=[blocks[k] for k in need],
                         only=need)
         for k in frozen:
-            stats_cache[k] = self.MATCH_CACHED
+            stats[k] = self.MATCH_CACHED
 
-    def m_step_delta(self, runner, blocks, prev_params, frozen,
-                     stats_cache, fit_stats=None):
-        """Frozen-aware gradient M-step: restart the ascent from the
-        cached ``τ/σ`` with only non-cached shards shipping their
-        begin payloads, and frozen shards' gradient partials computed
-        once per M-step instead of once per round — the active shards
-        alone pay the per-round kernels."""
+    def m_step(self, runner, state, prev_params, frozen, stats,
+               fit_stats=None, rng=None):
+        """Gradient ascent from the previous ``τ/σ`` (a cold fit's
+        first M-step starts from zero ``τ`` and the majority-vote
+        ``σ``), with only non-cached shards shipping their begin
+        payloads; with shards frozen, the active shards alone pay the
+        per-round kernels between the full rounds."""
+        blocks = [state[start:stop] for start, stop in runner.task_ranges]
         if prev_params is None:
-            return self.m_step(runner, blocks, prev_params)
-        tau, sigma = prev_params[0], prev_params[1]
-        self._delta_begin(runner, blocks, frozen, stats_cache)
+            tau = np.zeros((self.n_tasks, self.n_choices))
+            sigma = self._init_sigma(runner, blocks)
+        else:
+            tau, sigma = prev_params[0], prev_params[1]
+        self._begin(runner, blocks, frozen, stats)
         tau, sigma = self._gradient_rounds(runner, tau, sigma,
                                            frozen=frozen)
         if fit_stats is not None:

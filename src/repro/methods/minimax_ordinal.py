@@ -93,8 +93,7 @@ class _MinimaxOrdinalSpec(_MinimaxSpec):
         return sigma
 
     def _omega_rounds(self, runner, tau, omega):
-        """The master-driven gradient rounds over ``τ`` and ``ω`` —
-        shared verbatim by the cold M-step and the delta restart."""
+        """The master-driven gradient rounds over ``τ`` and ``ω``."""
         ranges = runner.task_ranges
         for _ in range(self.gradient_steps):
             sigma = self._sigma_from_omega(omega)
@@ -123,27 +122,19 @@ class _MinimaxOrdinalSpec(_MinimaxSpec):
                                            - self.l2_omega * omega)
         return tau, omega
 
-    def m_step(self, runner, blocks, prev_params):
+    def m_step(self, runner, state, prev_params, frozen, stats,
+               fit_stats=None, rng=None):
+        """Gradient ascent over ``τ`` and ``ω``: converged shards keep
+        their cached residual tables (``begin_m_step`` skipped); the
+        gradient rounds still span every shard, which is exact because
+        frozen shards' posterior blocks are pinned."""
+        blocks = [state[start:stop] for start, stop in runner.task_ranges]
         if prev_params is None:
             tau = np.zeros((self.n_tasks, self.n_choices))
             omega = self._init_omega(runner, blocks)
         else:
             tau, omega = prev_params[0], prev_params[3]
-        runner.call("begin_m_step", per_shard=blocks)
-        tau, omega = self._omega_rounds(runner, tau, omega)
-        return (tau, self._sigma_from_omega(omega),
-                self._class_prior(blocks), omega)
-
-    def m_step_delta(self, runner, blocks, prev_params, frozen,
-                     stats_cache, fit_stats=None):
-        """Delta M-step: converged shards keep their cached residual
-        tables (``begin_m_step`` skipped); the gradient rounds still
-        span every shard, which is exact because frozen shards'
-        posterior blocks are pinned."""
-        if prev_params is None:
-            return self.m_step(runner, blocks, prev_params)
-        tau, omega = prev_params[0], prev_params[3]
-        self._delta_begin(runner, blocks, frozen, stats_cache)
+        self._begin(runner, blocks, frozen, stats)
         tau, omega = self._omega_rounds(runner, tau, omega)
         if fit_stats is not None:
             fit_stats.accumulate_calls += (runner.n_shards

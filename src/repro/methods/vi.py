@@ -174,33 +174,21 @@ class _BeliefPropagationSpec(_TwoCoinSpec):
     from the merged worker counts, so the E-step needs the full belief
     vector next to the statistics — the M-step packs both."""
 
+    #: Collecting fits leave the counts out of the shard state; a delta
+    #: refit recomputes them for its clean shards at its first M-step.
     statistics_m_step = False
 
     def finalize(self, stats: SufficientStats):
-        raise NotImplementedError(
-            "VI-BP's M-step packs the merged statistics directly")
+        """The cavity messages read the merged counts themselves."""
+        return stats
 
-    def m_step(self, runner, blocks, prev_params):
-        stats = runner.call("accumulate", per_shard=blocks)
-        merged = SufficientStats.total(stats)
-        return merged, np.concatenate(blocks, axis=0)
-
-    def m_step_delta(self, runner, blocks, prev_params, frozen,
-                     stats_cache, fit_stats=None):
-        """Delta M-step: a frozen shard's belief block is pinned, so
-        its count partial is too — ``accumulate`` runs only for shards
-        whose cache entry was invalidated by an E-step."""
-        need = [k for k in range(len(blocks)) if stats_cache[k] is None]
-        if need:
-            computed = runner.call("accumulate",
-                                   per_shard=[blocks[k] for k in need],
-                                   only=need)
-            for k, stats in zip(need, computed):
-                stats_cache[k] = stats
-            if fit_stats is not None:
-                fit_stats.accumulate_calls += len(need)
-        merged = SufficientStats.total(stats_cache)
-        return merged, np.concatenate(blocks, axis=0)
+    def m_step(self, runner, state, prev_params, frozen, stats,
+               fit_stats=None, rng=None):
+        """The merged counts (``accumulate`` only where a shard's block
+        changed: a frozen shard's count partial is pinned with its
+        belief block) packed with a copy of the full belief vector."""
+        return (super().m_step(runner, state, prev_params, frozen, stats,
+                               fit_stats, rng), np.array(state))
 
     def warm_parameters(self, stats: SufficientStats, mu: np.ndarray):
         """A delta refit resumes from the cached worker counts and the

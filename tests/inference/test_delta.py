@@ -269,6 +269,18 @@ class TestFitStats:
         assert payload["mode"] == "full"
         assert payload["overhead_seconds"] == stats.overhead_seconds
 
+    def test_full_fits_count_an_own_m_step_hooks_shard_calls(self):
+        # Specs with their own M-step hook count its map-phase shard
+        # calls in full fits too, as their delta refits do.
+        answers = synthetic()
+        glad = create("GLAD", seed=0, policy=POLICY).fit(answers)
+        assert glad.fit_stats.accumulate_calls == 4 * 12 * glad.n_iterations
+        vi_bp = create("VI-BP", seed=0, policy=POLICY).fit(answers)
+        assert vi_bp.fit_stats.accumulate_calls == 4 * vi_bp.n_iterations
+        minimax = create("Minimax", seed=0, policy=POLICY, max_iter=2,
+                         gradient_steps=3).fit(answers)
+        assert minimax.fit_stats.accumulate_calls == 4 * 3 * 2
+
     def test_delta_fit_summary_names_the_mode(self):
         rng = np.random.default_rng(7)
         _, delta, _, _ = _fit_pair(rng.integers(0, 50, 200))

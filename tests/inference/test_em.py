@@ -7,6 +7,9 @@ whose phases are test callables, so each property of a loop (stopping
 rule, iteration cap, golden clamping, starting points) shows on its own.
 """
 
+import collections
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,9 @@ from repro.core.tasktypes import TaskType
 from repro.exceptions import ConvergenceError, InferenceError
 from repro.inference.sharded import (
     AlternatingSpec,
+    DeltaPlan,
     SerialShardRunner,
+    ShardState,
     SufficientStats,
     make_runner,
     run_alternating_sharded,
@@ -61,6 +66,47 @@ def scripted(n_tasks, m_step=None, e_step=None, init=None, n_shards=1,
 def recording(seen, result=None):
     """An M-step that records a copy of every state it is given."""
     return lambda state: seen.append(np.array(state)) or result
+
+
+class Creeping(ScriptedSpec):
+    """Shard ``k``'s ``n``-th E-step returns uniform rows plus
+    ``step(k, n)``.  More than ``limit`` E-blocks means the loop never
+    stopped, and fails the test instead of hanging it."""
+
+    def __init__(self, m_step, step, limit=200):
+        super().__init__(m_step)
+        self.step, self.limit = step, limit
+        self.calls = collections.Counter()
+
+    def e_block(self, shard, ops, params):
+        self.calls[shard.index] += 1
+        if sum(self.calls.values()) > self.limit:
+            raise RuntimeError("the loop ran past its iteration cap")
+        return np.full((shard.n_local_tasks, 2), 0.5) + self.step(
+            shard.index, self.calls[shard.index])
+
+
+def weight_steps(first, *cycle, limit=60):
+    """A weight step returning ``first``, then ``cycle`` over and over;
+    more than ``limit`` steps fail the test."""
+    weights = itertools.chain([first], itertools.cycle(cycle))
+    calls = itertools.count(1)
+
+    def step(state):
+        if next(calls) > limit:
+            raise RuntimeError("the loop ran past its iteration cap")
+        return np.array([next(weights)])
+    return step
+
+
+def creeping_refit(spec, **plan):
+    """A runner over two 2-task shards, and a delta plan over a
+    hand-built cache of uniform blocks: shard 0 dirty, shard 1 clean."""
+    runner = scripted(4, n_shards=2, spec=spec)
+    cuts = (0,) + tuple(stop for _, stop in runner.task_ranges)
+    prev = ShardState(task_cuts=cuts, sizes=(0, 0, 0),
+                      blocks=[np.full((2, 2), 0.5)] * 2, stats=[None] * 2)
+    return runner, DeltaPlan(prev=prev, dirty=[True, False], **plan)
 
 
 class TestRunEM:
@@ -214,3 +260,47 @@ class TestRunAlternating:
         for state in seen:
             assert list(state[0]) == [0.5, 0.5]
             assert list(state[1]) == [1.0, 0.0]
+
+
+class TestDeltaCap:
+    """The iteration cap holds on every path of a delta refit, the
+    verify before declaring convergence included."""
+
+    def test_em_refit_stops_at_the_cap_while_verifies_keep_drifting(self):
+        # Every E-step moves its block by 1e-7: the active shard counts
+        # as converged (tolerance 1e-6) but never freezes (1e-8), and
+        # every verify finds the frozen shard drifted.
+        runner, plan = creeping_refit(
+            Creeping(lambda state: None, lambda k, n: 1e-7 * n),
+            freeze_tol=1e-8)
+        outcome = run_em_sharded(runner, initial_parameters="warm",
+                                 tolerance=1e-6, max_iter=5, delta=plan)
+        assert outcome.n_iterations == 5
+        assert not outcome.converged
+        assert outcome.fit_stats.iterations == 5
+
+    def test_alternating_refit_stops_at_the_cap_when_weights_oscillate(self):
+        # The weights settle once (the verify then finds drift) and
+        # oscillate by 0.4 from there on.
+        runner, plan = creeping_refit(
+            Creeping(weight_steps(1.0, 1.4, 1.0), lambda k, n: 1e-3 * n),
+            freeze_tol=1e-6)
+        outcome = run_alternating_sharded(
+            runner, initial_parameters=np.array([1.0]), tolerance=1e-6,
+            max_iter=3, delta=plan)
+        assert outcome.n_iterations == 3
+        assert not outcome.converged
+
+    def test_a_capped_alternating_refit_is_not_converged(self):
+        # The weights settle once, the verify finds drift, and the cap
+        # stops the loop right after a weight step of 0.4; the final
+        # verify finds nothing left to drift.
+        runner, plan = creeping_refit(
+            Creeping(weight_steps(1.0, 1.4, 1.0), lambda k, n: 1e-3),
+            freeze_tol=1e-6)
+        outcome = run_alternating_sharded(
+            runner, initial_parameters=np.array([1.0]), tolerance=1e-6,
+            max_iter=3, delta=plan)
+        np.testing.assert_array_equal(outcome.parameters, [1.4])
+        assert outcome.n_iterations == 3
+        assert not outcome.converged
