@@ -29,6 +29,7 @@ from .answers import AnswerSet
 from .framework import DEFAULT_MAX_ITER, DEFAULT_TOLERANCE
 from .policy import ExecutionPlan, ExecutionPolicy, MethodSpec
 from .result import InferenceResult
+from .shards import ShardedAnswerSet
 from .tasktypes import TaskType
 
 
@@ -186,7 +187,9 @@ class TruthInferenceMethod(abc.ABC):
             refit resumes from (returned as ``result.shard_state``).
             Driven by the engines when the policy says
             ``refit="delta"``; ignored by methods without
-            ``supports_sharding``.
+            ``supports_sharding``.  A runner whose shard cuts are not
+            ``prev``'s — a process-tier lease places its own — demotes
+            the plan to a collecting full fit.
         """
         if answers.task_type not in self.task_types:
             raise TaskTypeMismatchError(
@@ -220,11 +223,11 @@ class TruthInferenceMethod(abc.ABC):
                         f"got {seed_posterior.shape}"
                     )
             extra_kwargs["seed_posterior"] = seed_posterior
-        runner_cm = contextlib.nullcontext(shard_runner)
-        if (self.supports_sharding and policy is not None
-                and shard_runner is None):
-            runner_cm = self._policy_runner(answers, policy)
-        elif policy is not None and not self.supports_sharding:
+        runner_cm = contextlib.nullcontext()
+        if self.supports_sharding:
+            runner_cm = self._shard_runner(answers, shard_runner, policy,
+                                           delta)
+        elif policy is not None:
             self._warn_ignored_policy(policy)
         if (policy is not None and not self.supports_delta
                 and getattr(policy, "refit", "full") == "delta"):
@@ -236,10 +239,9 @@ class TruthInferenceMethod(abc.ABC):
 
         rng = np.random.default_rng(self.seed)
         started = time.perf_counter()
-        with runner_cm as runner:
+        with runner_cm as built:
             if self.supports_sharding:
-                extra_kwargs["shard_runner"] = runner
-                extra_kwargs["delta"] = delta
+                extra_kwargs["shard_runner"], extra_kwargs["delta"] = built
             result = self._fit(
                 answers,
                 golden=golden if self.supports_golden else None,
@@ -342,83 +344,81 @@ class TruthInferenceMethod(abc.ABC):
                 UserWarning, stacklevel=3)
 
     @contextlib.contextmanager
-    def _policy_runner(self, answers: AnswerSet,
-                       policy: ExecutionPolicy | ExecutionPlan):
-        """Yield the shard runner a resolved execution plan calls for.
+    def _shard_runner(self, answers: AnswerSet, shard_runner=None,
+                      policy: ExecutionPolicy | ExecutionPlan | None = None,
+                      delta=None):
+        """Yield the ``(runner, delta)`` a sharded ``_fit`` runs with.
 
-        Serial/thread plans build the in-process runner directly (the
-        plan overrides the instance's constructor knobs); process plans
-        lease the persistent shared-memory runtime.
+        A supplied ``shard_runner`` wins.  Otherwise the plan decides:
+        ``policy`` resolved against ``answers``, or else the plan the
+        constructor's ``n_shards`` / ``shard_workers`` stand for.  A
+        process plan leases the persistent shared-memory runtime from
+        the process-wide registry, under the plan's fault policy and
+        fault plan.  A serial or thread plan shards in process, over
+        ``delta.prev``'s pinned cuts when the fit resumes from a cached
+        state (else over fresh answer-balanced cuts), on a transient
+        thread pool for a thread plan.
+
+        A delta refit is valid only over its cached state's cuts, so a
+        runner placed over other cuts (a lease that re-placed, or a
+        supplied runner) demotes ``delta`` to a collecting full fit.
         """
-        plan = (policy.resolve(answers)
-                if isinstance(policy, ExecutionPolicy) else policy)
-        if plan.mode == "process":
-            spec = self.method_spec
-            if spec is None:
-                raise ValueError(
-                    f"fit(policy=...) with a process plan needs a "
-                    f"registry-created method so worker processes can "
-                    f"rebuild it; construct {self.name} via "
-                    f"create()/MethodSpec instead of the class"
-                )
-            from ..engine.runtime import get_runtime_registry
+        from ..engine.placement import cuts_align
 
-            _, lease = get_runtime_registry().lease(plan, answers, spec)
-            with lease as runner:
-                yield runner
-            return
-        from ..inference.sharded import make_runner
-
-        spec = self.make_em_spec(
-            n_tasks=answers.n_tasks,
-            n_workers=answers.n_workers,
-            n_choices=answers.n_choices,
-        )
-        if (plan.mode == "thread" and plan.n_shards > 1
-                and plan.max_workers > 1):
-            with ThreadPoolExecutor(
-                    max_workers=min(plan.max_workers, plan.n_shards)
-            ) as pool:
-                yield make_runner(answers, spec, plan.n_shards, pool=pool)
+        prev = delta.prev if delta is not None else None
+        if shard_runner is not None:
+            built = contextlib.nullcontext(shard_runner)
         else:
-            yield make_runner(answers, spec, plan.n_shards)
+            if policy is None:
+                threads = self.shard_workers > 1
+                policy = ExecutionPlan(
+                    mode="thread" if threads else "serial",
+                    n_shards=self.n_shards,
+                    max_workers=self.shard_workers if threads else 0)
+            plan = (policy.resolve(answers)
+                    if isinstance(policy, ExecutionPolicy) else policy)
+            built = (self._lease(answers, plan) if plan.mode == "process"
+                     else self._local_runner(answers, plan, prev))
+        with built as runner:
+            if prev is not None and not cuts_align(runner.task_ranges, prev):
+                delta = delta.collect_only()
+            yield runner, delta
+
+    def _lease(self, answers: AnswerSet, plan: ExecutionPlan):
+        """The builder's process half: a lease on the registry's runtime
+        for ``plan``, which rebuilds this method in the workers from its
+        registry spec."""
+        if self.method_spec is None:
+            raise ValueError(
+                f"fit(policy=...) with a process plan needs a "
+                f"registry-created method so worker processes can "
+                f"rebuild it; construct {self.name} via "
+                f"create()/MethodSpec instead of the class"
+            )
+        from ..engine.runtime import get_runtime_registry
+
+        return get_runtime_registry().lease(plan, answers,
+                                            self.method_spec)[1]
 
     @contextlib.contextmanager
-    def _shard_runner(self, answers: AnswerSet, shard_runner=None,
-                      delta=None):
-        """Yield the shard runner a sharded ``_fit`` should use.
+    def _local_runner(self, answers: AnswerSet, plan: ExecutionPlan,
+                      prev=None):
+        """The builder's in-process half: ``answers`` sharded over
+        ``prev``'s pinned cuts (else fresh answer-balanced ones), run
+        serially or on a transient thread pool."""
+        from ..inference.sharded import make_runner
 
-        An externally supplied runner (e.g. a process-tier
-        :class:`~repro.engine.runtime.RuntimeLease`) wins; otherwise the
-        answers are partitioned into ``self.n_shards`` task ranges and
-        run serially, or on a transient thread pool when
-        ``shard_workers > 1``.  A
-        delta refit (``delta.prev`` set) pins the cuts the cached state
-        was fitted with, so its per-shard blocks stay aligned.
-        """
-        if shard_runner is not None:
-            yield shard_runner
-            return
-        from ..core.shards import ShardedAnswerSet
-        from ..inference.sharded import SerialShardRunner
-
-        task_cuts = None
-        if delta is not None and getattr(delta, "prev", None) is not None:
-            task_cuts = delta.prev.extended_cuts(answers.n_tasks)
-        spec = self.make_em_spec(
-            n_tasks=answers.n_tasks,
-            n_workers=answers.n_workers,
-            n_choices=answers.n_choices,
-        )
-        sharded = ShardedAnswerSet(answers, self.n_shards,
-                                   task_cuts=task_cuts)
-        if sharded.n_shards > 1 and self.shard_workers > 1:
-            with ThreadPoolExecutor(
-                    max_workers=min(self.shard_workers, sharded.n_shards)
-            ) as pool:
-                yield SerialShardRunner(spec, sharded.shards, pool=pool)
-        else:
-            yield SerialShardRunner(spec, sharded.shards)
+        sharded = ShardedAnswerSet(
+            answers, plan.n_shards,
+            task_cuts=(prev.extended_cuts(answers.n_tasks)
+                       if prev is not None else None))
+        width = (min(plan.max_workers, sharded.n_shards)
+                 if plan.mode == "thread" else 0)
+        spec = self.make_em_spec(answers.n_tasks, answers.n_workers,
+                                 answers.n_choices)
+        with (ThreadPoolExecutor(max_workers=width) if width > 1
+              else contextlib.nullcontext()) as pool:
+            yield make_runner(sharded, spec, pool=pool)
 
     @abc.abstractmethod
     def _fit(

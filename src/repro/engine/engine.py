@@ -33,6 +33,7 @@ from ..core.result import InferenceResult
 from ..core.tasktypes import TaskType
 from ..core.warmstart import pad_result_labels
 from ..exceptions import EngineError, RecoveryError, StoreError
+from .placement import cuts_hold
 from .stream import StreamingAnswerSet
 
 
@@ -390,24 +391,15 @@ class InferenceEngine:
         """Seed the in-process shard session with a recovered
         :class:`~repro.inference.sharded.ShardState`'s pinned cuts, so
         the first post-recovery refit is a true delta refit."""
-        from .runtime import SerialShardSession
-
         plan = self.policy.resolve(snapshot)
-        if (not plan.sharded or plan.mode == "process"
-                # The same demotions _delta_plan/_refresh would apply:
-                # adopt only a layout the next refit can actually use.
-                or plan.n_shards != state.n_shards
-                or state.task_cuts[-1] > snapshot.n_tasks
-                or snapshot.n_answers < state.n_answers
-                or snapshot.n_answers > 2 * max(state.base_answers, 1)):
-            return
-        session = self._sessions.get(plan.n_shards)
-        if session is None:
-            session = SerialShardSession(plan.n_shards, spill=self._spill)
-            self._sessions[plan.n_shards] = session
-        stream_key = ("stream", self._stream_token,
-                      self.stream.replacements)
-        session.adopt(snapshot, state, stream_key=stream_key)
+        # Adopt only a layout the next refit can use: in process, over
+        # the state's shard count, on cuts that still hold.
+        if (plan.sharded and plan.mode != "process"
+                and plan.n_shards == state.n_shards
+                and cuts_hold(snapshot, state.n_answers,
+                              state.task_cuts[-1], state.base_answers)):
+            self._session(plan.n_shards).adopt(
+                snapshot, state, stream_key=self._stream_key())
 
     # ------------------------------------------------------------------
     # Inference
@@ -478,37 +470,32 @@ class InferenceEngine:
                 warm = None  # no posterior to pad: refit cold
         delta = None
         if plan is not None and self.policy.refit == "delta":
-            delta = self._delta_plan(plan, snapshot, cached, warm)
+            delta = self._delta_plan(snapshot, cached, warm)
+        # A runner that re-placed (rebalance, eviction, …) no longer
+        # aligns with the cached per-shard state; fit() then demotes the
+        # delta refit to a collecting full fit.
         if use_runtime:
             # Persistent process tier: the lease reuses warm pools, and
             # because the stream key only changes on in-place
             # replacements, a purely grown stream appends its new tail
             # to the placed segments instead of rebuilding them.
-            stream_key = ("stream", self._stream_token,
-                          self.stream.replacements)
             with self._lease_runtime(plan, snapshot, spec,
-                                     stream_key) as runner:
-                if delta is not None and delta.prev is not None \
-                        and not self._lease_matches(runner, delta.prev):
-                    # The runtime re-placed (rebalance, eviction, …):
-                    # the cached per-shard state no longer aligns with
-                    # the placed cuts.  Refit full and re-collect.
-                    delta = delta.collect_only()
+                                     self._stream_key()) as runner:
                 result = instance.fit(snapshot, warm_start=warm,
                                       shard_runner=runner, delta=delta)
         else:
             runner = None
-            if delta is not None and instance.supports_sharding:
+            if delta is not None:
                 # In-process delta refits run over the warm session:
                 # the task-sorted shard arrays and the spec's frozen
                 # operators persist across refits, extended (and
                 # selectively invalidated) by just the new tail.
-                runner = self._session_runner(plan, snapshot, instance)
-                if (delta.prev is not None
-                        and not self._lease_matches(runner, delta.prev)):
-                    # The session re-placed (rebalance): cached state
-                    # no longer aligns.  Refit full and re-collect.
-                    delta = delta.collect_only()
+                pool = (self._ensure_thread_pool(plan.max_workers)
+                        if plan.mode == "thread" and plan.max_workers > 1
+                        else None)
+                runner = self._session(plan.n_shards).runner(
+                    snapshot, instance, stream_key=self._stream_key(),
+                    pool=pool)
             result = instance.fit(snapshot, warm_start=warm,
                                   shard_runner=runner, delta=delta)
         if result.fit_stats is not None:
@@ -568,17 +555,16 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Delta refits
     # ------------------------------------------------------------------
-    def _delta_plan(self, plan, snapshot, cached: _CachedFit | None, warm):
+    def _delta_plan(self, snapshot, cached: _CachedFit | None, warm):
         """The :class:`~repro.inference.sharded.DeltaPlan` this refit
         runs under (policy ``refit="delta"``).
 
         A true delta refit needs a warm start *and* a cached
-        :class:`~repro.inference.sharded.ShardState` that still aligns
-        with the stream: same shard count, no label growth, and a
-        stream that has not doubled since the cuts were placed (past
-        that, a full refit re-places the cuts, mirroring the runtime's
-        rebalance rule).  Anything else demotes to a collecting full
-        fit, so the *next* refit has a state to resume from.
+        :class:`~repro.inference.sharded.ShardState` whose cuts still
+        hold for the stream (:func:`~repro.engine.placement.cuts_hold`,
+        the placement layer's rebalance rule), with no label growth.
+        Anything else demotes to a collecting full fit, so the *next*
+        refit has a state to resume from.
         """
         from ..inference.sharded import DeltaPlan, dirty_shards
 
@@ -587,31 +573,29 @@ class InferenceEngine:
         state = cached.shard_state if cached is not None else None
         if (warm is None or state is None
                 or cached.n_choices != snapshot.n_choices
-                or state.task_cuts[-1] > snapshot.n_tasks
-                or snapshot.n_answers < state.n_answers
-                or snapshot.n_answers > 2 * max(state.base_answers, 1)):
+                or not cuts_hold(snapshot, state.n_answers,
+                                 state.task_cuts[-1], state.base_answers)):
             return DeltaPlan(**plan_kwargs)
         dirty = dirty_shards(state.task_cuts,
                              snapshot.tasks[state.n_answers:],
                              snapshot.n_tasks)
         return DeltaPlan(prev=state, dirty=dirty, **plan_kwargs)
 
-    def _session_runner(self, plan, snapshot, instance):
-        """A warm in-process shard runner for this refit (serial and
-        thread tiers), from the per-shard-count session."""
+    def _session(self, n_shards: int):
+        """The warm in-process shard session (serial and thread tiers)
+        for ``n_shards``, created on first use."""
         from .runtime import SerialShardSession
 
-        session = self._sessions.get(plan.n_shards)
+        session = self._sessions.get(n_shards)
         if session is None:
-            session = SerialShardSession(plan.n_shards, spill=self._spill)
-            self._sessions[plan.n_shards] = session
-        pool = None
-        if plan.mode == "thread" and plan.max_workers > 1:
-            pool = self._ensure_thread_pool(plan.max_workers)
-        stream_key = ("stream", self._stream_token,
-                      self.stream.replacements)
-        return session.runner(snapshot, instance, stream_key=stream_key,
-                              pool=pool)
+            session = SerialShardSession(n_shards, spill=self._spill)
+            self._sessions[n_shards] = session
+        return session
+
+    def _stream_key(self) -> tuple:
+        """The stream's placement key: it changes only on in-place
+        replacements, so a purely grown stream extends its layout."""
+        return ("stream", self._stream_token, self.stream.replacements)
 
     def _ensure_thread_pool(self, width: int):
         from concurrent.futures import ThreadPoolExecutor
@@ -623,18 +607,6 @@ class InferenceEngine:
             self._thread_pool = (width, ThreadPoolExecutor(
                 max_workers=width))
         return self._thread_pool[1]
-
-    @staticmethod
-    def _lease_matches(runner, state) -> bool:
-        """Whether a lease's placed shard cuts still align with a
-        cached :class:`~repro.inference.sharded.ShardState`."""
-        ranges = runner.task_ranges
-        if len(ranges) != state.n_shards:
-            return False
-        return all(start == state.task_cuts[k]
-                   for k, (start, _) in enumerate(ranges)) \
-            and all(stop == state.task_cuts[k + 1]
-                    for k, (_, stop) in enumerate(ranges[:-1]))
 
     # ------------------------------------------------------------------
     # Runtime control

@@ -1,4 +1,5 @@
-"""Persistent shard runtime: pinned workers and shared memory that outlive fits.
+"""Warm shard layouts that outlive fits: the in-process session and the
+persistent process runtime.
 
 Process-parallel EM has a fixed cost per runtime: spawn one worker
 process per slot, allocate three ``/dev/shm`` segments, copy the
@@ -21,7 +22,10 @@ This module makes the expensive parts persistent:
   segments as a new *epoch*; workers fold the epoch into their shard
   views ("extend your shard view") instead of rebuilding from scratch.
   Segment capacity grows by doubling, so a steadily growing stream
-  reallocates (and re-attaches) only O(log n) times.
+  reallocates (and re-attaches) only O(log n) times.  When a lease
+  reuses, extends or re-places is decided by
+  :mod:`repro.engine.placement`, the one placement layer every tier
+  shares.
 * :class:`RuntimeRegistry` — a process-wide pool of runtimes keyed by
   ``(n_shards, max_workers)`` with idle-TTL eviction, so independent
   call sites (``fit(policy=...)``,
@@ -78,8 +82,13 @@ with live workers.  Closing is idempotent.
 A one-shot fit on a private runtime is a :class:`ShardRuntime` plus
 one lease, closed together (``with ShardRuntime(...) as runtime,
 runtime.lease(...) as runner``).  Sweeps and streams lease from the
-registry, directly or through ``fit(policy=...)`` and the engine.  The
-in-process serial/thread tiers never involve this module.
+registry, directly or through ``fit(policy=...)`` and the engine.
+
+The in-process serial/thread tiers use no workers and no shared memory,
+but the engine's delta refits on them keep a warm layout too:
+:class:`SerialShardSession` is this module's in-process analogue of a
+runtime, the same placement over per-shard arrays in the calling
+process.
 """
 
 from __future__ import annotations
@@ -91,7 +100,6 @@ import select
 import threading
 import time
 import traceback
-import weakref
 from multiprocessing import resource_tracker, shared_memory
 from multiprocessing.reduction import ForkingPickler
 from typing import Mapping, Sequence
@@ -101,7 +109,6 @@ import numpy as np
 from .. import faults as _faults
 from ..checks.protocol import get_verifier as _get_protocol_verifier
 from ..core.answers import AnswerSet
-from ..core.framework import radix_argsort
 from ..exceptions import (
     EngineError,
     PhaseTimeoutError,
@@ -119,6 +126,7 @@ from ..core.policy import (
 from ..core.registry import method_class
 from ..core.shards import AnswerShard, ShardedAnswerSet
 from ..inference.sharded import SerialShardRunner
+from .placement import FIELDS, Layout, Placement, retain_spec
 
 __all__ = [
     "SerialShardSession",
@@ -127,11 +135,6 @@ __all__ = [
     "RuntimeRegistry",
     "get_runtime_registry",
 ]
-
-#: Epoch count at which an extending lease compacts back to one
-#: task-sorted epoch (shard views degrade into many concatenated
-#: pieces; a periodic re-sort keeps them contiguous).
-MAX_EPOCHS = 16
 
 #: Default idle TTL (seconds) for registry eviction.
 DEFAULT_IDLE_TTL = 300.0
@@ -190,12 +193,8 @@ def _worker_detach() -> None:
     are dropped first so ``SharedMemory.close()`` does not trip over
     exported buffers during interpreter teardown.
     """
-    _WORKER_CTX.pop("spec", None)
-    _WORKER_CTX.pop("spec_key", None)
-    _WORKER_CTX.pop("shards", None)
-    _WORKER_CTX.pop("arrays", None)
-    _WORKER_CTX.pop("built_epochs", None)
-    _WORKER_CTX.pop("views", None)
+    for key in ("spec", "shards", "arrays", "layout", "views"):
+        _WORKER_CTX.pop(key, None)
     segments = _WORKER_CTX.pop("segments", {})
     for shm in segments.values():
         try:
@@ -209,7 +208,7 @@ def _apply_attach(seg_desc: dict) -> None:
 
     ``seg_desc`` maps field -> (shm_name, dtype_str, capacity).  Stale
     attachments (renamed segments after a capacity reallocation) are
-    closed; every cached shard view is invalidated.
+    closed; a layout message always follows.
     """
     if "segments" not in _WORKER_CTX:
         _WORKER_CTX["segments"] = {}
@@ -231,28 +230,18 @@ def _apply_attach(seg_desc: dict) -> None:
         segments[field] = shm
         views[field] = np.ndarray((capacity,), dtype=np.dtype(dtype),
                                   buffer=shm.buf)
-    _WORKER_CTX["arrays"] = {}
-    _WORKER_CTX["built_epochs"] = {}
-    _WORKER_CTX["shards"] = {}
-    _drop_spec()
 
 
-def _drop_spec() -> None:
-    """Forget the retained spec (the placed arrays changed under it)."""
-    _WORKER_CTX.pop("spec", None)
-    _WORKER_CTX.pop("spec_key", None)
-
-
-def _apply_layout(layout: dict) -> None:
-    """Adopt a full (re-)placement: new epochs, cuts and sizes."""
+def _apply_layout(layout: Layout) -> None:
+    """Adopt a full (re-)placement.  Cached shard arrays, shard objects
+    and the retained spec all belonged to the old layout."""
     _WORKER_CTX["layout"] = layout
     _WORKER_CTX["arrays"] = {}
-    _WORKER_CTX["built_epochs"] = {}
     _WORKER_CTX["shards"] = {}
-    _drop_spec()
+    _WORKER_CTX.pop("spec", None)
 
 
-def _apply_extend(epoch: tuple, sizes: dict, last_stop: int) -> None:
+def _apply_extend(epoch: tuple, sizes: tuple) -> None:
     """Fold one appended epoch into the current layout.
 
     Materialised shard arrays grow incrementally (concatenate the
@@ -260,59 +249,37 @@ def _apply_extend(epoch: tuple, sizes: dict, last_stop: int) -> None:
     they pick up the new global sizes and the last shard's extended
     task range.  A retained spec keeps the frozen operators of shards
     the epoch did not touch — their arrays are unchanged — and drops
-    only the extended shards' (see :func:`_apply_configure`).
+    only the extended shards'.
     """
-    layout = _WORKER_CTX["layout"]
-    layout["epochs"].append(epoch)
-    layout["sizes"] = sizes
-    layout["task_cuts"][-1] = last_stop
-    layout["length"] = epoch[1]
+    _WORKER_CTX["layout"].grow(epoch, sizes)
     views = _WORKER_CTX["views"]
     arrays = _WORKER_CTX["arrays"]
-    built = _WORKER_CTX["built_epochs"]
-    spec = _WORKER_CTX.get("spec")
-    _, _, bounds = epoch
-    for k, (lo, hi) in enumerate(bounds):
-        if hi > lo and spec is not None:
-            spec.invalidate_shard(k)
-    for k, cached in arrays.items():
-        lo, hi = bounds[k]
-        if hi > lo:
+    held = _WORKER_CTX.get("spec")
+    for k, (lo, hi) in enumerate(epoch[2]):
+        if hi <= lo:
+            continue
+        if held is not None:
+            held[1].invalidate_shard(k)
+        if k in arrays:
             arrays[k] = tuple(
-                np.concatenate([cached[i], views[field][lo:hi]])
-                for i, field in enumerate(("tasks", "workers", "values"))
-            )
-        built[k] = len(layout["epochs"])
+                np.concatenate([cached, views[field][lo:hi]])
+                for cached, field in zip(arrays[k], FIELDS))
     _WORKER_CTX["shards"] = {}
 
 
-def _apply_configure(method: str, method_kwargs: dict, sizes: dict) -> None:
-    """Per-fit spec reset: rebuild the method spec (and thereby its
-    per-shard operator caches) without touching pools or segments.
-
-    When the fit describes the *same* method construction over the
-    *same* global sizes as the spec this worker already holds, the spec
-    is **retained**: its per-shard frozen operators (and any per-shard
-    caches a spec keeps) survive the fit boundary — what makes repeated
-    delta refits on a fixed task/worker universe cheap.  An appended
-    epoch has already dropped the operators of the shards it extended
-    (:func:`_apply_extend`); a re-placement or re-attachment drops the
-    spec outright (:func:`_apply_layout` / :func:`_apply_attach`), so a
-    retained spec can never read stale arrays.
-    """
-    key = (method, sorted(method_kwargs.items()))
-    spec = _WORKER_CTX.get("spec")
-    if (spec is not None and _WORKER_CTX.get("spec_key") == key
-            and spec.resize(sizes["n_tasks"], sizes["n_workers"],
-                            sizes.get("n_choices", 0))):
-        _WORKER_CTX["spec_reuses"] = _WORKER_CTX.get("spec_reuses", 0) + 1
-        # Shard objects still carry the old global sizes.
-        _WORKER_CTX["shards"] = {}
-        return
-    spec = method_class(method)(**method_kwargs).make_em_spec(**sizes)
-    _WORKER_CTX["spec"] = spec
-    _WORKER_CTX["spec_key"] = key
-    # Sizes may have grown since the shards were last materialised.
+def _apply_configure(method: MethodSpec, sizes: tuple) -> None:
+    """Per-fit spec reset: rebuild the method's EM spec (and thereby
+    its per-shard operator caches) without touching pools or segments
+    — or retain the spec this worker holds, by the one rule in
+    :func:`~repro.engine.placement.retain_spec`, which is what makes
+    repeated delta refits on a fixed task/worker universe cheap."""
+    held, reused = retain_spec(
+        _WORKER_CTX.get("spec"), method, sizes,
+        lambda *sizes: method_class(method.name)(
+            **method.kwargs).make_em_spec(*sizes))
+    _WORKER_CTX["spec"] = held
+    _WORKER_CTX["spec_reuses"] = _WORKER_CTX.get("spec_reuses", 0) + reused
+    # Shard objects carry the global sizes, which may have grown.
     _WORKER_CTX["shards"] = {}
 
 
@@ -333,50 +300,22 @@ def _rt_sync(ops: Sequence[tuple]) -> int:
 
 
 def _materialize_shard(k: int) -> AnswerShard:
-    """This worker's view of shard ``k``, built lazily and kept current
-    across extends."""
+    """This worker's view of shard ``k``, built lazily from the layout
+    and kept current across extends."""
     shards = _WORKER_CTX["shards"]
     shard = shards.get(k)
-    if shard is not None:
-        return shard
-    layout = _WORKER_CTX["layout"]
-    views = _WORKER_CTX["views"]
-    arrays = _WORKER_CTX["arrays"]
-    built = _WORKER_CTX["built_epochs"]
-    epochs = layout["epochs"]
-    if k not in arrays or built.get(k, 0) < len(epochs):
-        pieces = [[], [], []]
-        for _, _, bounds in epochs:
-            lo, hi = bounds[k]
-            if hi > lo:
-                for i, field in enumerate(("tasks", "workers", "values")):
-                    pieces[i].append(views[field][lo:hi])
-        fields = []
-        for i, field in enumerate(("tasks", "workers", "values")):
-            if not pieces[i]:
-                fields.append(views[field][0:0])
-            elif len(pieces[i]) == 1:
-                fields.append(pieces[i][0])  # zero-copy slice
-            else:
-                fields.append(np.concatenate(pieces[i]))
-        arrays[k] = tuple(fields)
-        built[k] = len(epochs)
-    tasks, workers, values = arrays[k]
-    cuts = layout["task_cuts"]
-    sizes = layout["sizes"]
-    shard = AnswerShard(
-        tasks=tasks, workers=workers, values=values,
-        task_start=cuts[k], task_stop=cuts[k + 1],
-        n_tasks=sizes["n_tasks"], n_workers=sizes["n_workers"],
-        n_choices=sizes["n_choices"], index=k,
-    )
-    shards[k] = shard
+    if shard is None:
+        layout = _WORKER_CTX["layout"]
+        arrays = _WORKER_CTX["arrays"]
+        if k not in arrays:
+            arrays[k] = layout.slices(_WORKER_CTX["views"], k)
+        shard = shards[k] = layout.shard(arrays[k], k)
     return shard
 
 
 def _run_phase(k: int, phase: str, args: tuple):
     """Run ``phase`` on this worker's view of shard ``k``."""
-    spec = _WORKER_CTX["spec"]
+    _, spec = _WORKER_CTX["spec"]
     shard = _materialize_shard(k)
     return getattr(spec, phase)(shard, spec.shard_ops(shard), *args)
 
@@ -413,11 +352,11 @@ def _rt_sleep(seconds: float) -> int:
 def _rt_probe() -> dict:
     """Worker-side introspection for tests: what survived the last
     configure (send it through a runtime worker's ``call``)."""
-    spec = _WORKER_CTX.get("spec")
+    held = _WORKER_CTX.get("spec")
     return {
         "pid": os.getpid(),
         "spec_reuses": _WORKER_CTX.get("spec_reuses", 0),
-        "cached_ops": sorted(spec._ops) if spec is not None else [],
+        "cached_ops": sorted(held[1]._ops) if held is not None else [],
     }
 
 
@@ -477,27 +416,21 @@ def _serve(conn) -> None:
 # ----------------------------------------------------------------------
 # In-process tier: the serial/thread analogue of worker retention
 # ----------------------------------------------------------------------
-class SerialShardSession:
+class SerialShardSession(Placement):
     """Warm in-process shard layout + spec caches for delta refits.
 
     What :class:`ShardRuntime` keeps warm in worker processes, this
     keeps warm in the calling process for the serial/thread tiers: the
-    task-sorted per-shard answer arrays and each method's
+    per-shard answer arrays and each method's
     :class:`~repro.inference.sharded.ShardedEMSpec` (with its per-shard
     frozen operators).  A refit on a grown stream sorts and slices only
     the new answer tail, concatenates it onto the shards it touches,
     and drops exactly those shards' cached operators — so a delta
     refit's per-fit setup cost scales with the delta, like its EM.
 
-    Shard cuts are **pinned** between placements (the alignment delta
-    refits require); the session re-places — recomputing balanced cuts
-    and invalidating every cached spec — once the stream has doubled
-    or accumulated :data:`MAX_EPOCHS` extensions, mirroring
-    :class:`ShardRuntime`'s rebalance rule.  The per-shard arrays an
-    extension produces are element-for-element the arrays a fresh
-    stable task-sort would produce (prefix instances of a task precede
-    tail instances in both), so session-backed fits match fresh-runner
-    fits bit-for-bit at equal cuts.
+    When to reuse, extend, re-place or adopt is decided by
+    :class:`~repro.engine.placement.Placement`, the one placement layer
+    every tier shares; this class stores each shard's arrays.
 
     With a :class:`~repro.store.spill.ShardSpill` attached, shards
     that sat untouched past the spill TTL swap their resident arrays
@@ -506,126 +439,35 @@ class SerialShardSession:
     """
 
     def __init__(self, n_shards: int, *, spill=None) -> None:
-        if n_shards < 1:
-            raise EngineError(f"n_shards must be >= 1, got {n_shards}")
-        self.n_shards = int(n_shards)
-        self._arrays: list[tuple] | None = None
-        self._cuts: list[int] | None = None
-        self._sizes: tuple[int, int, int] | None = None
-        self._length = 0
-        self._base_length = 0
-        self._epochs = 0
-        self._answers_ref: weakref.ref | None = None
-        self._stream_key = None
-        self._prefix_mark: tuple[int, int, int] = (0, -1, -1)
-        #: (method-spec, sizes) -> retained EM spec, per method name.
+        super().__init__(n_shards)
+        self._arrays: list[tuple] = []
+        #: method name -> (method spec, retained EM spec).
         self._specs: dict[str, tuple] = {}
         self._spill = spill
         self._spill_tag = f"s{self.n_shards}"
         self._spilled: set[int] = set()
         self._touched: list[float] = []
-        # Instrumentation mirroring ShardRuntime's counters.
-        self.placements = 0
-        self.extends = 0
-        self.reuses = 0
         self.spec_reuses = 0
-        self.last_placement: str | None = None
 
-    # -- data placement ------------------------------------------------
-    def _sizes_of(self, answers: AnswerSet) -> tuple[int, int, int]:
-        return (answers.n_tasks, answers.n_workers, answers.n_choices)
-
-    def _remember_prefix(self, answers: AnswerSet) -> None:
-        n = answers.n_answers
-        self._prefix_mark = ((n, int(answers.tasks[0]),
-                              int(answers.tasks[n - 1])) if n
-                             else (0, -1, -1))
-
-    def _adopt_arrays(self, sharded: ShardedAnswerSet,
-                      answers: AnswerSet) -> None:
+    # -- storage ---------------------------------------------------------
+    def _store_placed(self, sharded: ShardedAnswerSet) -> None:
         self._arrays = [(s.tasks, s.workers, s.values)
                         for s in sharded.shards]
-        self._cuts = [sharded.shards[0].task_start] + [
-            s.task_stop for s in sharded.shards]
-        self._sizes = self._sizes_of(answers)
-        self._length = answers.n_answers
         self._specs.clear()
-        self._remember_prefix(answers)
         self._unspill_all()
         self._touched = [time.monotonic()] * len(self._arrays)
 
-    def _place(self, answers: AnswerSet) -> None:
-        self._adopt_arrays(ShardedAnswerSet(answers, self.n_shards),
-                           answers)
-        self._base_length = answers.n_answers
-        self._epochs = 0
-        self.placements += 1
-        self.last_placement = "place"
-
-    def adopt(self, answers: AnswerSet, state, *,
-              stream_key=None) -> None:
-        """Seed the warm layout from a persisted
-        :class:`~repro.inference.sharded.ShardState` (recovery path).
-
-        Re-sorts the full replayed arrays once under the state's
-        *pinned* cuts — a stable task-sort of arrival order is unique,
-        so the resulting per-shard arrays are element-for-element what
-        the uninterrupted session held — and carries the state's
-        ``base_answers`` forward so the doubling/rebalance rule keeps
-        counting from the original placement.  After adopting, the
-        first refit over a matching cached fit is a true *delta* refit
-        (the cuts align), not a cold or full one.
-        """
-        cuts = state.extended_cuts(answers.n_tasks)
-        if len(cuts) - 1 != self.n_shards:
-            raise EngineError(
-                f"cannot adopt a {len(cuts) - 1}-shard state into a "
-                f"{self.n_shards}-shard session"
-            )
-        self._adopt_arrays(
-            ShardedAnswerSet(answers, self.n_shards, task_cuts=cuts),
-            answers)
-        self._base_length = max(int(state.base_answers), 1)
-        self._epochs = 1
-        self._stream_key = stream_key
-        self._answers_ref = weakref.ref(answers)
-        self.placements += 1
-        self.last_placement = "adopt"
-
-    def _extend(self, answers: AnswerSet) -> None:
-        old, new = self._length, answers.n_answers
-        mark_len, first_task, last_task = self._prefix_mark
-        if mark_len and (int(answers.tasks[0]) != first_task
-                         or int(answers.tasks[mark_len - 1]) != last_task):
-            raise ProtocolError(
-                "stream_key reused but the previously placed answers "
-                "changed; extension requires append-only growth"
-            )
-        tail_tasks = answers.tasks[old:]
-        tail_workers = answers.workers[old:]
-        tail_values = answers.values[old:]
-        if answers.task_type.is_categorical:
-            tail_values = tail_values.astype(np.int64, copy=False)
-        cuts = self._cuts
-        cuts[-1] = answers.n_tasks
-        if len(cuts) > 2:
-            order = radix_argsort(tail_tasks)
-            tail_tasks = tail_tasks[order]
-            tail_workers = tail_workers[order]
-            tail_values = tail_values[order]
-            pos = np.searchsorted(tail_tasks, cuts, side="left")
-        else:
-            pos = np.array([0, len(tail_tasks)])
-        for k in range(len(cuts) - 1):
-            lo, hi = int(pos[k]), int(pos[k + 1])
+    def _store_tail(self, tail: list) -> None:
+        start, _, bounds = self._layout.epochs[-1]
+        tail_tasks, tail_workers, tail_values = tail
+        for k, (lo, hi) in enumerate(bounds):
             if hi <= lo:
                 continue
-            t, w, v = self._arrays[k]
-            self._arrays[k] = (
-                np.concatenate([t, tail_tasks[lo:hi]]),
-                np.concatenate([w, tail_workers[lo:hi]]),
-                np.concatenate([v, tail_values[lo:hi]]),
-            )
+            lo, hi = lo - start, hi - start
+            tasks, workers, values = self._arrays[k]
+            self._arrays[k] = (np.concatenate([tasks, tail_tasks[lo:hi]]),
+                               np.concatenate([workers, tail_workers[lo:hi]]),
+                               np.concatenate([values, tail_values[lo:hi]]))
             for _, spec in self._specs.values():
                 spec.invalidate_shard(k)
             # A shard receiving answers is hot again: the concatenation
@@ -633,78 +475,24 @@ class SerialShardSession:
             # spill files and refresh its touch time.
             self._unspill(k)
             self._touched[k] = time.monotonic()
-        self._sizes = self._sizes_of(answers)
-        self._length = new
-        self._epochs += 1
-        self._remember_prefix(answers)
-        self.extends += 1
-        self.last_placement = "extend"
-
-    def _refresh(self, answers: AnswerSet, stream_key) -> None:
-        """Place / extend / reuse, mirroring :meth:`ShardRuntime._place`."""
-        placed = self._answers_ref() if self._answers_ref else None
-        if self._arrays is not None and answers is placed:
-            self.reuses += 1
-            self.last_placement = "reuse"
-            return
-        if (self._arrays is not None
-                and stream_key is not None
-                and stream_key == self._stream_key
-                and answers.n_answers >= self._length
-                and self._sizes is not None
-                and all(now >= then for now, then in
-                        zip(self._sizes_of(answers), self._sizes))
-                and self._epochs < MAX_EPOCHS
-                and answers.n_answers <= 2 * max(self._base_length, 1)):
-            if answers.n_answers == self._length:
-                self._answers_ref = weakref.ref(answers)
-                self.reuses += 1
-                self.last_placement = "reuse"
-                return
-            self._extend(answers)
-        else:
-            self._place(answers)
-        self._stream_key = stream_key
-        self._answers_ref = weakref.ref(answers)
 
     # -- runners ---------------------------------------------------------
-    def _spec_for(self, instance, answers: AnswerSet):
-        """The method's EM spec, retained across fits while the method
-        construction is unchanged and the spec accepts the (possibly
-        grown) global sizes via :meth:`ShardedEMSpec.resize` — per-shard
-        operators survive; extensions invalidated the touched shards'."""
-        method_spec = instance.method_spec
-        entry = self._specs.get(instance.name)
-        if (entry is not None and method_spec is not None
-                and entry[0] == method_spec
-                and entry[1].resize(answers.n_tasks, answers.n_workers,
-                                    answers.n_choices)):
-            self.spec_reuses += 1
-            return entry[1]
-        spec = instance.make_em_spec(
-            n_tasks=answers.n_tasks, n_workers=answers.n_workers,
-            n_choices=answers.n_choices)
-        if method_spec is not None:
-            self._specs[instance.name] = (method_spec, spec)
-        return spec
-
     def runner(self, answers: AnswerSet, instance, *, stream_key=None,
                pool=None) -> SerialShardRunner:
         """A :class:`~repro.inference.sharded.SerialShardRunner` over
-        the warm layout (placed, extended or reused for ``answers``)."""
+        the warm layout (placed, extended or reused for ``answers``),
+        with the method's EM spec retained across fits by
+        :func:`~repro.engine.placement.retain_spec`."""
         self._refresh(answers, stream_key)
-        cuts = self._cuts
-        shards = []
-        for k in range(len(cuts) - 1):
-            t, w, v = self._arrays[k]
-            shards.append(AnswerShard(
-                tasks=t, workers=w, values=v,
-                task_start=cuts[k], task_stop=cuts[k + 1],
-                n_tasks=answers.n_tasks, n_workers=answers.n_workers,
-                n_choices=answers.n_choices, index=k,
-            ))
-        return SerialShardRunner(self._spec_for(instance, answers),
-                                 shards, pool=pool)
+        layout = self._layout
+        held, reused = retain_spec(self._specs.get(instance.name),
+                                   instance.method_spec, layout.sizes,
+                                   instance.make_em_spec)
+        self._specs[instance.name] = held
+        self.spec_reuses += reused
+        shards = [layout.shard(arrays, k)
+                  for k, arrays in enumerate(self._arrays)]
+        return SerialShardRunner(held[1], shards, pool=pool)
 
     # -- cold-shard spill ----------------------------------------------
     @property
@@ -732,7 +520,7 @@ class SerialShardSession:
         demand.  No-op without an attached
         :class:`~repro.store.spill.ShardSpill`.
         """
-        if self._spill is None or self._arrays is None:
+        if self._spill is None:
             return 0
         now = time.monotonic() if now is None else now
         ttl = self._spill.ttl if ttl is None else ttl
@@ -750,9 +538,6 @@ class SerialShardSession:
 # ----------------------------------------------------------------------
 # Master side
 # ----------------------------------------------------------------------
-_FIELDS = ("tasks", "workers", "values")
-
-
 class _PinnedWorker:
     """One pool slot: a worker process serving :func:`_serve` behind a
     duplex pipe.
@@ -1001,7 +786,7 @@ class RuntimeLease(SerialShardRunner):
         self.close()
 
 
-class ShardRuntime:
+class ShardRuntime(Placement):
     """Shared-memory segments + pinned worker processes reused across
     fits.
 
@@ -1017,8 +802,12 @@ class ShardRuntime:
         caches, GLAD's match cache) stays in one process.
 
     Use :meth:`lease` per fit; see the module docstring for the
-    contract.  Instrumentation counters (``pool_spawns``,
-    ``placements``, ``extends``, ``reuses``) are monotonically
+    contract.  Placement — whether a lease reuses, extends or re-places
+    the data — is :class:`~repro.engine.placement.Placement`'s, the one
+    placement layer every tier shares; this class stores the layout in
+    shared memory and ships each change of it to the workers.
+    Instrumentation counters (``pool_spawns``, ``respawns``,
+    ``degraded_phases`` and the placement counters) are monotonically
     increasing and exist for tests and benchmarks.
     """
 
@@ -1033,23 +822,16 @@ class ShardRuntime:
 
     def __init__(self, n_shards: int = 4,
                  max_workers: int | None = None) -> None:
-        if n_shards < 1:
-            raise EngineError(f"n_shards must be >= 1, got {n_shards}")
-        self.n_shards = int(n_shards)
+        super().__init__(n_shards)
         self.max_workers = self.resolve_max_workers(n_shards, max_workers)
         self._lock = threading.Lock()
         self._workers: list[_PinnedWorker] = []
         #: The current lease's transport counters (see ``_zero_ipc``).
         self._ipc = _zero_ipc()
         self._segments: dict[str, _Segment] = {}
-        self._layout: dict | None = None
-        # Weak: pinning the caller's full dataset for the idle TTL
-        # would double its resident footprint; a dead referent merely
-        # disables same-object reuse (and, being weak, can never alias
-        # a new object the way a recycled id() could).
-        self._answers_ref: weakref.ref | None = None
-        self._stream_key = None
-        self._prefix_mark: tuple[int, int, int] = (0, -1, -1)
+        #: Sync messages the next lease sends: the layout changes the
+        #: workers have not seen yet.
+        self._pending: list = []
         self._closed = False
         self.last_used = time.monotonic()
         # Fault tolerance: recovery policy (overridable per lease), the
@@ -1068,14 +850,8 @@ class ShardRuntime:
         self._master_replayed: set[int] = set()
         # Instrumentation (see class docstring).
         self.pool_spawns = 0
-        self.placements = 0
-        self.extends = 0
-        self.reuses = 0
         self.respawns = 0
         self.degraded_phases = 0
-        #: Data path taken by the most recent lease:
-        #: "place" / "extend" / "reuse".
-        self.last_placement: str | None = None
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -1143,10 +919,8 @@ class ShardRuntime:
         for seg in self._segments.values():
             seg.release()
         self._segments = {}
-        self._layout = None
-        self._answers_ref = None
-        self._stream_key = None
-        self._prefix_mark = (0, -1, -1)
+        self._forget()
+        self._pending = []
         self._configure = None
         self._degraded_slots = set()
         self._stateful_spec = False
@@ -1201,11 +975,10 @@ class ShardRuntime:
             dispatches (chaos tests); ``None`` falls back to the
             process-wide ``REPRO_FAULTS`` plan, if any.
         """
-        spec = MethodSpec.coerce(method, method_kwargs)
-        method, method_kwargs = spec.name, spec.kwargs
-        instance = method_class(method)(**method_kwargs)
+        method = MethodSpec.coerce(method, method_kwargs)
+        instance = method_class(method.name)(**method.kwargs)
         if not instance.supports_sharding:
-            raise EngineError(f"{method} does not support sharded EM")
+            raise EngineError(f"{method.name} does not support sharded EM")
         self._lock.acquire()
         if _VERIFIER is not None:
             _VERIFIER.lock_acquired("runtime", id(self))
@@ -1226,20 +999,19 @@ class ShardRuntime:
             for worker in self._workers:
                 worker.tally = self._ipc
             self._ensure_pools()
-            ops = self._place(answers, stream_key)
-            layout = self._layout
-            sizes = dict(layout["sizes"])
-            configure = (method, dict(method_kwargs or {}), sizes)
-            ops.append(("configure", configure))
+            self._refresh(answers, stream_key)
+            sizes = self._layout.sizes
             # Ledger entry first: a worker respawned *during* this sync
             # replays the attach/layout derived from the live layout
             # plus this configure, which together subsume ``ops``.
-            self._configure = configure
-            self._sync(ops, events=events)
-            spec = instance.make_em_spec(**sizes)
+            self._configure = (method, sizes)
+            ops, self._pending = self._pending, []
+            self._sync(ops + [("configure", self._configure)],
+                       events=events)
+            spec = instance.make_em_spec(*sizes)
             self._stateful_spec = bool(getattr(spec, "stateful_ops",
                                                False))
-            cuts = layout["task_cuts"]
+            cuts = self._layout.cuts
             ranges = list(zip(cuts[:-1], cuts[1:]))
             self.last_used = time.monotonic()
             lease = RuntimeLease(self, spec, ranges, fault_events=events,
@@ -1253,6 +1025,15 @@ class ShardRuntime:
                 _VERIFIER.lock_released("runtime", id(self))
             self._lock.release()
             raise
+
+    def adopt(self, answers: AnswerSet, state, *, stream_key=None) -> None:
+        """:meth:`~repro.engine.placement.Placement.adopt` between
+        leases; the next lease ships the adopted layout to the
+        workers."""
+        with self._lock:
+            if self._closed:
+                raise ProtocolError("runtime is closed")
+            super().adopt(answers, state, stream_key=stream_key)
 
     def _release_lease(self) -> None:
         if _VERIFIER is not None:
@@ -1278,7 +1059,7 @@ class ShardRuntime:
         (which subsumes every epoch-extend sent so far), and re-apply
         the latest spec-configure."""
         ops: list = [("attach", (self._seg_desc(),)),
-                     ("layout", (self._copy_layout(),))]
+                     ("layout", (self._layout.copy(),))]
         if self._configure is not None:
             ops.append(("configure", self._configure))
         return ops
@@ -1314,34 +1095,14 @@ class ShardRuntime:
     def _master_shard(self, k: int) -> AnswerShard:
         """The master-side view of shard ``k`` over the live segments.
 
-        Builds exactly what the worker's ``_materialize_shard`` builds
-        — the same epoch slices of the same shared bytes, concatenated
-        in the same order — so a phase degraded to the master is
-        bit-identical to its worker execution for deterministic phases.
+        Built from the layout exactly as the worker's
+        ``_materialize_shard`` builds it — the same epoch slices of the
+        same shared bytes, concatenated in the same order — so a phase
+        degraded to the master is bit-identical to its worker execution
+        for deterministic phases.
         """
-        layout = self._layout
-        pieces: list[list] = [[], [], []]
-        for _, _, bounds in layout["epochs"]:
-            lo, hi = bounds[k]
-            if hi > lo:
-                for i, field in enumerate(_FIELDS):
-                    pieces[i].append(self._segments[field].view[lo:hi])
-        fields = []
-        for i, field in enumerate(_FIELDS):
-            if not pieces[i]:
-                fields.append(self._segments[field].view[0:0])
-            elif len(pieces[i]) == 1:
-                fields.append(pieces[i][0])
-            else:
-                fields.append(np.concatenate(pieces[i]))
-        cuts = layout["task_cuts"]
-        sizes = layout["sizes"]
-        return AnswerShard(
-            tasks=fields[0], workers=fields[1], values=fields[2],
-            task_start=cuts[k], task_stop=cuts[k + 1],
-            n_tasks=sizes["n_tasks"], n_workers=sizes["n_workers"],
-            n_choices=sizes["n_choices"], index=k,
-        )
+        views = {field: seg.view for field, seg in self._segments.items()}
+        return self._layout.shard(self._layout.slices(views, k), k)
 
     def _run_degraded(self, spec, k: int, phase: str, args: tuple,
                       events: dict, lease_key) -> object:
@@ -1532,63 +1293,15 @@ class ShardRuntime:
             pending = failed
         return [results[k] for k in indices]
 
-    # -- data placement ------------------------------------------------
-    def _values_dtype(self, answers: AnswerSet) -> np.dtype:
-        return np.dtype(np.int64 if answers.task_type.is_categorical
-                        else np.float64)
-
-    def _place(self, answers: AnswerSet, stream_key) -> list:
-        """Decide reuse / extend / full placement; returns sync ops."""
-        layout = self._layout
-        placed = self._answers_ref() if self._answers_ref else None
-        if layout is not None and answers is placed:
-            self.reuses += 1
-            self.last_placement = "reuse"
-            return []
-        if (layout is not None
-                and stream_key is not None
-                and stream_key == self._stream_key
-                and answers.n_answers >= layout["length"]
-                and answers.n_tasks >= layout["sizes"]["n_tasks"]
-                and answers.n_workers >= layout["sizes"]["n_workers"]
-                and answers.n_choices >= layout["sizes"]["n_choices"]
-                and self._values_dtype(answers)
-                == self._segments["values"].dtype
-                and len(layout["epochs"]) < MAX_EPOCHS
-                # Task cuts are frozen while extending, so growth piles
-                # into the last shard; once the data has doubled since
-                # the last full sort, re-place to rebalance.
-                and answers.n_answers <= 2 * max(layout["placed_length"], 1)):
-            if answers.n_answers == layout["length"]:
-                self._answers_ref = weakref.ref(answers)
-                self.reuses += 1
-                self.last_placement = "reuse"
-                return []
-            ops = self._extend(answers)
-            self._stream_key = stream_key
-            self._answers_ref = weakref.ref(answers)
-            self.extends += 1
-            self.last_placement = "extend"
-            return ops
-        ops = self._place_full(answers)
-        self._stream_key = stream_key
-        self._answers_ref = weakref.ref(answers)
-        self.placements += 1
-        self.last_placement = "place"
-        return ops
-
-    def _sizes(self, answers: AnswerSet) -> dict:
-        return {"n_tasks": answers.n_tasks, "n_workers": answers.n_workers,
-                "n_choices": answers.n_choices}
-
+    # -- storage -------------------------------------------------------
     def _ensure_capacity(self, length: int, values_dtype: np.dtype,
                          preserve: int = 0) -> bool:
         """Grow segments (by at least doubling) to hold ``length``
         elements, keeping the first ``preserve`` elements' contents.
-        Returns True when any segment was reallocated (workers must
-        re-attach)."""
+        Returns whether any segment was reallocated; the workers are
+        then sent a re-attach and the full layout to rebuild from."""
         reallocated = False
-        for field in _FIELDS:
+        for field in FIELDS:
             dtype = values_dtype if field == "values" else np.dtype(np.int64)
             seg = self._segments.get(field)
             if seg is not None and seg.dtype == dtype \
@@ -1603,122 +1316,33 @@ class ShardRuntime:
                 seg.release()
             self._segments[field] = fresh
             reallocated = True
+        if reallocated:
+            self._pending += [("attach", (self._seg_desc(),)),
+                              ("layout", (self._layout.copy(),))]
         return reallocated
 
     def _seg_desc(self) -> dict:
         return {field: (seg.name, seg.dtype.str, seg.capacity)
                 for field, seg in self._segments.items()}
 
-    def _place_full(self, answers: AnswerSet) -> list:
-        """Write the full task-sorted arrays as a single epoch."""
-        sharded = ShardedAnswerSet(answers, self.n_shards)
-        length = answers.n_answers
-        reattach = self._ensure_capacity(length,
-                                         self._values_dtype(answers))
-        flat = {"tasks": sharded.flat_tasks, "workers": sharded.flat_workers,
-                "values": sharded.flat_values}
-        for field, arr in flat.items():
-            self._segments[field].view[:length] = arr
-        bounds = []
-        offset = 0
-        for shard in sharded.shards:
-            bounds.append((offset, offset + shard.n_answers))
-            offset += shard.n_answers
-        cuts = [sharded.shards[0].task_start] + [s.task_stop
-                                                 for s in sharded.shards]
-        self._layout = {
-            "length": length,
-            "placed_length": length,
-            "task_cuts": cuts,
-            "epochs": [(0, length, bounds)],
-            "sizes": self._sizes(answers),
-        }
-        self._remember_prefix(answers)
-        ops: list = []
-        if reattach:
-            ops.append(("attach", (self._seg_desc(),)))
-        ops.append(("layout", (self._copy_layout(),)))
-        return ops
+    def _store_placed(self, sharded: ShardedAnswerSet) -> None:
+        """Write the sharded arrays as the layout's one epoch."""
+        length = self._layout.length
+        if not self._ensure_capacity(length, self._dtype):
+            self._pending.append(("layout", (self._layout.copy(),)))
+        for field, array in zip(FIELDS, (sharded.flat_tasks,
+                                         sharded.flat_workers,
+                                         sharded.flat_values)):
+            self._segments[field].view[:length] = array
 
-    def _extend(self, answers: AnswerSet) -> list:
-        """Append the new answer tail as one epoch."""
-        layout = self._layout
-        old_len = layout["length"]
-        new_len = answers.n_answers
-        delta_tasks = answers.tasks[old_len:]
-        delta_workers = answers.workers[old_len:]
-        delta_values = answers.values[old_len:]
-        if answers.task_type.is_categorical:
-            delta_values = delta_values.astype(np.int64, copy=False)
-        cuts = layout["task_cuts"]
-        n_ranges = len(cuts) - 1
-        if n_ranges > 1:
-            # Multi-shard layouts need the epoch task-sorted so each
-            # shard's piece is one contiguous slice; the single-shard
-            # layout keeps arrival order (the plain-path invariant).
-            order = radix_argsort(delta_tasks)
-            delta_tasks = delta_tasks[order]
-            delta_workers = delta_workers[order]
-            delta_values = delta_values[order]
-        # Cheap tripwire for the caller's append-only contract: the
-        # previously placed prefix of the arrival-order arrays must
-        # still start and end with the same tasks.  (A full comparison
-        # would cost as much as a copy.)
-        mark_len, first_task, last_task = self._prefix_mark
-        if mark_len and (int(answers.tasks[0]) != first_task
-                         or int(answers.tasks[mark_len - 1]) != last_task):
-            raise ProtocolError(
-                "stream_key reused but the previously placed answers "
-                "changed; extension requires append-only growth"
-            )
-        cuts[-1] = answers.n_tasks
-        reattach = self._ensure_capacity(new_len,
-                                         self._segments["values"].dtype,
-                                         preserve=old_len)
-        for field, arr in (("tasks", delta_tasks), ("workers", delta_workers),
-                           ("values", delta_values)):
-            self._segments[field].view[old_len:new_len] = arr
-        if n_ranges > 1:
-            pos = np.searchsorted(delta_tasks, cuts, side="left")
-            bounds = [(old_len + int(pos[k]), old_len + int(pos[k + 1]))
-                      for k in range(n_ranges)]
-        else:
-            bounds = [(old_len, new_len)]
-        epoch = (old_len, new_len, bounds)
-        layout["epochs"].append(epoch)
-        layout["length"] = new_len
-        layout["sizes"] = self._sizes(answers)
-        self._remember_prefix(answers)
-        ops: list = []
-        if reattach:
-            # Workers rebuild from the epoch list after re-attaching;
-            # send the full layout rather than the incremental message.
-            ops.append(("attach", (self._seg_desc(),)))
-            ops.append(("layout", (self._copy_layout(),)))
-        else:
-            ops.append(("extend", (epoch, dict(layout["sizes"]),
-                                   cuts[-1])))
-        return ops
-
-    def _copy_layout(self) -> dict:
-        layout = self._layout
-        return {
-            "length": layout["length"],
-            "task_cuts": list(layout["task_cuts"]),
-            "epochs": [(lo, hi, [tuple(b) for b in bounds])
-                       for lo, hi, bounds in layout["epochs"]],
-            "sizes": dict(layout["sizes"]),
-        }
-
-    def _remember_prefix(self, answers: AnswerSet) -> None:
-        """Record arrival-order endpoints of the placed answers (the
-        extend tripwire's reference points)."""
-        n = answers.n_answers
-        if n:
-            self._prefix_mark = (n, int(answers.tasks[0]),
-                                 int(answers.tasks[n - 1]))
-        else:
-            self._prefix_mark = (0, -1, -1)
+    def _store_tail(self, tail: list) -> None:
+        """Append the new epoch behind the placed answers."""
+        epoch = self._layout.epochs[-1]
+        lo, hi, _ = epoch
+        if not self._ensure_capacity(hi, self._dtype, preserve=lo):
+            self._pending.append(("extend", (epoch, self._layout.sizes)))
+        for field, array in zip(FIELDS, tail):
+            self._segments[field].view[lo:hi] = array
 
 
 class RuntimeRegistry:

@@ -473,8 +473,8 @@ class ShardState:
     over the *same* cuts (the last cut may grow with new tasks).
     ``n_answers`` records the answers the state was fitted on (the
     dirtiness boundary); ``base_answers`` the answers when the cuts
-    were computed (engines re-place and refit full once the stream has
-    doubled, mirroring the runtime's rebalance rule).
+    were computed, which the rebalance rule of
+    :mod:`repro.engine.placement` counts from.
 
     ``session`` is an opaque per-family payload for methods whose
     incremental contract carries more than posterior blocks and
@@ -1133,9 +1133,10 @@ def run_gibbs_sharded(
 
 def make_runner(answers_or_sharded, spec: ShardedEMSpec, n_shards: int = 1,
                 pool=None) -> SerialShardRunner:
-    """Convenience: build a :class:`SerialShardRunner` from an
+    """Build a :class:`SerialShardRunner` from an
     :class:`~repro.core.answers.AnswerSet` (sharded here) or an existing
-    :class:`~repro.core.shards.ShardedAnswerSet`."""
+    :class:`~repro.core.shards.ShardedAnswerSet` — the in-process half
+    of the runner ``fit`` builds."""
     if isinstance(answers_or_sharded, ShardedAnswerSet):
         sharded = answers_or_sharded
     else:

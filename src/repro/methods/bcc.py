@@ -262,39 +262,39 @@ class BCC(CategoricalMethod):
             return (np.log(np.clip(confusion, 1e-12, None)),
                     np.log(np.clip(prior, 1e-12, None)))
 
-        with self._shard_runner(answers, shard_runner, delta) as runner:
-            init = self.majority_posterior(answers)
-            tally = None
-            retained = 0
-            dirty_count = 0
-            if warm:
-                dirty = np.asarray(delta.dirty, dtype=bool)
-                dirty_count = int(dirty.sum())
-                init, tally, retained = chain_restart(
-                    session, delta.prev, runner.task_ranges, dirty, init)
-            outcome = run_gibbs_sharded(
-                runner,
-                n_sweeps=n_sweeps,
-                burn_in=burn_in,
-                sample=sample,
-                golden=golden,
-                initial_state=init,
-                tally=tally,
-                retained=retained,
-                mode="delta" if warm else "gibbs",
-                dirty=dirty_count,
-            )
-            shard_state = None
-            if delta is not None:
-                shard_state = chain_state(runner, outcome, delta, {
-                    "family": "bcc",
-                    "tally": outcome.tally,
-                    "retained": outcome.retained,
-                    "sweeps": prior_sweeps + n_sweeps,
-                    "rng_state": rng.bit_generator.state,
-                    "confusion_sum": confusion_sum,
-                    "retained_conf": retained_conf,
-                })
+        runner = shard_runner
+        init = self.majority_posterior(answers)
+        tally = None
+        retained = 0
+        dirty_count = 0
+        if warm:
+            dirty = np.asarray(delta.dirty, dtype=bool)
+            dirty_count = int(dirty.sum())
+            init, tally, retained = chain_restart(
+                session, delta.prev, runner.task_ranges, dirty, init)
+        outcome = run_gibbs_sharded(
+            runner,
+            n_sweeps=n_sweeps,
+            burn_in=burn_in,
+            sample=sample,
+            golden=golden,
+            initial_state=init,
+            tally=tally,
+            retained=retained,
+            mode="delta" if warm else "gibbs",
+            dirty=dirty_count,
+        )
+        shard_state = None
+        if delta is not None:
+            shard_state = chain_state(runner, outcome, delta, {
+                "family": "bcc",
+                "tally": outcome.tally,
+                "retained": outcome.retained,
+                "sweeps": prior_sweeps + n_sweeps,
+                "rng_state": rng.bit_generator.state,
+                "confusion_sum": confusion_sum,
+                "retained_conf": retained_conf,
+            })
 
         final = outcome.tally / max(outcome.retained, 1)
         final = clamp_golden_posterior(final, golden)

@@ -234,40 +234,40 @@ class CATD(GeneralMethod):
         coefficient = chi_square_confidence(
             answers.worker_answer_counts(), self.confidence
         )
-        with self._shard_runner(answers, shard_runner, delta) as runner:
-            spec = runner.spec
-            spec.coefficient = coefficient
-            if not categorical:
-                values = answers.values
-                scale = np.std(values) if np.std(values) > 0 else 1.0
-                spec.accumulate_shared = (float(scale),)
+        runner = shard_runner
+        spec = runner.spec
+        spec.coefficient = coefficient
+        if not categorical:
+            values = answers.values
+            scale = np.std(values) if np.std(values) > 0 else 1.0
+            spec.accumulate_shared = (float(scale),)
 
-            warm = warm_start is not None
-            if warm:
-                # The weights are fully recomputed from the losses after
-                # one truth step, so the warm values only seed that
-                # step; unseen workers start at the normalised mean.
-                weights = self._normalize(expand_worker_vector(
-                    warm_start.worker_quality, answers.n_workers, 1.0))
-            elif initial_quality is not None:
-                weights = self._normalize(
-                    coefficient * np.clip(initial_quality, 0.05, 1.0))
-            else:
-                weights = self._normalize(
-                    np.where(coefficient > 0, coefficient, 0.0))
+        warm = warm_start is not None
+        if warm:
+            # The weights are fully recomputed from the losses after
+            # one truth step, so the warm values only seed that
+            # step; unseen workers start at the normalised mean.
+            weights = self._normalize(expand_worker_vector(
+                warm_start.worker_quality, answers.n_workers, 1.0))
+        elif initial_quality is not None:
+            weights = self._normalize(
+                coefficient * np.clip(initial_quality, 0.05, 1.0))
+        else:
+            weights = self._normalize(
+                np.where(coefficient > 0, coefficient, 0.0))
 
-            if delta is not None and not warm:
-                delta = delta.collect_only()
-            outcome = run_alternating_sharded(
-                runner,
-                tolerance=self.tolerance,
-                max_iter=self.max_iter,
-                golden=golden,
-                initial_parameters=weights,
-                rng=rng,
-                count_prime=warm,
-                delta=delta,
-            )
+        if delta is not None and not warm:
+            delta = delta.collect_only()
+        outcome = run_alternating_sharded(
+            runner,
+            tolerance=self.tolerance,
+            max_iter=self.max_iter,
+            golden=golden,
+            initial_parameters=weights,
+            rng=rng,
+            count_prime=warm,
+            delta=delta,
+        )
 
         posterior = outcome.posterior if categorical else None
         return InferenceResult(

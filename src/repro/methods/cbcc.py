@@ -177,41 +177,41 @@ class CBCC(CategoricalMethod):
             return (log_conf[membership],
                     np.log(np.clip(prior, 1e-12, None)))
 
-        with self._shard_runner(answers, shard_runner, delta) as runner:
-            init = self.majority_posterior(answers)
-            tally = None
-            chain_retained = 0
-            dirty_count = 0
-            if warm:
-                dirty = np.asarray(delta.dirty, dtype=bool)
-                dirty_count = int(dirty.sum())
-                init, tally, chain_retained = chain_restart(
-                    session, delta.prev, runner.task_ranges, dirty, init)
-            outcome = run_gibbs_sharded(
-                runner,
-                n_sweeps=n_sweeps,
-                burn_in=burn_in,
-                sample=sample,
-                golden=None,
-                initial_state=init,
-                tally=tally,
-                retained=chain_retained,
-                mode="delta" if warm else "gibbs",
-                dirty=dirty_count,
-            )
-            shard_state = None
-            if delta is not None:
-                shard_state = chain_state(runner, outcome, delta, {
-                    "family": "cbcc",
-                    "communities": n_comm,
-                    "tally": outcome.tally,
-                    "retained": outcome.retained,
-                    "sweeps": prior_sweeps + n_sweeps,
-                    "rng_state": rng.bit_generator.state,
-                    "membership": membership,
-                    "quality_sum": quality_sum,
-                    "retained_quality": retained,
-                })
+        runner = shard_runner
+        init = self.majority_posterior(answers)
+        tally = None
+        chain_retained = 0
+        dirty_count = 0
+        if warm:
+            dirty = np.asarray(delta.dirty, dtype=bool)
+            dirty_count = int(dirty.sum())
+            init, tally, chain_retained = chain_restart(
+                session, delta.prev, runner.task_ranges, dirty, init)
+        outcome = run_gibbs_sharded(
+            runner,
+            n_sweeps=n_sweeps,
+            burn_in=burn_in,
+            sample=sample,
+            golden=None,
+            initial_state=init,
+            tally=tally,
+            retained=chain_retained,
+            mode="delta" if warm else "gibbs",
+            dirty=dirty_count,
+        )
+        shard_state = None
+        if delta is not None:
+            shard_state = chain_state(runner, outcome, delta, {
+                "family": "cbcc",
+                "communities": n_comm,
+                "tally": outcome.tally,
+                "retained": outcome.retained,
+                "sweeps": prior_sweeps + n_sweeps,
+                "rng_state": rng.bit_generator.state,
+                "membership": membership,
+                "quality_sum": quality_sum,
+                "retained_quality": retained,
+            })
 
         final = outcome.tally / max(outcome.retained, 1)
         quality = quality_sum / max(retained, 1)

@@ -223,58 +223,58 @@ class _ConfusionMatrixEM(CategoricalMethod):
         n_choices = answers.n_choices
         n_workers = answers.n_workers
         diag = np.arange(n_choices)
-        with self._shard_runner(answers, shard_runner, delta) as runner:
-            start = None
-            warm_params = None
-            if warm_start is not None:
-                prev_conf = warm_start.extras.get("confusion")
-                prev_prior = warm_start.extras.get("class_prior")
-                if prev_conf is not None and prev_prior is not None:
-                    # Resume from the previous confusion matrices;
-                    # workers that appeared since the last fit get
-                    # neutral diagonal matrices at the pool's mean
-                    # accuracy.
-                    prev_conf = np.asarray(prev_conf, dtype=np.float64)
-                    n_new = n_workers - prev_conf.shape[0]
-                    if n_new > 0:
-                        prev_conf = np.concatenate([
-                            prev_conf,
-                            diagonal_confusion(
-                                n_new, n_choices,
-                                neutral_accuracy(warm_start.worker_quality)),
-                        ])
-                    warm_params = _DSParameters(
-                        confusion=prev_conf,
-                        prior=np.asarray(prev_prior, dtype=np.float64),
-                    )
-                else:
-                    start = expand_posterior(warm_start.posterior, answers)
-            elif initial_quality is not None:
-                params0 = _DSParameters(
-                    confusion=initial_confusion_from_quality(
-                        initial_quality, n_choices),
-                    prior=np.full(n_choices, 1.0 / n_choices),
+        runner = shard_runner
+        start = None
+        warm_params = None
+        if warm_start is not None:
+            prev_conf = warm_start.extras.get("confusion")
+            prev_prior = warm_start.extras.get("class_prior")
+            if prev_conf is not None and prev_prior is not None:
+                # Resume from the previous confusion matrices;
+                # workers that appeared since the last fit get
+                # neutral diagonal matrices at the pool's mean
+                # accuracy.
+                prev_conf = np.asarray(prev_conf, dtype=np.float64)
+                n_new = n_workers - prev_conf.shape[0]
+                if n_new > 0:
+                    prev_conf = np.concatenate([
+                        prev_conf,
+                        diagonal_confusion(
+                            n_new, n_choices,
+                            neutral_accuracy(warm_start.worker_quality)),
+                    ])
+                warm_params = _DSParameters(
+                    confusion=prev_conf,
+                    prior=np.asarray(prev_prior, dtype=np.float64),
                 )
-                start = np.concatenate(
-                    runner.call("e_block", shared=(params0,)), axis=0)
             else:
-                # None lets run_em_sharded fall through to the per-shard
-                # majority-vote initialisation.
-                start = seed_posterior
-
-            if delta is not None and warm_params is None:
-                # A delta refit resumes from warm parameters; without
-                # them, run full but still collect the next fit's state.
-                delta = delta.collect_only()
-            outcome = run_em_sharded(
-                runner,
-                tolerance=self.tolerance,
-                max_iter=self.max_iter,
-                golden=golden,
-                initial_posterior=start,
-                initial_parameters=warm_params,
-                delta=delta,
+                start = expand_posterior(warm_start.posterior, answers)
+        elif initial_quality is not None:
+            params0 = _DSParameters(
+                confusion=initial_confusion_from_quality(
+                    initial_quality, n_choices),
+                prior=np.full(n_choices, 1.0 / n_choices),
             )
+            start = np.concatenate(
+                runner.call("e_block", shared=(params0,)), axis=0)
+        else:
+            # None lets run_em_sharded fall through to the per-shard
+            # majority-vote initialisation.
+            start = seed_posterior
+
+        if delta is not None and warm_params is None:
+            # A delta refit resumes from warm parameters; without
+            # them, run full but still collect the next fit's state.
+            delta = delta.collect_only()
+        outcome = run_em_sharded(
+            runner,
+            tolerance=self.tolerance,
+            max_iter=self.max_iter,
+            golden=golden,
+            initial_posterior=start,
+            initial_parameters=warm_params,
+            delta=delta,
+        )
         params: _DSParameters = outcome.parameters
         quality = params.confusion[:, diag, diag].mean(axis=1)
         return InferenceResult(

@@ -303,19 +303,19 @@ class Glad(CategoricalMethod):
                           np.zeros(answers.n_tasks))
             start = seed_posterior
 
-        with self._shard_runner(answers, shard_runner, delta) as runner:
-            runner.spec.initial_state = cold_state
-            if delta is not None and warm_params is None:
-                delta = delta.collect_only()
-            outcome = run_em_sharded(
-                runner,
-                tolerance=self.tolerance,
-                max_iter=self.max_iter,
-                golden=golden,
-                initial_posterior=start,
-                initial_parameters=warm_params,
-                delta=delta,
-            )
+        runner = shard_runner
+        runner.spec.initial_state = cold_state
+        if delta is not None and warm_params is None:
+            delta = delta.collect_only()
+        outcome = run_em_sharded(
+            runner,
+            tolerance=self.tolerance,
+            max_iter=self.max_iter,
+            golden=golden,
+            initial_posterior=start,
+            initial_parameters=warm_params,
+            delta=delta,
+        )
         alpha, log_beta = outcome.parameters
         return InferenceResult(
             method=self.name,

@@ -262,55 +262,55 @@ class KOS(BinaryMethod):
         delta=None,
     ) -> InferenceResult:
         started = time.perf_counter()
-        with self._shard_runner(answers, shard_runner, delta) as runner:
-            # One entropy word per fit: deterministic given the seed,
-            # independent of any layout (the per-edge seeds are derived
-            # from it shard-side — see edge_seed_messages).
-            entropy = int(rng.integers(0, 2 ** 63))
-            session = (delta.prev.session
-                       if delta is not None and delta.prev is not None
-                       else None)
-            # A message-state delta refit needs a warm start *and* a
-            # cached KOS session; anything else demotes to a collecting
-            # full fit (`refit="full"` passes no plan at all, so the
-            # historical path is untouched bit-for-bit).
-            warm = (warm_start is not None and session is not None
-                    and isinstance(session, dict)
-                    and session.get("family") == "kos"
-                    and len(session.get("y", ())) == runner.n_shards)
-            if delta is not None and delta.prev is not None and not warm:
-                delta = delta.collect_only()
+        runner = shard_runner
+        # One entropy word per fit: deterministic given the seed,
+        # independent of any layout (the per-edge seeds are derived
+        # from it shard-side — see edge_seed_messages).
+        entropy = int(rng.integers(0, 2 ** 63))
+        session = (delta.prev.session
+                   if delta is not None and delta.prev is not None
+                   else None)
+        # A message-state delta refit needs a warm start *and* a
+        # cached KOS session; anything else demotes to a collecting
+        # full fit (`refit="full"` passes no plan at all, so the
+        # historical path is untouched bit-for-bit).
+        warm = (warm_start is not None and session is not None
+                and isinstance(session, dict)
+                and session.get("family") == "kos"
+                and len(session.get("y", ())) == runner.n_shards)
+        if delta is not None and delta.prev is not None and not warm:
+            delta = delta.collect_only()
 
-            if warm:
-                fit_stats = self._run_delta(runner, answers, delta, entropy)
-            else:
-                fit_stats = FitStats(mode="full", n_shards=runner.n_shards)
-                runner.call("seed_edges", shared=(entropy,))
-                for _ in range(self.n_rounds):
-                    fit_stats.active_shards.append(runner.n_shards)
-                    fit_stats.frozen_shards.append(0)
-                    partials = runner.call("task_round")
-                    fit_stats.e_block_calls += runner.n_shards
-                    worker_totals = functools.reduce(np.add, partials)
-                    squares = runner.call("worker_round",
-                                          shared=(worker_totals,))
-                    fit_stats.accumulate_calls += runner.n_shards
-                    norm = np.sqrt(sum(squares) / answers.n_answers)
-                    if norm > 0:
-                        runner.call("scale_y", shared=(float(norm),))
-
-            shard_state = None
-            if delta is not None:
-                packed = runner.call("score_and_collect")
+        if warm:
+            fit_stats = self._run_delta(runner, answers, delta, entropy)
+        else:
+            fit_stats = FitStats(mode="full", n_shards=runner.n_shards)
+            runner.call("seed_edges", shared=(entropy,))
+            for _ in range(self.n_rounds):
+                fit_stats.active_shards.append(runner.n_shards)
+                fit_stats.frozen_shards.append(0)
+                partials = runner.call("task_round")
                 fit_stats.e_block_calls += runner.n_shards
-                scores = np.concatenate([p[0] for p in packed])
-                sums = functools.reduce(np.add, [p[1] for p in packed])
-                shard_state = self._collect_state(runner, packed, delta)
-            else:
-                results = runner.call("score_block")
-                scores = np.concatenate([block for block, _ in results])
-                sums = functools.reduce(np.add,
-                                        [part for _, part in results])
+                worker_totals = functools.reduce(np.add, partials)
+                squares = runner.call("worker_round",
+                                      shared=(worker_totals,))
+                fit_stats.accumulate_calls += runner.n_shards
+                norm = np.sqrt(sum(squares) / answers.n_answers)
+                if norm > 0:
+                    runner.call("scale_y", shared=(float(norm),))
+
+        shard_state = None
+        if delta is not None:
+            packed = runner.call("score_and_collect")
+            fit_stats.e_block_calls += runner.n_shards
+            scores = np.concatenate([p[0] for p in packed])
+            sums = functools.reduce(np.add, [p[1] for p in packed])
+            shard_state = self._collect_state(runner, packed, delta)
+        else:
+            results = runner.call("score_block")
+            scores = np.concatenate([block for block, _ in results])
+            sums = functools.reduce(np.add,
+                                    [part for _, part in results])
 
         truths = np.where(scores > 0, LABEL_TRUE, 1 - LABEL_TRUE)
         ties = scores == 0

@@ -187,17 +187,17 @@ class LearningFromCrowdsNumeric(NumericMethod):
             else:
                 warm_params = np.full(answers.n_workers, global_var)
 
-        with self._shard_runner(answers, shard_runner, delta) as runner:
-            if delta is not None and warm_params is None:
-                delta = delta.collect_only()
-            outcome = run_em_sharded(
-                runner,
-                tolerance=self.tolerance,
-                max_iter=self.max_iter,
-                golden=golden,
-                initial_parameters=warm_params,
-                delta=delta,
-            )
+        runner = shard_runner
+        if delta is not None and warm_params is None:
+            delta = delta.collect_only()
+        outcome = run_em_sharded(
+            runner,
+            tolerance=self.tolerance,
+            max_iter=self.max_iter,
+            golden=golden,
+            initial_parameters=warm_params,
+            delta=delta,
+        )
         variance = np.asarray(outcome.parameters, dtype=np.float64)
         quality = 1.0 / (1.0 + np.sqrt(variance))
         return InferenceResult(

@@ -388,31 +388,31 @@ class MinimaxEntropy(CategoricalMethod):
         shard_runner=None,
         delta=None,
     ) -> InferenceResult:
-        with self._shard_runner(answers, shard_runner, delta) as runner:
-            spec = runner.spec
-            spec.count_t = np.maximum(answers.task_answer_counts(),
-                                      1)[:, None]
-            spec.count_w = np.maximum(answers.worker_answer_counts(),
-                                      1)[:, None, None]
-            # Warm gradient restarts run only under a true delta plan:
-            # without one the fit is cold, exactly the historical
-            # behaviour (so refit="full" streams stay bit-identical).
-            initial_parameters = None
-            if (warm_start is not None and delta is not None
-                    and delta.prev is not None):
-                initial_parameters = self._warm_parameters(warm_start,
-                                                           answers)
-            warm = initial_parameters is not None
-            if delta is not None and not warm:
-                delta = delta.collect_only()
-            outcome = run_em_sharded(
-                runner,
-                tolerance=self.tolerance,
-                max_iter=self.max_iter,
-                golden=golden,
-                initial_parameters=initial_parameters,
-                delta=delta,
-            )
+        runner = shard_runner
+        spec = runner.spec
+        spec.count_t = np.maximum(answers.task_answer_counts(),
+                                  1)[:, None]
+        spec.count_w = np.maximum(answers.worker_answer_counts(),
+                                  1)[:, None, None]
+        # Warm gradient restarts run only under a true delta plan:
+        # without one the fit is cold, exactly the historical
+        # behaviour (so refit="full" streams stay bit-identical).
+        initial_parameters = None
+        if (warm_start is not None and delta is not None
+                and delta.prev is not None):
+            initial_parameters = self._warm_parameters(warm_start,
+                                                       answers)
+        warm = initial_parameters is not None
+        if delta is not None and not warm:
+            delta = delta.collect_only()
+        outcome = run_em_sharded(
+            runner,
+            tolerance=self.tolerance,
+            max_iter=self.max_iter,
+            golden=golden,
+            initial_parameters=initial_parameters,
+            delta=delta,
+        )
 
         tau, sigma = outcome.parameters[0], outcome.parameters[1]
         # Worker quality: probability mass the worker's model puts on

@@ -114,31 +114,31 @@ class PM(GeneralMethod):
         delta=None,
     ) -> InferenceResult:
         categorical = answers.task_type.is_categorical
-        with self._shard_runner(answers, shard_runner, delta) as runner:
-            if not categorical:
-                values = answers.values
-                scale = np.std(values) if np.std(values) > 0 else 1.0
-                runner.spec.accumulate_shared = (float(scale),)
+        runner = shard_runner
+        if not categorical:
+            values = answers.values
+            scale = np.std(values) if np.std(values) > 0 else 1.0
+            runner.spec.accumulate_shared = (float(scale),)
 
-            warm = warm_start is not None
-            if warm:
-                weights = expand_worker_vector(
-                    warm_start.worker_quality, answers.n_workers, 1.0)
-            else:
-                weights = self._initial_weights(answers, initial_quality)
+        warm = warm_start is not None
+        if warm:
+            weights = expand_worker_vector(
+                warm_start.worker_quality, answers.n_workers, 1.0)
+        else:
+            weights = self._initial_weights(answers, initial_quality)
 
-            if delta is not None and not warm:
-                delta = delta.collect_only()
-            outcome = run_alternating_sharded(
-                runner,
-                tolerance=self.tolerance,
-                max_iter=self.max_iter,
-                golden=golden,
-                initial_parameters=weights,
-                rng=rng,
-                count_prime=warm,
-                delta=delta,
-            )
+        if delta is not None and not warm:
+            delta = delta.collect_only()
+        outcome = run_alternating_sharded(
+            runner,
+            tolerance=self.tolerance,
+            max_iter=self.max_iter,
+            golden=golden,
+            initial_parameters=weights,
+            rng=rng,
+            count_prime=warm,
+            delta=delta,
+        )
 
         posterior = outcome.posterior if categorical else None
         return InferenceResult(

@@ -297,29 +297,29 @@ class _VariationalTwoCoin(BinaryMethod):
         shard_runner=None,
         delta=None,
     ) -> InferenceResult:
-        with self._shard_runner(answers, shard_runner, delta) as runner:
-            mu0 = self._initial_mu(answers, initial_quality)
-            # Variational blocks are reused only under a true delta
-            # plan; without one the fit is cold, exactly the historical
-            # behaviour (refit="full" streams stay bit-identical).
-            initial_parameters = None
-            if (warm_start is not None and delta is not None
-                    and delta.prev is not None):
-                initial_parameters = self._warm_parameters(
-                    warm_start, answers, mu0, runner.spec)
-            warm = initial_parameters is not None
-            if delta is not None and not warm:
-                delta = delta.collect_only()
-            outcome = run_em_sharded(
-                runner,
-                tolerance=self.tolerance,
-                max_iter=self.max_iter,
-                golden=golden,
-                initial_posterior=mu0,
-                initial_parameters=initial_parameters,
-                delta=delta,
-            )
-            counts = self._final_counts(runner, outcome)
+        runner = shard_runner
+        mu0 = self._initial_mu(answers, initial_quality)
+        # Variational blocks are reused only under a true delta
+        # plan; without one the fit is cold, exactly the historical
+        # behaviour (refit="full" streams stay bit-identical).
+        initial_parameters = None
+        if (warm_start is not None and delta is not None
+                and delta.prev is not None):
+            initial_parameters = self._warm_parameters(
+                warm_start, answers, mu0, runner.spec)
+        warm = initial_parameters is not None
+        if delta is not None and not warm:
+            delta = delta.collect_only()
+        outcome = run_em_sharded(
+            runner,
+            tolerance=self.tolerance,
+            max_iter=self.max_iter,
+            golden=golden,
+            initial_posterior=mu0,
+            initial_parameters=initial_parameters,
+            delta=delta,
+        )
+        counts = self._final_counts(runner, outcome)
         return self._result(answers, outcome, counts, rng, warm)
 
     @staticmethod

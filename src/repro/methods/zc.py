@@ -146,45 +146,45 @@ class ZenCrowd(CategoricalMethod):
         shard_runner=None,
         delta=None,
     ) -> InferenceResult:
-        with self._shard_runner(answers, shard_runner, delta) as runner:
-            start = None
-            warm_params = None
-            if warm_start is not None:
-                # The worker probability *is* ZC's EM parameter: resume
-                # from the previous qualities; unseen workers start at
-                # the pool's neutral seed accuracy.
-                warm_params = expand_worker_vector(
-                    warm_start.worker_quality, answers.n_workers,
-                    neutral_accuracy(warm_start.worker_quality),
-                )
-            elif initial_quality is not None:
-                start = np.concatenate(
-                    runner.call("e_block", shared=(initial_quality,)),
-                    axis=0)
-            else:
-                start = seed_posterior
-
-            if delta is not None and warm_params is None:
-                delta = delta.collect_only()
-            outcome = run_em_sharded(
-                runner,
-                tolerance=self.tolerance,
-                max_iter=self.max_iter,
-                golden=golden,
-                initial_posterior=start,
-                initial_parameters=warm_params,
-                delta=delta,
+        runner = shard_runner
+        start = None
+        warm_params = None
+        if warm_start is not None:
+            # The worker probability *is* ZC's EM parameter: resume
+            # from the previous qualities; unseen workers start at
+            # the pool's neutral seed accuracy.
+            warm_params = expand_worker_vector(
+                warm_start.worker_quality, answers.n_workers,
+                neutral_accuracy(warm_start.worker_quality),
             )
-            if (outcome.shard_state is not None
-                    and all(s is not None
-                            for s in outcome.shard_state.stats)):
-                # The collected state already holds every shard's
-                # statistics at the final posterior — finalizing their
-                # merge IS the m_step below, minus the recomputation.
-                quality = runner.spec.finalize(
-                    SufficientStats.total(outcome.shard_state.stats))
-            else:
-                quality = runner.m_step(outcome.posterior)
+        elif initial_quality is not None:
+            start = np.concatenate(
+                runner.call("e_block", shared=(initial_quality,)),
+                axis=0)
+        else:
+            start = seed_posterior
+
+        if delta is not None and warm_params is None:
+            delta = delta.collect_only()
+        outcome = run_em_sharded(
+            runner,
+            tolerance=self.tolerance,
+            max_iter=self.max_iter,
+            golden=golden,
+            initial_posterior=start,
+            initial_parameters=warm_params,
+            delta=delta,
+        )
+        if (outcome.shard_state is not None
+                and all(s is not None
+                        for s in outcome.shard_state.stats)):
+            # The collected state already holds every shard's
+            # statistics at the final posterior — finalizing their
+            # merge IS the m_step below, minus the recomputation.
+            quality = runner.spec.finalize(
+                SufficientStats.total(outcome.shard_state.stats))
+        else:
+            quality = runner.m_step(outcome.posterior)
         return InferenceResult(
             method=self.name,
             truths=decode_posterior(outcome.posterior, rng),
