@@ -15,6 +15,11 @@ from typing import Any
 
 import numpy as np
 
+#: The fault-recovery events a shard runner counts (its
+#: ``fault_events``), in report order; each is a :class:`FitStats`
+#: field.
+FAULT_EVENTS = ("respawns", "retries", "timeouts", "crashes", "degraded")
+
 
 @dataclasses.dataclass
 class FitStats:
@@ -64,9 +69,13 @@ class FitStats:
     retries: int = 0
     #: Shard phases that blew their per-phase deadline.
     timeouts: int = 0
-    #: Shard-phase executions degraded to the in-process serial path
-    #: after the retry budget ran out.
+    #: Shard-phase executions degraded to the master after the retry
+    #: budget ran out.
     degraded: int = 0
+    #: Shard phases, and lease syncs, whose worker died or hung up.
+    #: A plain class default, so a fit pickled before this field
+    #: existed still reads it after unpickling.
+    crashes: int = 0
     #: Wall seconds per runner phase (``e_block``, ``accumulate``, ...),
     #: summed over the fit's dispatches; on the process tier each
     #: includes the round trip.  ``None`` when no runner timed a phase.
@@ -113,11 +122,10 @@ class FitStats:
                 f"{self.ipc['bytes_out'] / 1e3:.1f}kB out "
                 f"{self.ipc['bytes_in'] / 1e3:.1f}kB in "
                 f"worker {self.ipc['worker_seconds'] * 1000:.1f}ms")
-        if self.respawns or self.retries or self.timeouts or self.degraded:
-            parts.append(
-                f"faults: {self.respawns} respawns, {self.retries} "
-                f"retries, {self.timeouts} timeouts, {self.degraded} "
-                f"degraded")
+        faults = [(getattr(self, key), key) for key in FAULT_EVENTS]
+        if any(count for count, _ in faults):
+            parts.append("faults: " + ", ".join(
+                f"{count} {key}" for count, key in faults))
         return ", ".join(parts)
 
     def record_runner(self, runner) -> None:
@@ -125,10 +133,8 @@ class FitStats:
         fault-event counters, its wall seconds per phase and, on the
         process tier, its transport counters."""
         events = getattr(runner, "fault_events", None) or {}
-        self.respawns += events.get("respawns", 0)
-        self.retries += events.get("retries", 0)
-        self.timeouts += events.get("timeouts", 0)
-        self.degraded += events.get("degraded", 0)
+        for key in FAULT_EVENTS:
+            setattr(self, key, getattr(self, key) + events.get(key, 0))
         seconds = getattr(runner, "phase_seconds", None)
         if seconds:
             totals = dict(self.phase_seconds or {})

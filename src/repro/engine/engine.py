@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from ..core.policy import ExecutionPolicy, MethodSpec, StorePolicy
 from ..core.registry import capabilities, create
-from ..core.result import InferenceResult
+from ..core.result import FAULT_EVENTS, InferenceResult
 from ..core.tasktypes import TaskType
 from ..core.warmstart import pad_result_labels
 from ..exceptions import EngineError, RecoveryError, StoreError
@@ -166,8 +166,7 @@ class InferenceEngine:
         self._snapshot_seqs: dict[str, int] = {}
         #: Lifetime fault-recovery totals over every fit this engine
         #: ran (``repro stream -v`` reports them at end of stream).
-        self.fault_totals = {"respawns": 0, "retries": 0,
-                             "timeouts": 0, "degraded": 0}
+        self.fault_totals = dict.fromkeys(FAULT_EVENTS, 0)
         if self.policy.store is not None:
             self._open_store(self.policy.store)
 
@@ -388,18 +387,26 @@ class InferenceEngine:
                 self._adopt_session(result.shard_state, snapshot)
 
     def _adopt_session(self, state, snapshot) -> None:
-        """Seed the in-process shard session with a recovered
-        :class:`~repro.inference.sharded.ShardState`'s pinned cuts, so
-        the first post-recovery refit is a true delta refit."""
+        """Seed the warm layout the next refit runs on — the in-process
+        shard session, or the registry's runtime on the process tier —
+        with a recovered :class:`~repro.inference.sharded.ShardState`'s
+        pinned cuts, so the first post-recovery refit is a true delta
+        refit."""
         plan = self.policy.resolve(snapshot)
-        # Adopt only a layout the next refit can use: in process, over
-        # the state's shard count, on cuts that still hold.
-        if (plan.sharded and plan.mode != "process"
-                and plan.n_shards == state.n_shards
+        # Adopt only a layout the next refit can use: over the state's
+        # shard count, on cuts that still hold.
+        if not (plan.sharded and plan.n_shards == state.n_shards
                 and cuts_hold(snapshot, state.n_answers,
                               state.task_cuts[-1], state.base_answers)):
-            self._session(plan.n_shards).adopt(
-                snapshot, state, stream_key=self._stream_key())
+            return
+        if plan.mode == "process":
+            from .runtime import get_runtime_registry
+
+            registry = self._registry or get_runtime_registry()
+            self._runtime = placement = registry.acquire(plan)
+        else:
+            placement = self._session(plan.n_shards)
+        placement.adopt(snapshot, state, stream_key=self._stream_key())
 
     # ------------------------------------------------------------------
     # Inference

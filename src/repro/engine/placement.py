@@ -24,9 +24,11 @@ the counters.  Its storage backends only store what it decides: the
 in-process :class:`~repro.engine.runtime.SerialShardSession` keeps
 per-shard arrays, the process-tier
 :class:`~repro.engine.runtime.ShardRuntime` writes shared-memory
-segments and ships each :class:`Layout` change to its workers.  Every
-tier builds a shard from a layout the same way, so a shard holds the
-same bytes wherever it is built.
+segments and ships each :class:`Layout` change to its workers.  Each
+process that runs phases keeps its copy of the layout in one
+:class:`_ShardHost` — the session, every pinned worker, and the
+master's degraded path — so a shard holds the same bytes, and runs
+the same code, wherever it is built.
 
 A shard's arrays are its epoch slices in epoch order.  They hold the
 answers ``ShardedAnswerSet(answers, n_shards, task_cuts=cuts)`` would
@@ -41,11 +43,14 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
+from typing import Sequence
 
 import numpy as np
 
 from ..core.answers import AnswerSet
 from ..core.framework import radix_argsort
+from ..core.policy import MethodSpec
+from ..core.registry import method_class
 from ..core.shards import AnswerShard, ShardedAnswerSet
 from ..exceptions import EngineError, ProtocolError
 
@@ -57,6 +62,13 @@ MAX_EPOCHS = 16
 
 #: Order of the answer arrays in every per-shard triple.
 FIELDS = ("tasks", "workers", "values")
+
+#: EM specs a :class:`_ShardHost` keeps between fits, the least
+#: recently configured evicted first.  A mix of refreshes and reads
+#: leases one spec per method and kwargs: ``process_mixed_reads``
+#: leases 4 (D&S and KOS, each as a refresher with a tolerance and as
+#: a reader with default kwargs), and all 4 stay warm.
+MAX_SPECS = 4
 
 
 def _sizes(answers: AnswerSet) -> tuple[int, int, int]:
@@ -88,25 +100,6 @@ def cuts_align(ranges, state) -> bool:
             and all(start == cuts[k] for k, (start, _) in enumerate(ranges))
             and all(stop == cuts[k + 1]
                     for k, (_, stop) in enumerate(ranges[:-1])))
-
-
-def retain_spec(held, key, sizes, build) -> tuple[tuple, bool]:
-    """The ``(key, spec)`` pair a fit of method construction ``key``
-    over global ``sizes`` runs with, and whether it was retained.
-
-    ``held``, the pair kept from an earlier fit, is retained when its
-    construction is the same and its spec accepts the (possibly grown)
-    sizes in place (:meth:`~repro.inference.sharded.ShardedEMSpec.
-    resize`): its per-shard frozen operators then survive the fit
-    boundary.  Otherwise ``build(*sizes)`` makes a new spec.  The
-    storage backends drop the operators of the shards an extend
-    touched, and the whole pair on a placement, so a retained spec never
-    reads stale arrays.  A ``None`` key is never retained.
-    """
-    if (held is not None and key is not None and held[0] == key
-            and held[1].resize(*sizes)):
-        return held, True
-    return (key, build(*sizes)), False
 
 
 @dataclasses.dataclass
@@ -166,6 +159,128 @@ class Layout:
             n_tasks=n_tasks, n_workers=n_workers, n_choices=n_choices,
             index=k,
         )
+
+
+class _ShardHost:
+    """One process's copy of a placed layout: the per-shard answer
+    arrays, the :class:`AnswerShard`\\ s over them and the EM specs
+    kept between fits.
+
+    A shard's arrays are given (:meth:`place`) or sliced from the
+    stored flat arrays ``views`` (field -> array) on first use; an
+    extend concatenates its epoch onto the arrays held.  Specs are kept
+    per :class:`~repro.core.policy.MethodSpec`, at most
+    :data:`MAX_SPECS`, and one kept for the same construction is reused
+    when it accepts the grown sizes in place
+    (:meth:`~repro.inference.sharded.ShardedEMSpec.resize`): its
+    per-shard frozen operators then survive the fit boundary.  An
+    extend drops only the operators of the shards it touched and a
+    placement drops every spec, so a kept spec never reads stale
+    arrays.
+    """
+
+    def __init__(self, views: dict | None = None) -> None:
+        self.views = views if views is not None else {}
+        self.layout: Layout | None = None
+        self.arrays: dict[int, tuple] = {}
+        self._shards: dict[int, AnswerShard] = {}
+        #: MethodSpec -> spec, least recently configured first.
+        self._specs: dict[MethodSpec, object] = {}
+        #: The spec phases run on, made current by :meth:`configure`.
+        self.spec = None
+        self.spec_reuses = 0
+
+    @property
+    def n_shards(self) -> int:
+        return len(self.layout.cuts) - 1
+
+    def place(self, layout: Layout | None,
+              arrays: Sequence[tuple] = ()) -> None:
+        """Adopt a full (re-)placement, shard ``k`` over ``arrays[k]``
+        when given.  The shards and specs held belonged to the old
+        layout."""
+        self.layout = layout
+        self.arrays = dict(enumerate(arrays))
+        self._shards = {}
+        self._specs = {}
+        self.spec = None
+
+    def extend(self, epoch: tuple, sizes: tuple[int, int, int],
+               tail: Sequence | None = None) -> None:
+        """Fold one appended epoch into the layout.
+
+        ``tail`` holds the epoch's ``(tasks, workers, values)`` from
+        its first position on (by default its slice of ``views``).
+        Held arrays grow by their shard's piece of it; shards are
+        rebuilt for the new global sizes and the last shard's grown
+        task range.
+        """
+        self.layout.grow(epoch, sizes)
+        start, stop, bounds = epoch
+        if tail is None:
+            tail = [self.views[field][start:stop] for field in FIELDS]
+        for k, (lo, hi) in enumerate(bounds):
+            if hi <= lo:
+                continue
+            for spec in self._specs.values():
+                spec.invalidate_shard(k)
+            if k in self.arrays:
+                self.arrays[k] = tuple(
+                    np.concatenate([held, piece[lo - start:hi - start]])
+                    for held, piece in zip(self.arrays[k], tail))
+        self._shards = {}
+
+    def swap(self, k: int, arrays: tuple) -> None:
+        """Hold shard ``k``'s answers in ``arrays`` instead (the same
+        bytes stored elsewhere, e.g. a spill file's memory-maps)."""
+        self.arrays[k] = arrays
+        self._shards.pop(k, None)
+
+    def configure(self, method: MethodSpec | None, build=None):
+        """Make ``method``'s EM spec current, and return it.
+
+        The spec kept for ``method`` is reused if it accepts the
+        layout's sizes; otherwise ``build(*sizes)`` makes one — by
+        default the registry's method rebuilt from ``method``, as every
+        process builds it.  A ``None`` method is never kept.
+        """
+        sizes = self.layout.sizes
+        spec = self._specs.pop(method, None)
+        if spec is not None and spec.resize(*sizes):
+            self.spec_reuses += 1
+        else:
+            if build is None:
+                build = method_class(method.name)(
+                    **method.kwargs).make_em_spec
+            spec = build(*sizes)
+        if method is not None:
+            self._specs[method] = spec
+            if len(self._specs) > MAX_SPECS:
+                del self._specs[next(iter(self._specs))]
+        self.spec = spec
+        return spec
+
+    def shard(self, k: int) -> AnswerShard:
+        """Shard ``k``, built on first use and kept across fits."""
+        shard = self._shards.get(k)
+        if shard is None:
+            if k not in self.arrays:
+                self.arrays[k] = self.layout.slices(self.views, k)
+            shard = self._shards[k] = self.layout.shard(self.arrays[k], k)
+        return shard
+
+    def run(self, k: int, phase: str, args: tuple):
+        """Run ``phase`` of the current spec on shard ``k``."""
+        shard = self.shard(k)
+        return getattr(self.spec, phase)(shard, self.spec.shard_ops(shard),
+                                         *args)
+
+    def replay(self, log: Sequence[tuple]) -> None:
+        """Re-run a phase log's ``(shard, phase, args)`` entries in
+        order.  Phases are deterministic, so the per-shard ``ops``
+        they write come back bit for bit; their results are dropped."""
+        for k, phase, args in log:
+            self.run(k, phase, args)
 
 
 class Placement:

@@ -39,9 +39,9 @@ Each pool slot is one pinned worker process behind a duplex
 ``multiprocessing`` pipe.  A phase costs **one message per slot**, not
 one per shard: the slot's shards with their per-shard arguments, the
 ``shared`` arguments once, and one reply list back.  A worker serves
-its pipe in FIFO order, so the master's sync messages (attach /
-layout / extend / configure) always land before the phases that
-depend on them.  Replies are awaited under the
+its pipe in FIFO order, so the master's sync messages (attach / place
+/ extend / configure) always land before the phases that depend on
+them.  Replies are awaited under the
 :class:`~repro.core.policy.FaultPolicy` deadline through a poll
 registration kept for the worker's lifetime (the pipe plus the
 process sentinel), so a bounded wait costs what an unbounded one does.
@@ -50,6 +50,21 @@ replaced by a fresh worker on a fresh pipe before it is used again: a
 late reply is never read as the next phase's.  A phase that raises in
 the worker is re-raised on the master with its type and message, and
 the worker keeps serving.
+
+Shard hosts
+-----------
+A worker keeps its copy of the placed layout in one
+:class:`~repro.engine.placement._ShardHost`: the shard arrays, sliced
+from the attached segments on first use; the shards over them; and
+the EM specs kept between fits, one per method construction.  A fresh
+worker is rebuilt by a ledger: attach the live segments, place the
+master's layout, configure the lease's spec, then replay the lease's
+log of the phases that wrote per-shard state (the spec's
+``stateful_phases``).  A slot degraded past the retry budget runs its
+phases on a master-side host synced from that same ledger over the
+live segment views, so a degraded phase runs the worker's own code on
+the same bytes and stays bit-identical.  The in-process tiers keep
+their shards and specs in the same host class.
 
 The shared-memory resource tracker is started before any worker is
 forked.  A worker forked before the tracker exists starts a tracker of
@@ -87,8 +102,7 @@ registry, directly or through ``fit(policy=...)`` and the engine.
 The in-process serial/thread tiers use no workers and no shared memory,
 but the engine's delta refits on them keep a warm layout too:
 :class:`SerialShardSession` is this module's in-process analogue of a
-runtime, the same placement over per-shard arrays in the calling
-process.
+runtime, the same placement and host in the calling process.
 """
 
 from __future__ import annotations
@@ -124,9 +138,10 @@ from ..core.policy import (
     resolve_process_workers,
 )
 from ..core.registry import method_class
+from ..core.result import FAULT_EVENTS
 from ..core.shards import AnswerShard, ShardedAnswerSet
 from ..inference.sharded import SerialShardRunner
-from .placement import FIELDS, Layout, Placement, retain_spec
+from .placement import FIELDS, Placement, _ShardHost
 
 __all__ = [
     "SerialShardSession",
@@ -151,23 +166,6 @@ class _WorkerLost(WorkerCrashError):
 #: pipe torn) or the phase blew its deadline (hung worker).
 _DISPATCH_FAILURES = (_WorkerLost, TimeoutError)
 
-#: Zeroed per-lease fault-event counters (the shape ``FitStats``
-#: ingests via ``record_runner``).
-_FAULT_EVENT_KEYS = ("respawns", "retries", "timeouts", "crashes",
-                     "degraded")
-
-
-def _zero_fault_events() -> dict:
-    return dict.fromkeys(_FAULT_EVENT_KEYS, 0)
-
-
-def _zero_ipc() -> dict:
-    """Zeroed per-lease transport counters: messages sent, pickled
-    bytes written and read on the pipes, and the worker-side seconds
-    the replies report (folded into ``FitStats.ipc``)."""
-    return {"messages": 0, "bytes_out": 0, "bytes_in": 0,
-            "worker_seconds": 0.0}
-
 #: Lease-protocol verifier (None unless ``REPRO_CHECKS=1``): the
 #: master-side hooks below report segment/pool/lease lifecycle events
 #: to :mod:`repro.checks.protocol`.  Disabled cost is one ``is None``
@@ -178,29 +176,34 @@ _VERIFIER = _get_protocol_verifier()
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
-# One mutable context per worker process.  A worker serves its pipe
-# FIFO, so the master's sync messages (attach / layout / extend /
-# configure) are always applied before the phases that depend on them
-# — no worker-side locking is needed.
-_WORKER_CTX: dict = {}
+# A worker serves its pipe FIFO, so the master's sync messages (attach /
+# place / extend / configure / replay) are always applied before the
+# phases that depend on them — no worker-side locking is needed.
+
+#: This worker's shared-memory attachments (field -> SharedMemory).
+_SEGMENTS: dict = {}
+
+#: This worker's copy of the placed layout, over views of ``_SEGMENTS``.
+_HOST = _ShardHost()
 
 
 def _worker_detach() -> None:
     """Release every shared-memory attachment held by this worker.
 
-    Registered ``atexit`` on first attach (the satellite fix for the
-    resource-tracker ``leaked shared_memory`` warnings): numpy views
-    are dropped first so ``SharedMemory.close()`` does not trip over
-    exported buffers during interpreter teardown.
+    Registered ``atexit`` on first attach, so the resource tracker
+    reports no ``leaked shared_memory``: the host's arrays, shards and
+    specs and the numpy views are dropped first, so
+    ``SharedMemory.close()`` does not trip over exported buffers during
+    interpreter teardown.
     """
-    for key in ("spec", "shards", "arrays", "layout", "views"):
-        _WORKER_CTX.pop(key, None)
-    segments = _WORKER_CTX.pop("segments", {})
-    for shm in segments.values():
+    _HOST.place(None)
+    _HOST.views.clear()
+    for shm in _SEGMENTS.values():
         try:
             shm.close()
         except BufferError:  # a stray view survived; the OS cleans up
             pass
+    _SEGMENTS.clear()
 
 
 def _apply_attach(seg_desc: dict) -> None:
@@ -208,16 +211,14 @@ def _apply_attach(seg_desc: dict) -> None:
 
     ``seg_desc`` maps field -> (shm_name, dtype_str, capacity).  Stale
     attachments (renamed segments after a capacity reallocation) are
-    closed; a layout message always follows.
+    closed; a full placement always follows, which drops the host's
+    arrays and specs built over them.
     """
-    if "segments" not in _WORKER_CTX:
-        _WORKER_CTX["segments"] = {}
-        _WORKER_CTX["views"] = {}
+    if not _SEGMENTS:
         atexit.register(_worker_detach)
-    segments = _WORKER_CTX["segments"]
-    views = _WORKER_CTX["views"]
+    views = _HOST.views
     for field, (name, dtype, capacity) in seg_desc.items():
-        old = segments.get(field)
+        old = _SEGMENTS.get(field)
         if old is not None and old.name.lstrip("/") == name.lstrip("/"):
             continue
         if old is not None:
@@ -226,115 +227,32 @@ def _apply_attach(seg_desc: dict) -> None:
                 old.close()
             except BufferError:
                 pass
-        shm = shared_memory.SharedMemory(name=name)
-        segments[field] = shm
+        shm = _SEGMENTS[field] = shared_memory.SharedMemory(name=name)
         views[field] = np.ndarray((capacity,), dtype=np.dtype(dtype),
                                   buffer=shm.buf)
 
 
-def _apply_layout(layout: Layout) -> None:
-    """Adopt a full (re-)placement.  Cached shard arrays, shard objects
-    and the retained spec all belonged to the old layout."""
-    _WORKER_CTX["layout"] = layout
-    _WORKER_CTX["arrays"] = {}
-    _WORKER_CTX["shards"] = {}
-    _WORKER_CTX.pop("spec", None)
-
-
-def _apply_extend(epoch: tuple, sizes: tuple) -> None:
-    """Fold one appended epoch into the current layout.
-
-    Materialised shard arrays grow incrementally (concatenate the
-    shard's slice of the new epoch); shard *objects* are invalidated so
-    they pick up the new global sizes and the last shard's extended
-    task range.  A retained spec keeps the frozen operators of shards
-    the epoch did not touch — their arrays are unchanged — and drops
-    only the extended shards'.
-    """
-    _WORKER_CTX["layout"].grow(epoch, sizes)
-    views = _WORKER_CTX["views"]
-    arrays = _WORKER_CTX["arrays"]
-    held = _WORKER_CTX.get("spec")
-    for k, (lo, hi) in enumerate(epoch[2]):
-        if hi <= lo:
-            continue
-        if held is not None:
-            held[1].invalidate_shard(k)
-        if k in arrays:
-            arrays[k] = tuple(
-                np.concatenate([cached, views[field][lo:hi]])
-                for cached, field in zip(arrays[k], FIELDS))
-    _WORKER_CTX["shards"] = {}
-
-
-def _apply_configure(method: MethodSpec, sizes: tuple) -> None:
-    """Per-fit spec reset: rebuild the method's EM spec (and thereby
-    its per-shard operator caches) without touching pools or segments
-    — or retain the spec this worker holds, by the one rule in
-    :func:`~repro.engine.placement.retain_spec`, which is what makes
-    repeated delta refits on a fixed task/worker universe cheap."""
-    held, reused = retain_spec(
-        _WORKER_CTX.get("spec"), method, sizes,
-        lambda *sizes: method_class(method.name)(
-            **method.kwargs).make_em_spec(*sizes))
-    _WORKER_CTX["spec"] = held
-    _WORKER_CTX["spec_reuses"] = _WORKER_CTX.get("spec_reuses", 0) + reused
-    # Shard objects carry the global sizes, which may have grown.
-    _WORKER_CTX["shards"] = {}
-
-
-_SYNC_OPS = {
-    "attach": _apply_attach,
-    "layout": _apply_layout,
-    "extend": _apply_extend,
-    "configure": _apply_configure,
-}
-
-
 def _rt_sync(ops: Sequence[tuple]) -> int:
-    """Apply a batch of sync operations in order; returns the worker pid
-    (handy for asserting pool reuse in tests)."""
+    """Apply a batch of sync operations in order — ``attach``, or a
+    :class:`~repro.engine.placement._ShardHost` method by name — and
+    return the worker pid (handy for asserting pool reuse in tests)."""
     for name, args in ops:
-        _SYNC_OPS[name](*args)
+        if name == "attach":
+            _apply_attach(*args)
+        else:
+            getattr(_HOST, name)(*args)
     return os.getpid()
 
 
 def _materialize_shard(k: int) -> AnswerShard:
-    """This worker's view of shard ``k``, built lazily from the layout
-    and kept current across extends."""
-    shards = _WORKER_CTX["shards"]
-    shard = shards.get(k)
-    if shard is None:
-        layout = _WORKER_CTX["layout"]
-        arrays = _WORKER_CTX["arrays"]
-        if k not in arrays:
-            arrays[k] = layout.slices(_WORKER_CTX["views"], k)
-        shard = shards[k] = layout.shard(arrays[k], k)
-    return shard
-
-
-def _run_phase(k: int, phase: str, args: tuple):
-    """Run ``phase`` on this worker's view of shard ``k``."""
-    _, spec = _WORKER_CTX["spec"]
-    shard = _materialize_shard(k)
-    return getattr(spec, phase)(shard, spec.shard_ops(shard), *args)
+    """This worker's view of shard ``k``."""
+    return _HOST.shard(k)
 
 
 def _rt_phase(phase: str, items: Sequence[tuple], shared: tuple) -> list:
     """One phase over a slot's ``(shard, args)`` items, with ``shared``
     appended to every shard's arguments; the results in item order."""
-    return [_run_phase(k, phase, args + shared) for k, args in items]
-
-
-def _rt_replay(items: Sequence[tuple]) -> int:
-    """Re-run a respawned worker's phase history — ``(shard, phase,
-    args)`` triples in original dispatch order — to rebuild the mutable
-    per-shard ``ops`` of a stateful spec (phases are deterministic, so
-    the replayed state is bit-identical).  Results are discarded; only
-    the ``ops`` mutations matter."""
-    for k, phase, args in items:
-        _run_phase(k, phase, args)
-    return os.getpid()
+    return [_HOST.run(k, phase, args + shared) for k, args in items]
 
 
 def _rt_sleep(seconds: float) -> int:
@@ -352,11 +270,11 @@ def _rt_sleep(seconds: float) -> int:
 def _rt_probe() -> dict:
     """Worker-side introspection for tests: what survived the last
     configure (send it through a runtime worker's ``call``)."""
-    held = _WORKER_CTX.get("spec")
+    spec = _HOST.spec
     return {
         "pid": os.getpid(),
-        "spec_reuses": _WORKER_CTX.get("spec_reuses", 0),
-        "cached_ops": sorted(held[1]._ops) if held is not None else [],
+        "spec_reuses": _HOST.spec_reuses,
+        "cached_ops": sorted(spec._ops) if spec is not None else [],
     }
 
 
@@ -421,16 +339,18 @@ class SerialShardSession(Placement):
 
     What :class:`ShardRuntime` keeps warm in worker processes, this
     keeps warm in the calling process for the serial/thread tiers: the
-    per-shard answer arrays and each method's
-    :class:`~repro.inference.sharded.ShardedEMSpec` (with its per-shard
-    frozen operators).  A refit on a grown stream sorts and slices only
-    the new answer tail, concatenates it onto the shards it touches,
-    and drops exactly those shards' cached operators — so a delta
-    refit's per-fit setup cost scales with the delta, like its EM.
+    per-shard answer arrays and the methods'
+    :class:`~repro.inference.sharded.ShardedEMSpec`\\ s (with their
+    per-shard frozen operators), in the same
+    :class:`~repro.engine.placement._ShardHost` a worker keeps them in.
+    A refit on a grown stream sorts and slices only the new answer
+    tail, concatenates it onto the shards it touches, and drops exactly
+    those shards' cached operators — so a delta refit's per-fit setup
+    cost scales with the delta, like its EM.
 
     When to reuse, extend, re-place or adopt is decided by
     :class:`~repro.engine.placement.Placement`, the one placement layer
-    every tier shares; this class stores each shard's arrays.
+    every tier shares.
 
     With a :class:`~repro.store.spill.ShardSpill` attached, shards
     that sat untouched past the spill TTL swap their resident arrays
@@ -440,59 +360,47 @@ class SerialShardSession(Placement):
 
     def __init__(self, n_shards: int, *, spill=None) -> None:
         super().__init__(n_shards)
-        self._arrays: list[tuple] = []
-        #: method name -> (method spec, retained EM spec).
-        self._specs: dict[str, tuple] = {}
+        self._host = _ShardHost()
         self._spill = spill
         self._spill_tag = f"s{self.n_shards}"
         self._spilled: set[int] = set()
         self._touched: list[float] = []
-        self.spec_reuses = 0
+
+    @property
+    def spec_reuses(self) -> int:
+        """Fits that reused a kept spec (monotonically increasing)."""
+        return self._host.spec_reuses
 
     # -- storage ---------------------------------------------------------
     def _store_placed(self, sharded: ShardedAnswerSet) -> None:
-        self._arrays = [(s.tasks, s.workers, s.values)
-                        for s in sharded.shards]
-        self._specs.clear()
+        self._host.place(self._layout.copy(),
+                         [(s.tasks, s.workers, s.values)
+                          for s in sharded.shards])
         self._unspill_all()
-        self._touched = [time.monotonic()] * len(self._arrays)
+        self._touched = [time.monotonic()] * len(sharded.shards)
 
     def _store_tail(self, tail: list) -> None:
-        start, _, bounds = self._layout.epochs[-1]
-        tail_tasks, tail_workers, tail_values = tail
-        for k, (lo, hi) in enumerate(bounds):
-            if hi <= lo:
-                continue
-            lo, hi = lo - start, hi - start
-            tasks, workers, values = self._arrays[k]
-            self._arrays[k] = (np.concatenate([tasks, tail_tasks[lo:hi]]),
-                               np.concatenate([workers, tail_workers[lo:hi]]),
-                               np.concatenate([values, tail_values[lo:hi]]))
-            for _, spec in self._specs.values():
-                spec.invalidate_shard(k)
-            # A shard receiving answers is hot again: the concatenation
-            # above already re-materialised it in RAM, so drop its
-            # spill files and refresh its touch time.
-            self._unspill(k)
-            self._touched[k] = time.monotonic()
+        epoch = self._layout.epochs[-1]
+        self._host.extend(epoch, self._layout.sizes, tail)
+        for k, (lo, hi) in enumerate(epoch[2]):
+            if hi > lo:
+                # A shard receiving answers is hot again: the extend
+                # re-materialised it in RAM, so drop its spill files
+                # and refresh its touch time.
+                self._unspill(k)
+                self._touched[k] = time.monotonic()
 
     # -- runners ---------------------------------------------------------
     def runner(self, answers: AnswerSet, instance, *, stream_key=None,
                pool=None) -> SerialShardRunner:
         """A :class:`~repro.inference.sharded.SerialShardRunner` over
         the warm layout (placed, extended or reused for ``answers``),
-        with the method's EM spec retained across fits by
-        :func:`~repro.engine.placement.retain_spec`."""
+        with the method's EM spec kept across fits."""
         self._refresh(answers, stream_key)
-        layout = self._layout
-        held, reused = retain_spec(self._specs.get(instance.name),
-                                   instance.method_spec, layout.sizes,
-                                   instance.make_em_spec)
-        self._specs[instance.name] = held
-        self.spec_reuses += reused
-        shards = [layout.shard(arrays, k)
-                  for k, arrays in enumerate(self._arrays)]
-        return SerialShardRunner(held[1], shards, pool=pool)
+        host = self._host
+        spec = host.configure(instance.method_spec, instance.make_em_spec)
+        return SerialShardRunner(
+            spec, [host.shard(k) for k in range(host.n_shards)], pool=pool)
 
     # -- cold-shard spill ----------------------------------------------
     @property
@@ -525,11 +433,11 @@ class SerialShardSession(Placement):
         now = time.monotonic() if now is None else now
         ttl = self._spill.ttl if ttl is None else ttl
         count = 0
-        for k, arrays in enumerate(self._arrays):
-            if k in self._spilled or now - self._touched[k] < ttl:
+        for k, touched in enumerate(self._touched):
+            if k in self._spilled or now - touched < ttl:
                 continue
-            self._arrays[k] = self._spill.spill(self._spill_tag, k,
-                                                arrays)
+            self._host.swap(k, self._spill.spill(
+                self._spill_tag, k, self._host.arrays[k]))
             self._spilled.add(k)
             count += 1
         return count
@@ -715,29 +623,39 @@ class RuntimeLease(SerialShardRunner):
 
     Exposes the :class:`~repro.inference.sharded.SerialShardRunner`
     surface (``spec`` / ``call`` / ``m_step`` / ``task_ranges``) but
-    dispatches phases to the runtime's pinned workers.  ``close()``
-    releases the runtime for the next fit; exiting the ``with`` block
-    on an exception additionally resets the runtime (see module
-    docstring).
+    dispatches phases to the runtime's pinned workers, and holds what
+    lives for one fit: the fault-event and transport tallies, the armed
+    fault plan, the log of the phases that wrote per-shard state, and
+    the slots degraded to the master with the master-side shard host
+    their phases run on.  ``close()`` releases the runtime for the next
+    fit; exiting the ``with`` block on an exception additionally resets
+    the runtime (see module docstring).
     """
 
     def __init__(self, runtime: "ShardRuntime", spec,
-                 task_ranges: Sequence[tuple[int, int]],
-                 fault_events: dict | None = None,
-                 ipc: dict | None = None) -> None:
+                 task_ranges: Sequence[tuple[int, int]], *, faults,
+                 fault_events: dict, ipc: dict) -> None:
         super().__init__(spec, shards=())
         self._runtime = runtime
         self._ranges = [tuple(r) for r in task_ranges]
+        self._faults = faults
         self._released = False
         self._dispatched = False
-        #: Per-lease fault-recovery counters (respawns/retries/timeouts/
-        #: crashes/degraded), folded into ``FitStats`` by the drivers.
-        self.fault_events = (fault_events if fault_events is not None
-                             else _zero_fault_events())
+        #: Per-lease fault-recovery counters, folded into ``FitStats``
+        #: by the drivers.
+        self.fault_events = fault_events
         #: Per-lease transport counters measured on the pipes (messages,
         #: bytes_out, bytes_in, worker_seconds), the lease's sync
         #: included; folded into ``FitStats.ipc`` the same way.
-        self.ipc = ipc if ipc is not None else _zero_ipc()
+        self.ipc = ipc
+        #: ``(shard, phase, args)`` of every dispatched phase in
+        #: ``spec.stateful_phases``, in dispatch order: replayed into a
+        #: respawned worker and onto a degraded slot's master-side host.
+        self._phase_log: list[tuple] = []
+        #: Pool slots whose shards run on the master for the rest of
+        #: the lease, and the host they run on.
+        self._degraded: set[int] = set()
+        self._host: _ShardHost | None = None
 
     # The lease has no master-side shard views; everything that
     # SerialShardRunner derives from ``shards`` is overridden here.
@@ -757,18 +675,28 @@ class RuntimeLease(SerialShardRunner):
             _VERIFIER.lease_dispatch(id(self._runtime), id(self))
         self._dispatched = True
         started = time.perf_counter()
-        results = self._runtime._dispatch(self.n_shards, phase, per_shard,
-                                          shared, only, spec=self.spec,
-                                          events=self.fault_events,
-                                          lease_key=id(self))
+        indices = (list(only) if only is not None
+                   else list(range(self.n_shards)))
+        args_of: dict[int, tuple] = {}
+        for pos, k in enumerate(indices):
+            args: tuple = ()
+            if per_shard is not None:
+                entry = per_shard[pos]
+                args = entry if isinstance(entry, tuple) else (entry,)
+            args_of[k] = args
+        results = self._dispatch(phase, args_of, shared)
+        if phase in self.spec.stateful_phases:
+            self._phase_log += [(k, phase, args_of[k] + shared)
+                                for k in indices]
         self._clock(phase, started)
-        return results
+        return [results[k] for k in indices]
 
     def close(self) -> None:
         """Release the runtime for the next lease (idempotent)."""
         if self._released:
             return
         self._released = True
+        self._host = None
         self._runtime._release_lease()
 
     def __enter__(self) -> "RuntimeLease":
@@ -782,8 +710,159 @@ class RuntimeLease(SerialShardRunner):
             # Exceptions raised *before* any phase was dispatched
             # (master-side validation, a bad warm-start shape) never
             # touched the workers, so the warm state survives them.
-            self._runtime._reset()
+            self._host = None  # it views the segments torn down next
+            self._runtime._teardown()
         self.close()
+
+    # -- dispatch --------------------------------------------------------
+    def _dispatch(self, phase: str, args_of: dict, shared: tuple) -> dict:
+        """Run ``phase`` on the shards keyed in ``args_of``, one message
+        per slot (a slot with none of them gets no message or wake-up
+        at all), and return the results by shard.
+
+        Self-healing: reply waits are deadline-bounded, a lost or hung
+        worker is respawned (replaying the message ledger over the
+        still-live segments) and only the failed shards' phases are
+        re-dispatched, with capped-backoff retries between attempts.
+        Once the retry budget is spent the orphaned slots degrade to
+        the master for the rest of the lease — or the failure is
+        raised, per the :class:`FaultPolicy`.
+        """
+        runtime = self._runtime
+        width = runtime.max_workers
+        policy = runtime._fault_policy
+        events = self.fault_events
+        results: dict[int, object] = {}
+        pending = []
+        for k in args_of:
+            if k % width in self._degraded:
+                results[k] = self._run_degraded(k, phase, args_of[k] + shared)
+            else:
+                pending.append(k)
+        backoff = _faults.Backoff(policy.backoff_base, policy.backoff_cap)
+        attempt = 0
+        while pending:
+            failed = self._round(pending, phase, args_of, shared, results)
+            if not failed:
+                break
+            if attempt >= policy.retries:
+                if not policy.degrade:
+                    if events["timeouts"]:
+                        raise PhaseTimeoutError(
+                            f"phase {phase!r} timed out on shards "
+                            f"{failed} after {policy.retries} retries "
+                            f"(deadline {policy.deadline}s; degrade "
+                            f"disabled)")
+                    raise WorkerCrashError(
+                        f"phase {phase!r} lost its workers on shards "
+                        f"{failed} after {policy.retries} retries "
+                        f"(degrade disabled)")
+                for k in failed:
+                    if k % width not in self._degraded:
+                        self._degrade(k % width)
+                    results[k] = self._run_degraded(k, phase,
+                                                    args_of[k] + shared)
+                break
+            attempt += 1
+            events["retries"] += len(failed)
+            if _VERIFIER is not None:
+                _VERIFIER.phase_retry(id(runtime), id(self))
+            for slot in sorted({k % width for k in failed}):
+                runtime._respawn_slot(slot, events, self._slot_log(slot))
+            backoff.sleep(attempt - 1)
+            pending = failed
+        return results
+
+    def _round(self, indices: list, phase: str, args_of: dict,
+               shared: tuple, results: dict) -> list:
+        """One send-and-collect pass; returns the failed shards.
+
+        Each slot gets one message carrying its shards' per-shard
+        arguments and ``shared`` once, and sends back one reply list.
+        The armed fault plan (if any) is still consulted per shard, in
+        shard order, before any phase message goes out — ``kill``
+        SIGKILLs the shard's worker, ``delay`` queues a stall ahead of
+        its slot's message on the FIFO pipe.  A slot that fails fails
+        all of its shards.
+        """
+        workers = self._runtime._workers
+        width = len(workers)
+        events = self.fault_events
+        by_slot: dict[int, list[int]] = {}
+        for k in indices:
+            by_slot.setdefault(k % width, []).append(k)
+        plan = self._faults if self._faults is not None else _faults.get_plan()
+        if plan is not None:
+            for k in indices:
+                action = plan.on_dispatch(k, phase)
+                worker = workers[k % width]
+                if action is not None and action[0] == "kill":
+                    worker.kill()
+                elif action is not None:
+                    try:
+                        worker.send(_rt_sleep, action[1])
+                    except _WorkerLost:
+                        pass  # the phase send below fails the slot
+        failed: list[int] = []
+        sent: list[int] = []
+        for slot, shards in by_slot.items():
+            try:
+                workers[slot].send(_rt_phase, phase,
+                                   [(k, args_of[k]) for k in shards], shared)
+                sent.append(slot)
+            except _WorkerLost:
+                events["crashes"] += len(shards)
+                failed.extend(shards)
+        deadline = self._runtime._fault_policy.deadline
+        for slot in sent:
+            shards = by_slot[slot]
+            try:
+                results.update(zip(shards, workers[slot].result(deadline)))
+            except _WorkerLost:
+                events["crashes"] += len(shards)
+                failed.extend(shards)
+            except TimeoutError:
+                events["timeouts"] += len(shards)
+                failed.extend(shards)
+        return sorted(failed)
+
+    # -- fault recovery ------------------------------------------------
+    def _slot_log(self, slot: int) -> list:
+        """The phase-log entries of ``slot``'s shards, in order."""
+        width = self._runtime.max_workers
+        return [entry for entry in self._phase_log
+                if entry[0] % width == slot]
+
+    def _master_host(self) -> _ShardHost:
+        """The master-side host degraded phases run on, over the live
+        segment views: synced on first use from the ledger a respawned
+        worker replays, so it builds every shard, and the spec, as a
+        worker does."""
+        if self._host is None:
+            runtime = self._runtime
+            self._host = _ShardHost({field: seg.view for field, seg
+                                     in runtime._segments.items()})
+            for name, args in runtime._ledger():
+                getattr(self._host, name)(*args)
+        return self._host
+
+    def _degrade(self, slot: int) -> None:
+        """Serve ``slot``'s shards on the master for the rest of the
+        lease: replay the slot's phase log onto the master-side host,
+        then leave a respawned, replayed worker behind for the next
+        lease."""
+        log = self._slot_log(slot)
+        self._master_host().replay(log)
+        self._degraded.add(slot)
+        self._runtime._respawn_slot(slot, self.fault_events, log)
+
+    def _run_degraded(self, k: int, phase: str, args: tuple) -> object:
+        """Run shard ``k``'s phase on the master-side host."""
+        if _VERIFIER is not None:
+            _VERIFIER.phase_degraded(id(self._runtime), id(self), k)
+        self.fault_events["degraded"] += 1
+        self._runtime.degraded_phases += 1
+        return self._master_host().run(k, phase, args)
 
 
 class ShardRuntime(Placement):
@@ -826,28 +905,17 @@ class ShardRuntime(Placement):
         self.max_workers = self.resolve_max_workers(n_shards, max_workers)
         self._lock = threading.Lock()
         self._workers: list[_PinnedWorker] = []
-        #: The current lease's transport counters (see ``_zero_ipc``).
-        self._ipc = _zero_ipc()
         self._segments: dict[str, _Segment] = {}
         #: Sync messages the next lease sends: the layout changes the
         #: workers have not seen yet.
         self._pending: list = []
         self._closed = False
         self.last_used = time.monotonic()
-        # Fault tolerance: recovery policy (overridable per lease), the
-        # armed injection plan, the spec-configure ledger entry replayed
-        # into respawned workers, and the pool slots degraded to the
-        # master's serial path for the rest of the current lease.
+        # Fault tolerance: the recovery policy (overridable per lease)
+        # and the spec-configure ledger entry a respawned worker
+        # replays.
         self._fault_policy = FaultPolicy()
-        self._fault_plan = None
-        self._configure: tuple | None = None
-        self._degraded_slots: set[int] = set()
-        # Stateful specs (KOS) mutate their per-shard ``ops`` across
-        # phases, so the configure replay alone cannot revive a worker
-        # mid-fit; the per-shard phase log below is replayed on top.
-        self._stateful_spec = False
-        self._phase_log: dict[int, list] = {}
-        self._master_replayed: set[int] = set()
+        self._configure: MethodSpec | None = None
         # Instrumentation (see class docstring).
         self.pool_spawns = 0
         self.respawns = 0
@@ -874,15 +942,6 @@ class ShardRuntime(Placement):
                 return
             self._teardown()
             self._closed = True
-
-    def _reset(self) -> None:
-        """Tear down workers and segments but stay open for future
-        leases.
-
-        Called with the lease lock *held* (from the lease's exception
-        path), so it must not re-acquire it.
-        """
-        self._teardown()
 
     def close_at_exit(self) -> None:
         """Best-effort close for interpreter shutdown.
@@ -922,10 +981,6 @@ class ShardRuntime(Placement):
         self._forget()
         self._pending = []
         self._configure = None
-        self._degraded_slots = set()
-        self._stateful_spec = False
-        self._phase_log = {}
-        self._master_replayed = set()
 
     def __enter__(self) -> "ShardRuntime":
         return self
@@ -990,32 +1045,26 @@ class ShardRuntime(Placement):
                 raise ProtocolError("runtime is closed")
             if fault_policy is not None:
                 self._fault_policy = fault_policy
-            self._fault_plan = faults
-            self._degraded_slots = set()
-            self._phase_log = {}
-            self._master_replayed = set()
-            events = _zero_fault_events()
-            self._ipc = _zero_ipc()
-            for worker in self._workers:
-                worker.tally = self._ipc
-            self._ensure_pools()
+            # The lease's tallies: fault events (the ``FitStats``
+            # fields), and the messages, pickled bytes and worker-side
+            # seconds of its pipe traffic, this sync's included.
+            events = dict.fromkeys(FAULT_EVENTS, 0)
+            ipc = {"messages": 0, "bytes_out": 0, "bytes_in": 0,
+                   "worker_seconds": 0.0}
+            self._ensure_pools(ipc)
             self._refresh(answers, stream_key)
-            sizes = self._layout.sizes
             # Ledger entry first: a worker respawned *during* this sync
-            # replays the attach/layout derived from the live layout
+            # replays the attach/placement derived from the live layout
             # plus this configure, which together subsume ``ops``.
-            self._configure = (method, sizes)
+            self._configure = method
             ops, self._pending = self._pending, []
-            self._sync(ops + [("configure", self._configure)],
-                       events=events)
-            spec = instance.make_em_spec(*sizes)
-            self._stateful_spec = bool(getattr(spec, "stateful_ops",
-                                               False))
+            self._sync(ops + [("configure", (method,))], events)
             cuts = self._layout.cuts
-            ranges = list(zip(cuts[:-1], cuts[1:]))
             self.last_used = time.monotonic()
-            lease = RuntimeLease(self, spec, ranges, fault_events=events,
-                                 ipc=self._ipc)
+            lease = RuntimeLease(
+                self, instance.make_em_spec(*self._layout.sizes),
+                list(zip(cuts[:-1], cuts[1:])), faults=faults,
+                fault_events=events, ipc=ipc)
             if _VERIFIER is not None:
                 _VERIFIER.lease_acquired(id(self), id(lease))
             return lease
@@ -1043,100 +1092,62 @@ class ShardRuntime(Placement):
         self._lock.release()
 
     # -- workers -------------------------------------------------------
-    def _ensure_pools(self) -> None:
+    def _ensure_pools(self, tally: dict) -> None:
+        """Spawn the pool if it is down, and count every worker's pipe
+        traffic into ``tally`` (the new lease's)."""
         if not self._workers:
-            self._workers = [_PinnedWorker(self._ipc)
+            self._workers = [_PinnedWorker(tally)
                              for _ in range(self.max_workers)]
             self.pool_spawns += 1
             if _VERIFIER is not None:
                 for worker in self._workers:
                     _VERIFIER.pool_spawned(id(worker))
+        for worker in self._workers:
+            worker.tally = tally
 
     # -- fault recovery ------------------------------------------------
-    def _replay_ops(self) -> list:
-        """The message ledger a respawned worker replays: re-attach the
-        still-live segments, adopt the master's authoritative layout
-        (which subsumes every epoch-extend sent so far), and re-apply
-        the latest spec-configure."""
-        ops: list = [("attach", (self._seg_desc(),)),
-                     ("layout", (self._layout.copy(),))]
+    def _ledger(self) -> list:
+        """What a fresh copy of the layout replays after the segments
+        are attached: the master's authoritative layout (which
+        subsumes every epoch-extend sent so far) and the latest
+        spec-configure."""
+        ops: list = [("place", (self._layout.copy(),))]
         if self._configure is not None:
-            ops.append(("configure", self._configure))
+            ops.append(("configure", (self._configure,)))
         return ops
 
-    def _respawn_slot(self, slot: int, events: dict) -> bool:
+    def _respawn_slot(self, slot: int, events: dict,
+                      log: Sequence[tuple] = ()) -> bool:
         """Replace a dead/hung slot's worker with a fresh one on a fresh
-        pipe and replay the message ledger into it.  Returns False when
-        the replay itself failed (the caller's next round fails fast
-        and retries or degrades)."""
+        pipe and replay the ledger into it, then the slot's phase
+        ``log``.  Returns False when the replay itself failed (the
+        caller's next round fails fast and retries or degrades)."""
         old = self._workers[slot]
         old.kill()
         old.close()
-        fresh = _PinnedWorker(self._ipc)
+        fresh = _PinnedWorker(old.tally)
         self._workers[slot] = fresh
         self.respawns += 1
         events["respawns"] += 1
         if _VERIFIER is not None:
             _VERIFIER.pool_respawned(id(old), id(fresh))
-        deadline = self._fault_policy.deadline
+        ops = [("attach", (self._seg_desc(),))] + self._ledger()
+        if log:
+            ops.append(("replay", (log,)))
         try:
-            fresh.call(_rt_sync, self._replay_ops(), timeout=deadline)
-            if self._stateful_spec:
-                items = [(k, phase, args)
-                         for k in sorted(self._phase_log)
-                         if k % self.max_workers == slot
-                         for phase, args in self._phase_log[k]]
-                if items:
-                    fresh.call(_rt_replay, items, timeout=deadline)
+            fresh.call(_rt_sync, ops, timeout=self._fault_policy.deadline)
         except _DISPATCH_FAILURES:
             return False
         return True
 
-    def _master_shard(self, k: int) -> AnswerShard:
-        """The master-side view of shard ``k`` over the live segments.
-
-        Built from the layout exactly as the worker's
-        ``_materialize_shard`` builds it — the same epoch slices of the
-        same shared bytes, concatenated in the same order — so a phase
-        degraded to the master is bit-identical to its worker execution
-        for deterministic phases.
-        """
-        views = {field: seg.view for field, seg in self._segments.items()}
-        return self._layout.shard(self._layout.slices(views, k), k)
-
-    def _run_degraded(self, spec, k: int, phase: str, args: tuple,
-                      events: dict, lease_key) -> object:
-        """Execute shard ``k``'s phase in-process via the serial spec
-        path (graceful degradation after the retry budget)."""
-        if spec is None:
-            raise WorkerCrashError(
-                f"shard {k} lost its worker and no master spec is "
-                f"available to degrade to")
-        if _VERIFIER is not None and lease_key is not None:
-            _VERIFIER.phase_degraded(id(self), lease_key, k)
-        events["degraded"] += 1
-        self.degraded_phases += 1
-        shard = self._master_shard(k)
-        ops = spec.shard_ops(shard)
-        if self._stateful_spec and k not in self._master_replayed:
-            # First degraded phase for this shard: rebuild the mutable
-            # ops from the phase log (the master-side twin of the
-            # worker replay in _respawn_slot).
-            for past_phase, past_args in self._phase_log.get(k, ()):
-                getattr(spec, past_phase)(shard, ops, *past_args)
-            self._master_replayed.add(k)
-        return getattr(spec, phase)(shard, ops, *args)
-
     # -- messaging -----------------------------------------------------
-    def _sync(self, ops: list, events: dict | None = None) -> None:
+    def _sync(self, ops: list, events: dict) -> None:
         """Broadcast sync operations to every worker and wait.
 
         Self-healing: a worker that died or hung is killed, respawned
         and replayed (the ledger replay subsumes ``ops``); a slot whose
         replay fails too raises :class:`WorkerCrashError`.
         """
-        if events is None:
-            events = _zero_fault_events()
         for worker in self._workers:
             try:
                 worker.send(_rt_sync, ops)
@@ -1152,146 +1163,6 @@ class ShardRuntime(Placement):
                     raise WorkerCrashError(
                         f"worker slot {slot} could not be revived for "
                         f"sync (died again during ledger replay)")
-
-    def _dispatch_round(self, indices: list, phase: str, args_of: dict,
-                        shared: tuple, results: dict, plan,
-                        events: dict) -> list:
-        """One send-and-collect pass; returns the failed shards.
-
-        Each slot gets one message carrying its shards' per-shard
-        arguments and ``shared`` once, and sends back one reply list.
-        The armed fault plan (if any) is still consulted per shard, in
-        shard order, before any phase message goes out — ``kill``
-        SIGKILLs the shard's worker, ``delay`` queues a stall ahead of
-        its slot's message on the FIFO pipe.  A slot that fails fails
-        all of its shards.
-        """
-        by_slot: dict[int, list[int]] = {}
-        for k in indices:
-            by_slot.setdefault(k % self.max_workers, []).append(k)
-        if plan is not None:
-            for k in indices:
-                action = plan.on_dispatch(k, phase)
-                worker = self._workers[k % self.max_workers]
-                if action is not None and action[0] == "kill":
-                    worker.kill()
-                elif action is not None:
-                    try:
-                        worker.send(_rt_sleep, action[1])
-                    except _WorkerLost:
-                        pass  # the phase send below fails the slot
-        failed: list[int] = []
-        sent: list[int] = []
-        for slot, shards in by_slot.items():
-            try:
-                self._workers[slot].send(
-                    _rt_phase, phase, [(k, args_of[k]) for k in shards],
-                    shared)
-                sent.append(slot)
-            except _WorkerLost:
-                events["crashes"] += len(shards)
-                failed.extend(shards)
-        deadline = self._fault_policy.deadline
-        for slot in sent:
-            shards = by_slot[slot]
-            try:
-                replies = self._workers[slot].result(deadline)
-            except _WorkerLost:
-                events["crashes"] += len(shards)
-                failed.extend(shards)
-                continue
-            except TimeoutError:
-                events["timeouts"] += len(shards)
-                failed.extend(shards)
-                continue
-            for k, reply in zip(shards, replies):
-                results[k] = reply
-                if self._stateful_spec:
-                    # Acknowledged phases mutated this shard's worker
-                    # ops; a later respawn must replay them.
-                    self._phase_log.setdefault(k, []).append(
-                        (phase, args_of[k] + shared))
-        return sorted(failed)
-
-    def _dispatch(self, n_shards: int, phase: str, per_shard,
-                  shared: tuple, only=None, *, spec=None,
-                  events: dict | None = None, lease_key=None) -> list:
-        """Run one phase on every shard (one message per slot); with
-        ``only``, just the listed shards — a skipped (clean or frozen)
-        shard costs no payload, and a slot with none of them no
-        message or wake-up at all.
-
-        Self-healing: reply waits are deadline-bounded, a lost or hung
-        worker is respawned (replaying the message ledger over the
-        still-live segments) and only the failed shards' phases are
-        re-dispatched, with capped-backoff retries between attempts.
-        Once the retry budget is spent the orphaned shards degrade to
-        the master's serial spec path — for the rest of the lease —
-        or the failure is raised, per the :class:`FaultPolicy`.
-        """
-        indices = (list(only) if only is not None
-                   else list(range(n_shards)))
-        if events is None:
-            events = _zero_fault_events()
-        args_of: dict[int, tuple] = {}
-        for pos, k in enumerate(indices):
-            args: tuple = ()
-            if per_shard is not None:
-                entry = per_shard[pos]
-                args = entry if isinstance(entry, tuple) else (entry,)
-            args_of[k] = args
-        policy = self._fault_policy
-        plan = (self._fault_plan if self._fault_plan is not None
-                else _faults.get_plan())
-        results: dict[int, object] = {}
-        pending = []
-        for k in indices:
-            if k % self.max_workers in self._degraded_slots:
-                results[k] = self._run_degraded(spec, k, phase,
-                                                args_of[k] + shared,
-                                                events, lease_key)
-            else:
-                pending.append(k)
-        backoff = _faults.Backoff(policy.backoff_base, policy.backoff_cap)
-        attempt = 0
-        while pending:
-            failed = self._dispatch_round(pending, phase, args_of, shared,
-                                          results, plan, events)
-            if not failed:
-                break
-            if attempt >= policy.retries:
-                if not policy.degrade:
-                    if events["timeouts"]:
-                        raise PhaseTimeoutError(
-                            f"phase {phase!r} timed out on shards "
-                            f"{failed} after {policy.retries} retries "
-                            f"(deadline {policy.deadline}s; degrade "
-                            f"disabled)")
-                    raise WorkerCrashError(
-                        f"phase {phase!r} lost its workers on shards "
-                        f"{failed} after {policy.retries} retries "
-                        f"(degrade disabled)")
-                for k in failed:
-                    slot = k % self.max_workers
-                    if slot not in self._degraded_slots:
-                        self._degraded_slots.add(slot)
-                        # Leave a sane (respawned, replayed) worker
-                        # behind for the next lease; this one is done
-                        # with it.
-                        self._respawn_slot(slot, events)
-                    results[k] = self._run_degraded(spec, k, phase,
-                                                    args_of[k] + shared,
-                                                    events, lease_key)
-                break
-            attempt += 1
-            events["retries"] += len(failed)
-            if _VERIFIER is not None and lease_key is not None:
-                _VERIFIER.phase_retry(id(self), lease_key)
-            for slot in sorted({k % self.max_workers for k in failed}):
-                self._respawn_slot(slot, events)
-            backoff.sleep(attempt - 1)
-            pending = failed
-        return [results[k] for k in indices]
 
     # -- storage -------------------------------------------------------
     def _ensure_capacity(self, length: int, values_dtype: np.dtype,
@@ -1317,8 +1188,11 @@ class ShardRuntime(Placement):
             self._segments[field] = fresh
             reallocated = True
         if reallocated:
-            self._pending += [("attach", (self._seg_desc(),)),
-                              ("layout", (self._layout.copy(),))]
+            # The attach and the full layout subsume every message still
+            # queued, and an attach queued earlier names segments just
+            # released.
+            self._pending = [("attach", (self._seg_desc(),)),
+                             ("place", (self._layout.copy(),))]
         return reallocated
 
     def _seg_desc(self) -> dict:
@@ -1329,7 +1203,7 @@ class ShardRuntime(Placement):
         """Write the sharded arrays as the layout's one epoch."""
         length = self._layout.length
         if not self._ensure_capacity(length, self._dtype):
-            self._pending.append(("layout", (self._layout.copy(),)))
+            self._pending.append(("place", (self._layout.copy(),)))
         for field, array in zip(FIELDS, (sharded.flat_tasks,
                                          sharded.flat_workers,
                                          sharded.flat_values)):

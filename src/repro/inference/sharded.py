@@ -88,7 +88,7 @@ from ..core.framework import (
 )
 from ..core.policy import DEFAULT_VERIFY_EVERY
 from ..exceptions import ConvergenceError, InferenceError
-from ..core.result import FitStats
+from ..core.result import FAULT_EVENTS, FitStats
 from ..core.shards import AnswerShard, ShardedAnswerSet
 
 __all__ = [
@@ -199,13 +199,14 @@ class ShardedEMSpec(abc.ABC):
     #: markers, uncollected partials) do not outlive the fit.
     statistics_m_step = True
 
-    #: Whether per-shard ``ops`` is *mutated* by the phase hooks (KOS
-    #: stores its message vectors there).  The fault-tolerant runtime
-    #: keeps a per-lease phase log for stateful specs and replays it
-    #: into respawned workers (and onto the master's degraded path), so
-    #: recovery stays bit-identical; stateless specs — ops built once
-    #: from shard data, never written — skip the log entirely.
-    stateful_ops = False
+    #: The phases that write per-shard ``ops`` state a later phase
+    #: reads (KOS's message rounds; the ``begin_m_step`` whose tensors
+    #: GLAD's and Minimax's gradient rounds read).  The process runtime
+    #: logs only these, per lease, and replays the log into a respawned
+    #: worker and onto a degraded slot's master-side host, so recovery
+    #: stays bit-identical.  Logging every phase would pin each
+    #: ``grad_step``'s fresh argument slice for the whole lease.
+    stateful_phases: frozenset[str] = frozenset()
 
     #: Extra positional arguments appended to every ``accumulate`` call
     #: (master-computed constants such as a numeric distance scale);
@@ -355,8 +356,7 @@ class SerialShardRunner:
         #: Fault-recovery counters, zero on the in-process tiers; the
         #: process-tier lease fills its own (same keys), and the
         #: drivers fold whichever runner they got into ``FitStats``.
-        self.fault_events = {"respawns": 0, "retries": 0, "timeouts": 0,
-                             "crashes": 0, "degraded": 0}
+        self.fault_events = dict.fromkeys(FAULT_EVENTS, 0)
         #: Wall seconds per phase name, summed over this runner's
         #: ``call``\ s (the process-tier lease times its round trips);
         #: folded into ``FitStats`` with the fault counters.

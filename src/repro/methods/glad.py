@@ -85,14 +85,14 @@ class _GladSpec(ShardedEMSpec):
         self.gradient_steps = gradient_steps
         self.prior_strength = prior_strength
         self.initial_state: tuple[np.ndarray, np.ndarray] | None = None
-        # Per-shard posterior-match cache, refreshed once per M-step by
-        # begin_m_step and read by every gradient round of that M-step
-        # (worker-side state: lives in the process that runs the shard).
-        self._match: dict[int, np.ndarray] = {}
 
     #: GLAD's M-step is an iterated gradient map-reduce, not mergeable
     #: statistics: its cache entries are worker-side markers.
     statistics_m_step = False
+
+    #: ``begin_m_step`` caches each shard's posterior match in its
+    #: ``ops`` for the gradient rounds (worker-side state).
+    stateful_phases = frozenset({"begin_m_step"})
 
     def build_ops(self, shard: AnswerShard):
         rows_tv = shard.local_tasks * self.n_choices + shard.values
@@ -102,6 +102,7 @@ class _GladSpec(ShardedEMSpec):
             bonus_scatter=BasedScatterAdd(
                 rows_tv, shard.n_local_tasks * self.n_choices),
             n_workers=self.n_workers,
+            match=None,
         )
 
     def resize(self, n_tasks: int, n_workers: int, n_choices: int) -> bool:
@@ -110,10 +111,6 @@ class _GladSpec(ShardedEMSpec):
             return False
         self.n_tasks, self.n_workers = n_tasks, n_workers
         return True
-
-    def invalidate_shard(self, index: int) -> None:
-        super().invalidate_shard(index)
-        self._match.pop(index, None)
 
     def init_block(self, shard: AnswerShard, ops) -> np.ndarray:
         return majority_block(shard)
@@ -189,7 +186,7 @@ class _GladSpec(ShardedEMSpec):
                      block: np.ndarray) -> None:
         """Cache this shard's posterior mass on the answered labels for
         the gradient rounds of the current M-step."""
-        self._match[shard.index] = block[shard.local_tasks, shard.values]
+        ops.match = block[shard.local_tasks, shard.values]
 
     def grad_step(self, shard: AnswerShard, ops,
                   log_beta_local: np.ndarray, alpha: np.ndarray):
@@ -199,7 +196,7 @@ class _GladSpec(ShardedEMSpec):
         beta_t = np.exp(log_beta_local)[shard.local_tasks]
         alpha_w = alpha[shard.workers]
         p = _sigmoid(alpha_w * beta_t)
-        residual = self._match[shard.index] - p
+        residual = ops.match - p
         return (pad_rows(ops.worker_sum(residual * beta_t),
                          self.n_workers),
                 ops.task_sum((residual * alpha_w) * beta_t))

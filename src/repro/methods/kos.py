@@ -116,10 +116,11 @@ class _KOSSpec(ShardedEMSpec):
     per-edge ``y``/``x`` vectors from round to round.
     """
 
-    #: The message store makes this spec stateful: the runtime must
-    #: replay the phase log into a respawned worker (see
-    #: ``ShardedEMSpec.stateful_ops``).
-    stateful_ops = True
+    #: The phases that write the message store, which the runtime
+    #: replays to recover a shard (see
+    #: ``ShardedEMSpec.stateful_phases``).
+    stateful_phases = frozenset({"seed_edges", "restore_y", "task_round",
+                                 "worker_round", "scale_y"})
 
     def __init__(self, n_tasks: int, n_workers: int,
                  n_choices: int = 2) -> None:
@@ -189,24 +190,13 @@ class _KOSSpec(ShardedEMSpec):
                            minlength=self.n_workers)
         return scores, sums
 
-    def collect_state(self, shard: AnswerShard, ops
-                      ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Snapshot this shard's message state for the next delta
-        refit: the final ``y`` block, its ``task_round`` worker-total
-        partial (computed without touching the resident messages) and
-        its squared sum."""
-        spins = ops.spins
-        task_totals = np.bincount(shard.local_tasks, weights=spins * ops.y,
-                                  minlength=shard.n_local_tasks)
-        x = task_totals[shard.local_tasks] - spins * ops.y
-        partial = np.bincount(shard.workers, weights=spins * x,
-                              minlength=self.n_workers)
-        return np.array(ops.y), partial, float(np.sum(ops.y * ops.y))
-
     def score_and_collect(self, shard: AnswerShard, ops):
-        """:meth:`score_block` and :meth:`collect_state` in one shard
-        pass (they share the per-task totals bincount) — the delta
-        path's final sweep, bit-identical to calling both."""
+        """:meth:`score_block` plus a snapshot of this shard's message
+        state for the next delta refit, in one shard pass that shares
+        the per-task totals bincount — the delta path's final sweep.
+        The snapshot is the final ``y`` block, its ``task_round``
+        worker-total partial (computed without touching the resident
+        messages) and its squared sum."""
         spins = ops.spins
         scores = np.bincount(shard.local_tasks, weights=spins * ops.y,
                              minlength=shard.n_local_tasks)

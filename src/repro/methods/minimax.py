@@ -73,6 +73,10 @@ class _MinimaxSpec(ShardedEMSpec):
 
     statistics_m_step = False
 
+    #: ``begin_m_step`` caches each shard's per-edge tensors in its
+    #: ``ops`` for the gradient rounds (worker-side state).
+    stateful_phases = frozenset({"begin_m_step"})
+
     #: Cadence of full exact gradient rounds inside a delta M-step:
     #: straddling workers and frozen ``τ`` rows advance only on these,
     #: so the cadence trades outer iterations against per-round cost.

@@ -367,6 +367,6 @@ class TestStatefulReplay:
         try:
             with rt.lease(answers, spec) as lease:
                 create(spec).fit(answers, shard_runner=lease)
-                assert rt._phase_log == {}
+                assert lease._phase_log == []
         finally:
             rt.close()

@@ -241,7 +241,8 @@ def test_every_tier_builds_the_same_shards(run):
                 worker = rt._workers[0]
                 for k, fresh_shard in enumerate(fresh.shards):
                     held = fingerprint(shards[k])
-                    assert fingerprint(rt._master_shard(k)) == held
+                    assert fingerprint(
+                        lease._master_host().shard(k)) == held
                     assert fingerprint(worker.call(
                         runtime._materialize_shard, k)) == held
                     assert (fingerprint(shards[k], by_task=True)
