@@ -41,6 +41,7 @@ from repro.core.tasktypes import TaskType
 from repro.engine.runtime import ShardRuntime
 from repro.experiments.reporting import format_table
 from repro.faults import FaultPlan
+from tests.fault_arming import armed
 
 from .conftest import save_json, save_report
 
@@ -69,13 +70,14 @@ def synthetic_answers(n_answers: int, seed: int = 0) -> AnswerSet:
 
 
 def timed_fit(answers, plan=None, policy=None, method: str = "D&S"):
-    """One fit on a private runtime; returns (result, events, seconds)."""
+    """One fit on a private runtime with ``plan`` armed; returns
+    (result, events, seconds)."""
     spec = MethodSpec(method, seed=0, max_iter=MAX_ITER)
     with ShardRuntime(n_shards=N_SHARDS,
                       max_workers=MAX_WORKERS) as runtime:
         t0 = time.perf_counter()
-        with runtime.lease(answers, spec, fault_policy=policy,
-                           faults=plan) as lease:
+        with armed(plan), runtime.lease(answers, spec,
+                                        fault_policy=policy) as lease:
             result = create(spec).fit(answers, shard_runner=lease)
             events = dict(lease.fault_events)
         return result, events, time.perf_counter() - t0

@@ -16,6 +16,10 @@ verifier enforces the lease state machine and keeps leak ledgers:
   acquiring the registry lock while holding a runtime lock raises
   (the fabric's lock order is registry → runtime; the reverse is a
   deadlock waiting for contention).
+- **Recovery legality** — a pool respawn, a phase retry or a degraded
+  phase is legal only under the live lease.  The verifier checks them
+  and does not count them: each is counted once, in the lease's
+  ``fault_events``.
 
 The verifier observes the *master* process only: worker-side segment
 attachments are guarded by their own atexit detach hooks.
@@ -76,11 +80,6 @@ class LeaseProtocolVerifier:
         #: Completed holds, for hold-time assertions in tests/benchmarks.
         self.lock_holds: list[LockHold] = []
         self._thread_held = _ThreadHeldLocks()
-        #: Fault-recovery event counters (respawn/retry/degrade), for
-        #: chaos-test assertions.
-        self.respawn_count = 0
-        self.retry_count = 0
-        self.degrade_count = 0
 
     # -- segments ------------------------------------------------------
     def segment_created(self, name: str) -> None:
@@ -120,7 +119,6 @@ class LeaseProtocolVerifier:
                     f"(or already shut down)")
             del self.pools[old_key]
             self.pools[new_key] = time.monotonic()
-            self.respawn_count += 1
 
     # -- leases --------------------------------------------------------
     def lease_acquired(self, runtime_key: int, lease_key: int) -> None:
@@ -138,21 +136,14 @@ class LeaseProtocolVerifier:
 
     def lease_dispatch(self, runtime_key: int, lease_key: int) -> None:
         with self._mutex:
-            live = self.leases.get(runtime_key)
-            if live is None:
-                raise ProtocolError(
-                    f"phase dispatched on runtime {runtime_key} with "
-                    f"no live lease")
-            if live["lease"] != lease_key:
-                raise ProtocolError(
-                    f"phase dispatched on runtime {runtime_key} by a "
-                    f"stale lease (not the current holder)")
-            live["dispatches"] += 1
+            self._live_lease(runtime_key, lease_key,
+                             "phase dispatched")["dispatches"] += 1
 
     def _live_lease(self, runtime_key: int, lease_key: int,
                     event: str) -> dict:
-        """The live lease entry, or a :class:`ProtocolError` — recovery
-        events are only legal while the recovering fit holds the lease."""
+        """The live lease entry, or a :class:`ProtocolError` — dispatch
+        and recovery events are only legal while the fit holds the
+        lease."""
         live = self.leases.get(runtime_key)
         if live is None:
             raise ProtocolError(
@@ -167,19 +158,15 @@ class LeaseProtocolVerifier:
         """A failed phase dispatch is being re-tried under a respawned
         pool (legal only under the live lease)."""
         with self._mutex:
-            live = self._live_lease(runtime_key, lease_key, "phase retry")
-            live["retries"] = live.get("retries", 0) + 1
-            self.retry_count += 1
+            self._live_lease(runtime_key, lease_key, "phase retry")
 
     def phase_degraded(self, runtime_key: int, lease_key: int,
                        shard: int) -> None:
         """A shard's phase degraded to the master's serial path after
         the retry budget (legal only under the live lease)."""
         with self._mutex:
-            live = self._live_lease(runtime_key, lease_key,
-                                    f"degraded shard {shard} phase")
-            live["degraded"] = live.get("degraded", 0) + 1
-            self.degrade_count += 1
+            self._live_lease(runtime_key, lease_key,
+                             f"degraded shard {shard} phase")
 
     def lease_released(self, runtime_key: int) -> None:
         with self._mutex:

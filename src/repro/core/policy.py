@@ -136,9 +136,6 @@ class ExecutionPlan:
     #: doctest-visible identity is the execution shape, not recovery).
     fault_policy: FaultPolicy = dataclasses.field(
         default=FaultPolicy(), repr=False)
-    #: Armed fault-injection plan, if any (tests/chaos runs only).
-    faults: Any = dataclasses.field(default=None, repr=False,
-                                    compare=False)
 
     @property
     def sharded(self) -> bool:
@@ -279,6 +276,10 @@ class ExecutionPolicy:
         and (if ``store.spill_ttl`` is set) spill cold shards to
         memory-mapped files.  ``None`` (default) keeps everything
         in RAM, exactly as before.
+    fault_policy:
+        :class:`FaultPolicy` every process-tier lease of this policy
+        recovers under.  Faults are injected by a plan armed
+        process-wide (:mod:`repro.faults`), not by a policy field.
 
     Examples
     --------
@@ -296,7 +297,6 @@ class ExecutionPolicy:
     verify_every: int = DEFAULT_VERIFY_EVERY
     store: StorePolicy | None = None
     fault_policy: FaultPolicy = FaultPolicy()
-    faults: Any = None
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTORS:
@@ -333,13 +333,6 @@ class ExecutionPolicy:
             raise ValueError(
                 f"fault_policy must be a FaultPolicy, "
                 f"got {self.fault_policy!r}"
-            )
-        if self.faults is not None and not (
-                hasattr(self.faults, "on_dispatch")
-                and hasattr(self.faults, "on_commit")):
-            raise ValueError(
-                f"faults must be a repro.faults.FaultPlan or None, "
-                f"got {self.faults!r}"
             )
 
     # ------------------------------------------------------------------
@@ -385,8 +378,7 @@ class ExecutionPolicy:
                                                   self.max_workers)
         return ExecutionPlan(mode=mode, n_shards=n_shards,
                              max_workers=max_workers,
-                             fault_policy=self.fault_policy,
-                             faults=self.faults)
+                             fault_policy=self.fault_policy)
 
 
 def _freeze_kwargs(kwargs: Mapping[str, Any]) -> tuple:

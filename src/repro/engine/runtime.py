@@ -21,11 +21,12 @@ This module makes the expensive parts persistent:
   answers), only the new tail is sorted and appended to the existing
   segments as a new *epoch*; workers fold the epoch into their shard
   views ("extend your shard view") instead of rebuilding from scratch.
-  Segment capacity grows by doubling, so a steadily growing stream
-  reallocates (and re-attaches) only O(log n) times.  When a lease
-  reuses, extends or re-places is decided by
-  :mod:`repro.engine.placement`, the one placement layer every tier
-  shares.
+  A placement reserves segment capacity for twice the answers it
+  places, the most a layout may grow before it is re-placed
+  (:func:`~repro.engine.placement.cuts_hold`), so an extend never
+  reallocates or re-attaches.  When a lease reuses, extends or
+  re-places is decided by :mod:`repro.engine.placement`, the one
+  placement layer every tier shares.
 * :class:`RuntimeRegistry` — a process-wide pool of runtimes keyed by
   ``(n_shards, max_workers)`` with idle-TTL eviction, so independent
   call sites (``fit(policy=...)``,
@@ -38,13 +39,14 @@ Transport
 Each pool slot is one pinned worker process behind a duplex
 ``multiprocessing`` pipe.  A phase costs **one message per slot**, not
 one per shard: the slot's shards with their per-shard arguments, the
-``shared`` arguments once, and one reply list back.  A worker serves
-its pipe in FIFO order, so the master's sync messages (attach / place
-/ extend / configure) always land before the phases that depend on
-them.  Replies are awaited under the
-:class:`~repro.core.policy.FaultPolicy` deadline through a poll
-registration kept for the worker's lifetime (the pipe plus the
-process sentinel), so a bounded wait costs what an unbounded one does.
+``shared`` arguments once, and one reply list back.  A worker owes at
+most one reply: the master reads it before it sends the worker another
+request, so the sync messages (attach / place / extend / configure)
+always apply before the phases that depend on them.  Replies are
+awaited under the lease's :class:`~repro.core.policy.FaultPolicy`
+deadline through a poll registration kept for the worker's lifetime
+(the pipe plus the process sentinel), so a bounded wait costs what an
+unbounded one does.
 A slot whose reply timed out, or whose worker died, is killed and
 replaced by a fresh worker on a fresh pipe before it is used again: a
 late reply is never read as the next phase's.  A phase that raises in
@@ -176,9 +178,10 @@ _VERIFIER = _get_protocol_verifier()
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
-# A worker serves its pipe FIFO, so the master's sync messages (attach /
-# place / extend / configure / replay) are always applied before the
-# phases that depend on them — no worker-side locking is needed.
+# A worker answers one request before the master sends the next, so the
+# master's sync messages (attach / place / extend / configure / replay)
+# are always applied before the phases that depend on them — no
+# worker-side locking is needed.
 
 #: This worker's shared-memory attachments (field -> SharedMemory).
 _SEGMENTS: dict = {}
@@ -249,22 +252,19 @@ def _materialize_shard(k: int) -> AnswerShard:
     return _HOST.shard(k)
 
 
-def _rt_phase(phase: str, items: Sequence[tuple], shared: tuple) -> list:
+def _rt_phase(phase: str, items: Sequence[tuple], shared: tuple,
+              delay: float) -> list:
     """One phase over a slot's ``(shard, args)`` items, with ``shared``
-    appended to every shard's arguments; the results in item order."""
-    return [_HOST.run(k, phase, args + shared) for k, args in items]
+    appended to every shard's arguments; the results in item order.
 
-
-def _rt_sleep(seconds: float) -> int:
-    """Occupy this FIFO worker for ``seconds`` before its next request.
-
-    The ``delay`` fault: queued ahead of a phase message, it stalls the
-    worker so the phase reply arrives late — past the
-    :class:`~repro.core.policy.FaultPolicy` deadline if the injected
-    delay is long enough.  Fault-injection only; never on a hot path.
+    ``delay`` is the ``delay`` fault: the seconds the armed fault plan
+    stalls this slot's phase, slept before it runs, so the reply
+    arrives late (past the lease's deadline if the delay is long
+    enough).  It is 0 unless a plan is armed.
     """
-    time.sleep(seconds)
-    return os.getpid()
+    if delay:
+        time.sleep(delay)
+    return [_HOST.run(k, phase, args + shared) for k, args in items]
 
 
 def _rt_probe() -> dict:
@@ -450,14 +450,15 @@ class _PinnedWorker:
     """One pool slot: a worker process serving :func:`_serve` behind a
     duplex pipe.
 
-    :meth:`send` pickles a ``(fn, args)`` request onto the pipe;
-    :meth:`result` reads the replies owed, in FIFO order, and returns
-    the newest one's value (the replies to queued ``delay`` stalls are
-    read and dropped).  Every message's pickled size and every reply's
-    worker-side seconds are added to ``tally``, the current lease's
-    transport counters.  A worker whose reply timed out, or whose pipe
-    or process died, is ``lost``: it is never read again, and the
-    runtime replaces it before the slot serves another request.
+    :meth:`send` pickles a ``(fn, args)`` request onto the pipe and
+    :meth:`result` reads its reply.  A worker owes at most one reply:
+    a second :meth:`send` before :meth:`result` raises
+    :class:`~repro.exceptions.ProtocolError`.  Every message's pickled
+    size and every reply's worker-side seconds are added to ``tally``,
+    the current lease's transport counters.  A worker whose reply timed
+    out, or whose pipe or process died, is ``lost``: it is never read
+    again, and the runtime replaces it before the slot serves another
+    request.
     """
 
     def __init__(self, tally: dict) -> None:
@@ -484,7 +485,7 @@ class _PinnedWorker:
         self._poller.register(self._fd, select.POLLIN)
         self._poller.register(self.process.sentinel, select.POLLIN)
         self.tally = tally
-        self.owed = 0
+        self.owed = False
         self.lost = False
 
     @property
@@ -492,9 +493,13 @@ class _PinnedWorker:
         return self.process.pid
 
     def send(self, fn, *args) -> None:
-        """Queue ``fn(*args)`` on the worker."""
+        """Send ``fn(*args)`` to the worker, which must owe no reply."""
         if self.lost:
             raise _WorkerLost(f"worker {self.pid} is lost")
+        if self.owed:
+            raise ProtocolError(
+                f"worker {self.pid} still owes the reply to its last "
+                f"request")
         payload = ForkingPickler.dumps((fn, args))
         try:
             self._conn.send_bytes(payload)
@@ -505,34 +510,17 @@ class _PinnedWorker:
             if isinstance(exc, OSError):
                 raise _WorkerLost(f"worker {self.pid} hung up") from exc
             raise
-        self.owed += 1
+        self.owed = True
         tally = self.tally
         tally["messages"] += 1
         tally["bytes_out"] += len(payload)
 
     def result(self, timeout: float | None):
-        """The newest request's result, every owed reply read within
-        ``timeout`` seconds (``None``: unbounded).  Raises the
-        worker-side exception, :class:`TimeoutError` or
-        :class:`_WorkerLost`."""
+        """The owed reply's result, read within ``timeout`` seconds
+        (``None``: unbounded).  Raises the worker-side exception,
+        :class:`TimeoutError` or :class:`_WorkerLost`."""
         if self.lost:
             raise _WorkerLost(f"worker {self.pid} is lost")
-        if self.owed > 1:
-            # Replies to queued stalls come first, under one deadline.
-            until = None if timeout is None else time.monotonic() + timeout
-            while self.owed > 1:
-                self._reply(None if until is None
-                            else max(until - time.monotonic(), 0.0))
-            if until is not None:
-                timeout = max(until - time.monotonic(), 0.0)
-        return self._reply(timeout)
-
-    def call(self, fn, *args, timeout: float | None = None):
-        """One round trip: :meth:`send`, then :meth:`result`."""
-        self.send(fn, *args)
-        return self.result(timeout)
-
-    def _reply(self, timeout: float | None):
         ready = self._poller.poll(None if timeout is None
                                   else timeout * 1e3)
         if not ready:
@@ -549,7 +537,7 @@ class _PinnedWorker:
             if isinstance(exc, (EOFError, OSError)):
                 raise _WorkerLost(f"worker {self.pid} died") from exc
             raise
-        self.owed -= 1
+        self.owed = False
         try:
             ok, value, seconds = ForkingPickler.loads(payload)
         except Exception as exc:
@@ -563,6 +551,11 @@ class _PinnedWorker:
             return value
         error, remote = value
         raise error from _RemoteTraceback(remote)
+
+    def call(self, fn, *args, timeout: float | None = None):
+        """One round trip: :meth:`send`, then :meth:`result`."""
+        self.send(fn, *args)
+        return self.result(timeout)
 
     def kill(self) -> None:
         """SIGKILL the worker (dead or hung: a stuck worker cannot be
@@ -624,25 +617,30 @@ class RuntimeLease(SerialShardRunner):
     Exposes the :class:`~repro.inference.sharded.SerialShardRunner`
     surface (``spec`` / ``call`` / ``m_step`` / ``task_ranges``) but
     dispatches phases to the runtime's pinned workers, and holds what
-    lives for one fit: the fault-event and transport tallies, the armed
-    fault plan, the log of the phases that wrote per-shard state, and
-    the slots degraded to the master with the master-side shard host
-    their phases run on.  ``close()`` releases the runtime for the next
-    fit; exiting the ``with`` block on an exception additionally resets
-    the runtime (see module docstring).
+    lives for one fit: the :class:`~repro.core.policy.FaultPolicy` it
+    recovers under, the fault-event and transport tallies, the log of
+    the phases that wrote per-shard state, and the slots degraded to
+    the master with the master-side shard host their phases run on.
+    ``close()`` releases the runtime for the next fit; exiting the
+    ``with`` block on an exception additionally resets the runtime (see
+    module docstring).
     """
 
     def __init__(self, runtime: "ShardRuntime", spec,
-                 task_ranges: Sequence[tuple[int, int]], *, faults,
-                 fault_events: dict, ipc: dict) -> None:
+                 task_ranges: Sequence[tuple[int, int]], *,
+                 fault_policy: FaultPolicy, fault_events: dict,
+                 ipc: dict) -> None:
         super().__init__(spec, shards=())
         self._runtime = runtime
         self._ranges = [tuple(r) for r in task_ranges]
-        self._faults = faults
         self._released = False
         self._dispatched = False
-        #: Per-lease fault-recovery counters, folded into ``FitStats``
-        #: by the drivers.
+        #: The :class:`~repro.core.policy.FaultPolicy` this lease's
+        #: dispatches recover under.
+        self.fault_policy = fault_policy
+        #: Per-lease fault-recovery counters — the one count of every
+        #: respawn, retry, crash, timeout and degraded phase — folded
+        #: into ``FitStats`` by the drivers.
         self.fault_events = fault_events
         #: Per-lease transport counters measured on the pipes (messages,
         #: bytes_out, bytes_in, worker_seconds), the lease's sync
@@ -726,11 +724,11 @@ class RuntimeLease(SerialShardRunner):
         re-dispatched, with capped-backoff retries between attempts.
         Once the retry budget is spent the orphaned slots degrade to
         the master for the rest of the lease — or the failure is
-        raised, per the :class:`FaultPolicy`.
+        raised, per the lease's :class:`FaultPolicy`.
         """
         runtime = self._runtime
         width = runtime.max_workers
-        policy = runtime._fault_policy
+        policy = self.fault_policy
         events = self.fault_events
         results: dict[int, object] = {}
         pending = []
@@ -768,7 +766,8 @@ class RuntimeLease(SerialShardRunner):
             if _VERIFIER is not None:
                 _VERIFIER.phase_retry(id(runtime), id(self))
             for slot in sorted({k % width for k in failed}):
-                runtime._respawn_slot(slot, events, self._slot_log(slot))
+                runtime._respawn_slot(slot, events, policy.deadline,
+                                      self._slot_log(slot))
             backoff.sleep(attempt - 1)
             pending = failed
         return results
@@ -781,9 +780,11 @@ class RuntimeLease(SerialShardRunner):
         arguments and ``shared`` once, and sends back one reply list.
         The armed fault plan (if any) is still consulted per shard, in
         shard order, before any phase message goes out — ``kill``
-        SIGKILLs the shard's worker, ``delay`` queues a stall ahead of
-        its slot's message on the FIFO pipe.  A slot that fails fails
-        all of its shards.
+        SIGKILLs the shard's worker, ``delay`` adds its seconds to the
+        stall the slot's message asks the worker for.  A slot that
+        fails fails all of its shards.  Every sent slot's reply is read
+        before a phase exception raised on a worker is re-raised, so
+        no worker is left owing one.
         """
         workers = self._runtime._workers
         width = len(workers)
@@ -791,29 +792,30 @@ class RuntimeLease(SerialShardRunner):
         by_slot: dict[int, list[int]] = {}
         for k in indices:
             by_slot.setdefault(k % width, []).append(k)
-        plan = self._faults if self._faults is not None else _faults.get_plan()
+        delays: dict[int, float] = {}
+        plan = _faults.get_plan()
         if plan is not None:
             for k in indices:
                 action = plan.on_dispatch(k, phase)
-                worker = workers[k % width]
-                if action is not None and action[0] == "kill":
-                    worker.kill()
-                elif action is not None:
-                    try:
-                        worker.send(_rt_sleep, action[1])
-                    except _WorkerLost:
-                        pass  # the phase send below fails the slot
+                if action is None:
+                    continue
+                if action[0] == "kill":
+                    workers[k % width].kill()
+                else:
+                    delays[k % width] = delays.get(k % width, 0.0) + action[1]
         failed: list[int] = []
         sent: list[int] = []
         for slot, shards in by_slot.items():
             try:
                 workers[slot].send(_rt_phase, phase,
-                                   [(k, args_of[k]) for k in shards], shared)
+                                   [(k, args_of[k]) for k in shards], shared,
+                                   delays.get(slot, 0.0))
                 sent.append(slot)
             except _WorkerLost:
                 events["crashes"] += len(shards)
                 failed.extend(shards)
-        deadline = self._runtime._fault_policy.deadline
+        deadline = self.fault_policy.deadline
+        raised = None
         for slot in sent:
             shards = by_slot[slot]
             try:
@@ -824,6 +826,12 @@ class RuntimeLease(SerialShardRunner):
             except TimeoutError:
                 events["timeouts"] += len(shards)
                 failed.extend(shards)
+            # checks: allow-broad-except(re-raised once every reply is read)
+            except Exception as exc:
+                if raised is None:
+                    raised = exc
+        if raised is not None:
+            raise raised
         return sorted(failed)
 
     # -- fault recovery ------------------------------------------------
@@ -854,14 +862,14 @@ class RuntimeLease(SerialShardRunner):
         log = self._slot_log(slot)
         self._master_host().replay(log)
         self._degraded.add(slot)
-        self._runtime._respawn_slot(slot, self.fault_events, log)
+        self._runtime._respawn_slot(slot, self.fault_events,
+                                    self.fault_policy.deadline, log)
 
     def _run_degraded(self, k: int, phase: str, args: tuple) -> object:
         """Run shard ``k``'s phase on the master-side host."""
         if _VERIFIER is not None:
             _VERIFIER.phase_degraded(id(self._runtime), id(self), k)
         self.fault_events["degraded"] += 1
-        self._runtime.degraded_phases += 1
         return self._master_host().run(k, phase, args)
 
 
@@ -885,9 +893,13 @@ class ShardRuntime(Placement):
     the data — is :class:`~repro.engine.placement.Placement`'s, the one
     placement layer every tier shares; this class stores the layout in
     shared memory and ships each change of it to the workers.
-    Instrumentation counters (``pool_spawns``, ``respawns``,
-    ``degraded_phases`` and the placement counters) are monotonically
-    increasing and exist for tests and benchmarks.
+    Instrumentation counters (``pool_spawns`` and the placement
+    counters) are monotonically increasing and exist for tests and
+    benchmarks.  Fault recovery is counted per lease, in
+    :attr:`RuntimeLease.fault_events`, under the lease's own
+    :class:`~repro.core.policy.FaultPolicy`: no recovery state
+    outlives the lease that set it.  Each worker owes at most one
+    reply at a time.
     """
 
     @staticmethod
@@ -911,15 +923,10 @@ class ShardRuntime(Placement):
         self._pending: list = []
         self._closed = False
         self.last_used = time.monotonic()
-        # Fault tolerance: the recovery policy (overridable per lease)
-        # and the spec-configure ledger entry a respawned worker
-        # replays.
-        self._fault_policy = FaultPolicy()
+        #: The spec-configure ledger entry a respawned worker replays.
         self._configure: MethodSpec | None = None
         # Instrumentation (see class docstring).
         self.pool_spawns = 0
-        self.respawns = 0
-        self.degraded_phases = 0
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -996,8 +1003,8 @@ class ShardRuntime(Placement):
     # -- leasing -------------------------------------------------------
     def lease(self, answers: AnswerSet, method: str | MethodSpec,
               method_kwargs: Mapping | None = None, *,
-              stream_key=None, fault_policy: FaultPolicy | None = None,
-              faults=None) -> RuntimeLease:
+              stream_key=None, fault_policy: FaultPolicy | None = None
+              ) -> RuntimeLease:
         """Acquire exclusive use of the runtime for one fit.
 
         Parameters
@@ -1023,12 +1030,9 @@ class ShardRuntime(Placement):
             true (e.g. bump it with the stream's replacement counter).
         fault_policy:
             Recovery knobs (:class:`~repro.core.policy.FaultPolicy`)
-            this and subsequent leases dispatch under; ``None`` keeps
-            the runtime's current policy (the defaults, initially).
-        faults:
-            A :class:`repro.faults.FaultPlan` armed for this lease's
-            dispatches (chaos tests); ``None`` falls back to the
-            process-wide ``REPRO_FAULTS`` plan, if any.
+            this lease's sync and dispatches run under; ``None`` means
+            ``FaultPolicy()``.  Faults are injected by the plan armed
+            process-wide (:mod:`repro.faults`).
         """
         method = MethodSpec.coerce(method, method_kwargs)
         instance = method_class(method.name)(**method.kwargs)
@@ -1043,8 +1047,8 @@ class ShardRuntime(Placement):
             # a runtime nothing will ever tear down again.
             if self._closed:
                 raise ProtocolError("runtime is closed")
-            if fault_policy is not None:
-                self._fault_policy = fault_policy
+            if fault_policy is None:
+                fault_policy = FaultPolicy()
             # The lease's tallies: fault events (the ``FitStats``
             # fields), and the messages, pickled bytes and worker-side
             # seconds of its pipe traffic, this sync's included.
@@ -1058,12 +1062,13 @@ class ShardRuntime(Placement):
             # plus this configure, which together subsume ``ops``.
             self._configure = method
             ops, self._pending = self._pending, []
-            self._sync(ops + [("configure", (method,))], events)
+            self._sync(ops + [("configure", (method,))], events,
+                       fault_policy.deadline)
             cuts = self._layout.cuts
             self.last_used = time.monotonic()
             lease = RuntimeLease(
                 self, instance.make_em_spec(*self._layout.sizes),
-                list(zip(cuts[:-1], cuts[1:])), faults=faults,
+                list(zip(cuts[:-1], cuts[1:])), fault_policy=fault_policy,
                 fault_events=events, ipc=ipc)
             if _VERIFIER is not None:
                 _VERIFIER.lease_acquired(id(self), id(lease))
@@ -1117,17 +1122,18 @@ class ShardRuntime(Placement):
         return ops
 
     def _respawn_slot(self, slot: int, events: dict,
+                      deadline: float | None,
                       log: Sequence[tuple] = ()) -> bool:
         """Replace a dead/hung slot's worker with a fresh one on a fresh
         pipe and replay the ledger into it, then the slot's phase
-        ``log``.  Returns False when the replay itself failed (the
-        caller's next round fails fast and retries or degrades)."""
+        ``log``, within the lease's ``deadline``.  Returns False when
+        the replay itself failed (the caller's next round fails fast
+        and retries or degrades)."""
         old = self._workers[slot]
         old.kill()
         old.close()
         fresh = _PinnedWorker(old.tally)
         self._workers[slot] = fresh
-        self.respawns += 1
         events["respawns"] += 1
         if _VERIFIER is not None:
             _VERIFIER.pool_respawned(id(old), id(fresh))
@@ -1135,14 +1141,16 @@ class ShardRuntime(Placement):
         if log:
             ops.append(("replay", (log,)))
         try:
-            fresh.call(_rt_sync, ops, timeout=self._fault_policy.deadline)
+            fresh.call(_rt_sync, ops, timeout=deadline)
         except _DISPATCH_FAILURES:
             return False
         return True
 
     # -- messaging -----------------------------------------------------
-    def _sync(self, ops: list, events: dict) -> None:
-        """Broadcast sync operations to every worker and wait.
+    def _sync(self, ops: list, events: dict,
+              deadline: float | None) -> None:
+        """Broadcast sync operations to every worker and wait, each
+        reply within the lease's ``deadline``.
 
         Self-healing: a worker that died or hung is killed, respawned
         and replayed (the ledger replay subsumes ``ops``); a slot whose
@@ -1153,22 +1161,19 @@ class ShardRuntime(Placement):
                 worker.send(_rt_sync, ops)
             except _WorkerLost:
                 pass  # result() below fails fast on a lost worker
-        deadline = self._fault_policy.deadline
         for slot in range(len(self._workers)):
             try:
                 self._workers[slot].result(deadline)
             except _DISPATCH_FAILURES:
                 events["crashes"] += 1
-                if not self._respawn_slot(slot, events):
+                if not self._respawn_slot(slot, events, deadline):
                     raise WorkerCrashError(
                         f"worker slot {slot} could not be revived for "
                         f"sync (died again during ledger replay)")
 
     # -- storage -------------------------------------------------------
-    def _ensure_capacity(self, length: int, values_dtype: np.dtype,
-                         preserve: int = 0) -> bool:
-        """Grow segments (by at least doubling) to hold ``length``
-        elements, keeping the first ``preserve`` elements' contents.
+    def _ensure_capacity(self, capacity: int, values_dtype: np.dtype) -> bool:
+        """Make every segment hold at least ``capacity`` answers.
         Returns whether any segment was reallocated; the workers are
         then sent a re-attach and the full layout to rebuild from."""
         reallocated = False
@@ -1176,16 +1181,11 @@ class ShardRuntime(Placement):
             dtype = values_dtype if field == "values" else np.dtype(np.int64)
             seg = self._segments.get(field)
             if seg is not None and seg.dtype == dtype \
-                    and seg.capacity >= length:
+                    and seg.capacity >= capacity:
                 continue
-            capacity = max(length,
-                           2 * seg.capacity if seg is not None else 0)
-            fresh = _Segment(dtype, capacity)
             if seg is not None:
-                if preserve and seg.dtype == dtype:
-                    fresh.view[:preserve] = seg.view[:preserve]
                 seg.release()
-            self._segments[field] = fresh
+            self._segments[field] = _Segment(dtype, capacity)
             reallocated = True
         if reallocated:
             # The attach and the full layout subsume every message still
@@ -1200,9 +1200,12 @@ class ShardRuntime(Placement):
                 for field, seg in self._segments.items()}
 
     def _store_placed(self, sharded: ShardedAnswerSet) -> None:
-        """Write the sharded arrays as the layout's one epoch."""
+        """Write the sharded arrays as the layout's one epoch, in
+        segments reserved for every extend of it: twice the placed
+        answers, the most :func:`~repro.engine.placement.cuts_hold`
+        lets a layout grow before it is re-placed."""
         length = self._layout.length
-        if not self._ensure_capacity(length, self._dtype):
+        if not self._ensure_capacity(2 * max(length, 1), self._dtype):
             self._pending.append(("place", (self._layout.copy(),)))
         for field, array in zip(FIELDS, (sharded.flat_tasks,
                                          sharded.flat_workers,
@@ -1210,11 +1213,15 @@ class ShardRuntime(Placement):
             self._segments[field].view[:length] = array
 
     def _store_tail(self, tail: list) -> None:
-        """Append the new epoch behind the placed answers."""
+        """Append the new epoch behind the placed answers, in the
+        capacity the placement reserved."""
         epoch = self._layout.epochs[-1]
         lo, hi, _ = epoch
-        if not self._ensure_capacity(hi, self._dtype, preserve=lo):
-            self._pending.append(("extend", (epoch, self._layout.sizes)))
+        if hi > self._segments["tasks"].capacity:
+            raise ProtocolError(
+                f"an extend to {hi} answers overruns the segments "
+                f"reserved for {self._segments['tasks'].capacity}")
+        self._pending.append(("extend", (epoch, self._layout.sizes)))
         for field, array in zip(FIELDS, tail):
             self._segments[field].view[lo:hi] = array
 
@@ -1279,9 +1286,11 @@ class RuntimeRegistry:
         """Acquire a runtime and lease it in one step.
 
         ``policy`` (a policy or resolved plan) picks the runtime and
-        carries the fault policy and fault plan the lease dispatches
-        under; ``spec`` is the :class:`~repro.core.policy.MethodSpec`
-        the workers rebuild.
+        carries the :class:`~repro.core.policy.FaultPolicy` this lease
+        recovers under; ``spec`` is the
+        :class:`~repro.core.policy.MethodSpec` the workers rebuild.
+        Faults are injected by the plan armed process-wide
+        (:mod:`repro.faults`), never through the policy.
 
         Retries when another holder's ``close()`` lands between the
         acquire and the lease (any holder may close a shared runtime at
@@ -1294,8 +1303,7 @@ class RuntimeRegistry:
             try:
                 return runtime, runtime.lease(
                     answers, spec, stream_key=stream_key,
-                    fault_policy=policy.fault_policy,
-                    faults=policy.faults)
+                    fault_policy=policy.fault_policy)
             except RuntimeError:
                 if not runtime.closed:
                     raise

@@ -95,38 +95,24 @@ def run_many(
 ) -> list[MethodRun]:
     """Run several methods (default: all applicable) on one dataset.
 
-    With ``max_workers`` set, the fits fan out across the engine's
-    :class:`~repro.engine.batch.BatchRunner` pool instead of running
-    serially; results keep method order either way.  ``policy`` decides
-    how each fit executes — sharded EM for the methods that support it,
-    and its process tier runs those fits on the shared persistent
-    runtime (one pool spawn + data placement for the whole sweep).
+    The fits run as :class:`~repro.engine.batch.BatchJob`\\ s on a
+    :class:`~repro.engine.batch.BatchRunner`: serially without
+    ``max_workers``, fanned out across its pool with it; results keep
+    method order either way, and every method that can start from the
+    majority-vote posterior shares one computed per dataset.
+    ``policy`` decides how each fit executes — sharded EM for the
+    methods that support it, and its process tier runs those fits on
+    the shared persistent runtime (one pool spawn + data placement for
+    the whole sweep).
     """
+    from ..engine.batch import BatchJob, BatchRunner
+
     if methods is None:
         methods = methods_for_task_type(dataset.task_type)
-    # Materialise up front: the capability scans below iterate the
-    # names before the run loop does, which would drain a generator.
-    specs = [MethodSpec.coerce(m) for m in methods]
-    if max_workers is not None:
-        from ..engine.batch import BatchJob, BatchRunner
-
-        jobs = [
-            BatchJob(dataset=dataset, method=spec, seed=seed,
+    jobs = [BatchJob(dataset=dataset, method=method, seed=seed,
                      policy=policy, **kwargs)
-            for spec in specs
-        ]
-        return BatchRunner(max_workers=max_workers).run(jobs)
-    # Serial path: still share one majority-vote posterior per dataset
-    # across every method that can start from it.
-    seed_posterior = None
-    if dataset.task_type.is_categorical and any(
-            capabilities(spec.name).seed_posterior for spec in specs):
-        from ..core.framework import normalize_rows
-
-        seed_posterior = normalize_rows(dataset.answers.vote_counts())
-    return [run_method(spec, dataset, seed=seed, policy=policy,
-                       seed_posterior=seed_posterior, **kwargs)
-            for spec in specs]
+            for method in methods]
+    return BatchRunner(max_workers=max_workers or 1).run(jobs)
 
 
 def run_grid(

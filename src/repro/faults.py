@@ -10,11 +10,19 @@ plan over the same stream injects the same faults at the same events.
 
 Arming
 ------
-- In-process: ``arm(plan)`` / ``disarm()``, or pass the plan through
-  ``ExecutionPolicy(faults=...)`` so only that policy's fits see it.
+A plan is armed one way: process-wide, and every hook site finds it
+with one :func:`get_plan` call.
+
+- In-process: ``arm(plan)``; ``arm(None)`` or ``disarm()`` disarms.
+  To scope a plan to a block, arm it and re-arm the one
+  :func:`get_plan` returned before.
 - Across a process boundary (subprocess tests, CI chaos runs): set
   ``REPRO_FAULTS`` to the :meth:`FaultPlan.parse` spec, e.g.
   ``REPRO_FAULTS='kill:shard=1,on=2;commit:count=3'``.
+
+How the process tier recovers from an injected fault is the lease's
+:class:`~repro.core.policy.FaultPolicy`; what it recovered from is
+counted once, in the lease's ``fault_events``.
 
 Triggers are counted per *matching event*, 1-based: ``on=2,count=3``
 fires on the 2nd, 3rd and 4th matching events.  Kill/delay triggers
@@ -156,8 +164,8 @@ class FaultPlan:
         """Consult kill/delay triggers for one phase dispatch.
 
         Returns ``None`` (no fault), ``("kill",)`` — SIGKILL the
-        worker before this dispatch — or ``("delay", seconds)`` —
-        stall the worker's reply by that long.
+        worker before this dispatch — or ``("delay", seconds)`` — the
+        worker sleeps that long before it runs the phase.
         """
         hit = self._fire(("kill", "delay"), shard, phase, (shard, phase))
         if hit is None:

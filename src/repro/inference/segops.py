@@ -36,30 +36,21 @@ numerically close:
 This is what lets the single-shard sharded EM path reduce to the
 pre-refactor math bit-for-bit while running severalfold faster (the
 parity tests in ``tests/properties/test_property_sharded.py`` pin it).
-Without SciPy the operators fall back to gather + ``bincount`` /
-``add.at`` forms that are bit-identical, only slower.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..core.framework import radix_argsort
 from ..exceptions import InferenceError
 
-try:  # SciPy is optional: the numpy fallbacks below are bit-identical.
-    import scipy.sparse as sp
-except ImportError:  # pragma: no cover - exercised only without scipy
-    sp = None
-
-__all__ = ["SegmentSum", "BasedScatterAdd", "HAVE_SPARSE"]
-
-#: Whether the fast CSR backend is active (falls back to bincount/add.at).
-HAVE_SPARSE = sp is not None
+__all__ = ["SegmentSum", "BasedScatterAdd"]
 
 
 def _csr_rowgroups(rows: np.ndarray, indices: np.ndarray, n_rows: int,
-                   n_cols: int):
+                   n_cols: int) -> sp.csr_matrix:
     """CSR matrix of ones grouping ``indices`` by ``rows``.
 
     Entries are stored in input order within each row (stable sort on
@@ -67,8 +58,6 @@ def _csr_rowgroups(rows: np.ndarray, indices: np.ndarray, n_rows: int,
     rests on; column indices are deliberately *not* sorted.  Built
     directly in CSR form — no COO detour, no duplicate summing.
     """
-    if sp is None:
-        return None
     order = radix_argsort(rows)
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
@@ -117,35 +106,22 @@ class SegmentSum:
     with the gather fused into the kernel.
     """
 
-    __slots__ = ("n_rows", "_op", "_rows", "_cols")
+    __slots__ = ("n_rows", "_op")
 
     def __init__(self, rows: np.ndarray, n_rows: int,
                  cols: np.ndarray | None = None,
                  n_cols: int | None = None) -> None:
         rows = _validate_rows(rows, n_rows)
         self.n_rows = int(n_rows)
-        self._rows = rows
         if cols is None:
             cols = np.arange(len(rows), dtype=np.int64)
             n_cols = len(rows)
         else:
             cols, n_cols = _validate_cols(cols, rows, n_cols)
-        self._cols = cols
         self._op = _csr_rowgroups(rows, cols, self.n_rows, int(n_cols))
 
     def __call__(self, operand: np.ndarray) -> np.ndarray:
-        if self._op is not None:
-            return self._op @ operand
-        operand = np.asarray(operand, dtype=np.float64)
-        weights = operand[self._cols]
-        if weights.ndim == 1:
-            return np.bincount(self._rows, weights=weights,
-                               minlength=self.n_rows)
-        out = np.empty((self.n_rows, weights.shape[1]))
-        for j in range(weights.shape[1]):
-            out[:, j] = np.bincount(self._rows, weights=weights[:, j],
-                                    minlength=self.n_rows)
-        return out
+        return self._op @ operand
 
 
 class BasedScatterAdd:
@@ -162,7 +138,7 @@ class BasedScatterAdd:
     ``B[cols[k]]`` — the gather is fused into the kernel.
     """
 
-    __slots__ = ("n_rows", "n", "_op", "_rows", "_cols", "_buf")
+    __slots__ = ("n_rows", "n", "_op", "_buf")
 
     def __init__(self, rows: np.ndarray, n_rows: int,
                  cols: np.ndarray | None = None,
@@ -170,13 +146,11 @@ class BasedScatterAdd:
         rows = _validate_rows(rows, n_rows)
         self.n_rows = int(n_rows)
         self.n = len(rows)
-        self._rows = rows
         if cols is None:
             cols = np.arange(self.n, dtype=np.int64)
             n_cols = self.n
         else:
             cols, n_cols = _validate_cols(cols, rows, n_cols)
-        self._cols = cols
         # The operand buffer is [base (n_rows); table (n_cols)]: row r's
         # base slot is entry r (stored first within the row, so
         # accumulation starts from it), answers read slot n_rows+cols.
@@ -199,8 +173,4 @@ class BasedScatterAdd:
         buf = self._buffer(self.n_rows + table.shape[0], table.shape[1:])
         buf[: self.n_rows] = base
         buf[self.n_rows:] = table
-        if self._op is not None:
-            return self._op @ buf
-        out = buf[: self.n_rows].copy()
-        np.add.at(out, self._rows, buf[self.n_rows:][self._cols])
-        return out
+        return self._op @ buf

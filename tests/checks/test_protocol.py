@@ -97,7 +97,6 @@ def test_lock_holds_are_timed(verifier):
 def test_pool_respawn_swaps_the_ledger_entry(verifier):
     verifier.pool_spawned(1)
     verifier.pool_respawned(1, 2)
-    assert verifier.respawn_count == 1
     assert verifier.outstanding()["pools"] == [2]
     verifier.pool_shutdown(2)
     verifier.assert_clean()
@@ -113,8 +112,6 @@ def test_phase_retry_requires_the_live_lease(verifier):
         verifier.phase_retry(10, 100)
     verifier.lease_acquired(10, 100)
     verifier.phase_retry(10, 100)
-    assert verifier.retry_count == 1
-    assert verifier.leases[10]["retries"] == 1
     verifier.lease_released(10)
     verifier.lease_acquired(10, 200)
     with pytest.raises(ProtocolError, match="stale lease"):
@@ -128,8 +125,6 @@ def test_phase_degraded_requires_the_live_lease(verifier):
         verifier.phase_degraded(10, 100, shard=1)
     verifier.lease_acquired(10, 100)
     verifier.phase_degraded(10, 100, shard=1)
-    assert verifier.degrade_count == 1
-    assert verifier.leases[10]["degraded"] == 1
     verifier.lease_released(10)
     verifier.lease_acquired(10, 200)
     with pytest.raises(ProtocolError, match="stale lease"):

@@ -12,7 +12,9 @@ The PR-10 contracts:
   serial spec path (flagged in ``FitStats``) — or raise, when the
   policy says so;
 * the hooks are deterministic: the same :class:`FaultPlan` over the
-  same stream injects the same faults at the same events.
+  same stream injects the same faults at the same events;
+* a plan is armed process-wide, and each lease recovers under its own
+  :class:`FaultPolicy`: nothing one lease names carries into the next.
 """
 
 import os
@@ -30,6 +32,8 @@ from repro.engine.runtime import ShardRuntime, get_runtime_registry
 from repro.exceptions import PhaseTimeoutError, WorkerCrashError
 from repro.faults import Backoff, FaultPlan, FaultTrigger
 
+from tests.fault_arming import armed
+
 
 def build_answers(seed=0, n_tasks=60, n_workers=8, n_answers=400):
     rng = np.random.default_rng(seed)
@@ -45,12 +49,13 @@ def build_answers(seed=0, n_tasks=60, n_workers=8, n_answers=400):
 
 def runtime_fit(answers, method="D&S", plan=None, policy=None,
                 n_shards=4, max_workers=2):
-    """One fit on a private runtime; returns (result, fault_events)."""
+    """One fit on a private runtime with ``plan`` armed; returns
+    (result, fault_events)."""
     spec = MethodSpec.coerce(method, {}).with_defaults(seed=0)
     rt = ShardRuntime(n_shards=n_shards, max_workers=max_workers)
     try:
-        lease = rt.lease(answers, spec, fault_policy=policy, faults=plan)
-        with lease:
+        with armed(plan), rt.lease(answers, spec,
+                                   fault_policy=policy) as lease:
             result = create(spec).fit(answers, shard_runner=lease)
         return result, dict(lease.fault_events)
     finally:
@@ -180,6 +185,26 @@ class TestArming:
         faults.disarm()
         assert faults.get_plan() is None
 
+    def test_armed_block_restores_the_plan_armed_before(self,
+                                                         monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "commit")
+        inner = FaultPlan.parse("garble")
+        with armed(inner):
+            assert faults.get_plan() is inner
+        outer = faults.get_plan()
+        assert [t.kind for t in outer.triggers] == ["commit"]
+        with armed(None):
+            assert faults.get_plan() is None
+        assert faults.get_plan() is outer
+        with pytest.raises(KeyError):
+            with armed(inner):
+                raise KeyError("the block fails")
+        assert faults.get_plan() is outer
+        faults.disarm()
+        with armed(inner):
+            pass
+        assert faults.get_plan() is None
+
 
 # -- FaultPolicy (pure unit) -------------------------------------------
 class TestFaultPolicy:
@@ -200,18 +225,30 @@ class TestFaultPolicy:
     def test_unbounded_deadline_is_explicit_none(self):
         assert FaultPolicy(deadline=None).deadline is None
 
-    def test_policy_carries_fault_fields_into_the_plan(self, answers):
-        plan = FaultPlan.parse("kill:on=99")
+    def test_policy_carries_the_fault_policy_into_the_plan(self,
+                                                           answers):
         fp = FaultPolicy(retries=1)
         resolved = ExecutionPolicy(n_shards=2, executor="serial",
-                                   fault_policy=fp, faults=plan
-                                   ).resolve(answers)
+                                   fault_policy=fp).resolve(answers)
         assert resolved.fault_policy == fp
-        assert resolved.faults is plan
 
-    def test_policy_rejects_a_planless_faults_object(self):
-        with pytest.raises(ValueError):
-            ExecutionPolicy(faults=object())
+    def test_a_lease_naming_no_policy_runs_under_the_defaults(self,
+                                                              answers):
+        """Recovery belongs to the lease: a strict policy named by one
+        lease does not carry into the next.  The second lease's phase
+        stalls past the first lease's 1 s deadline and still returns."""
+        strict = FaultPolicy(deadline=1.0, retries=0, degrade=False)
+        spec = MethodSpec("D&S", seed=0)
+        plan = FaultPlan.parse("delay:phase=init_block,on=2,seconds=1.2")
+        with armed(plan), ShardRuntime(n_shards=1, max_workers=1) as rt:
+            with rt.lease(answers, spec, fault_policy=strict) as lease:
+                assert lease.fault_policy is strict
+                lease.call("init_block")
+            with rt.lease(answers, spec) as lease:
+                assert lease.fault_policy == FaultPolicy()
+                lease.call("init_block")
+                assert not any(lease.fault_events.values())
+        assert plan.fired["delay"] == 1
 
 
 # -- recovery on the live runtime --------------------------------------
@@ -247,10 +284,11 @@ class TestKillRecovery:
     def test_fit_stats_surface_the_recovery(self, answers, reference):
         plan = FaultPlan.parse("kill:shard=0,on=2")
         policy = ExecutionPolicy(
-            n_shards=4, executor="process", max_workers=2, faults=plan,
+            n_shards=4, executor="process", max_workers=2,
             fault_policy=FaultPolicy(deadline=30.0))
         try:
-            result = create("D&S", seed=0).fit(answers, policy=policy)
+            with armed(plan):
+                result = create("D&S", seed=0).fit(answers, policy=policy)
         finally:
             get_runtime_registry().close_all()
         assert result.fit_stats.respawns >= 1
@@ -286,18 +324,15 @@ class TestDegradation:
         spec = MethodSpec.coerce("D&S", {})
         rt = ShardRuntime(n_shards=4, max_workers=2)
         try:
-            lease = rt.lease(answers, spec,
-                             fault_policy=FaultPolicy(deadline=30.0,
-                                                      retries=0),
-                             faults=plan)
-            with lease:
+            with armed(plan), rt.lease(
+                    answers, spec, fault_policy=FaultPolicy(
+                        deadline=30.0, retries=0)) as lease:
                 create(spec).fit(answers, shard_runner=lease)
             first = lease.fault_events["degraded"]
             # One respawn per degraded slot, then the slot stays
             # master-side: degraded phases keep accruing, kills don't.
             assert first >= 2
             assert lease.fault_events["respawns"] >= 1
-            assert rt.degraded_phases == first
             # A fresh lease starts healthy again (no armed plan now).
             lease2 = rt.lease(answers, spec,
                               fault_policy=FaultPolicy(deadline=30.0))

@@ -24,12 +24,14 @@ from repro.core.answers import AnswerSet
 from repro.core.policy import ExecutionPolicy, MethodSpec
 from repro.core.registry import create
 from repro.core.tasktypes import TaskType
+from repro.engine import placement
 from repro.engine.engine import InferenceEngine
 from repro.engine.runtime import (
     RuntimeRegistry,
     ShardRuntime,
     get_runtime_registry,
 )
+from repro.exceptions import ProtocolError
 
 
 def build_answers(seed=0, n_tasks=60, n_workers=8, n_answers=400):
@@ -159,11 +161,10 @@ class TestIncrementalExtend:
             assert rt.reuses == 2
             assert rt.pool_spawns == 1
 
-    def test_capacity_growth_reallocates_and_still_matches(self):
+    def test_growth_up_to_the_replace_threshold_keeps_the_segments(self):
         answers = build_answers(n_answers=100)
-        # 90% growth exceeds the initially placed capacity but stays
-        # under the 2x re-place threshold, forcing the reallocate +
-        # re-attach extend path.
+        # 90% growth stays under the 2x re-place threshold, so it fits
+        # the capacity the placement reserved: no reallocation.
         grown = grow_answers(answers, 90)
         with ShardRuntime(n_shards=3, max_workers=2) as rt:
             with rt.lease(answers, "D&S", {"seed": 0},
@@ -175,11 +176,26 @@ class TestIncrementalExtend:
                 result = create("D&S", seed=0).fit(grown,
                                                    shard_runner=runner)
             assert rt.last_placement == "extend"
-            assert set(rt.segment_names()) != old_names
+            assert set(rt.segment_names()) == old_names
         reference = create("D&S", seed=0).fit(grown)
         assert np.abs(result.posterior
                       - reference.posterior).max() < 1e-10
         assert_unlinked(old_names)
+
+    def test_an_extend_past_the_reserve_raises(self, monkeypatch):
+        """The reserve covers every extend the placement layer allows;
+        one it does not allow (here: cuts that always hold) raises
+        instead of writing past the segments."""
+        answers = build_answers(n_answers=100)
+        with ShardRuntime(n_shards=3, max_workers=1) as rt:
+            with rt.lease(answers, "D&S", {"seed": 0}, stream_key="s"):
+                pass
+            monkeypatch.setattr(placement, "cuts_hold",
+                                lambda *args: True)
+            with pytest.raises(ProtocolError, match="overruns"), \
+                    rt.lease(grow_answers(answers, 150), "D&S",
+                             {"seed": 0}, stream_key="s"):
+                pass
 
     def test_doubled_stream_replaces_to_rebalance(self):
         answers = build_answers(n_answers=100)

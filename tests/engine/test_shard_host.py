@@ -9,7 +9,9 @@ layouts adopted on the process tier, and the EM specs kept between fits.
 * A recovered process-tier engine adopts its snapshot's pinned cuts
   into the runtime, so its first refit is a delta refit.
 * A host keeps one spec per method construction, up to
-  ``MAX_SPECS``, so a mix of refresher and reader fits reuses them.
+  ``MAX_SPECS``, so a mix of refresher and reader fits reuses them; an
+  extend fits the segment capacity its placement reserved, so it keeps
+  them too.
 """
 
 import os
@@ -31,6 +33,7 @@ from repro.engine.placement import MAX_SPECS
 from repro.engine.runtime import ShardRuntime, _rt_probe
 from repro.faults import FaultPlan, FaultTrigger
 from repro.inference.sharded import DeltaPlan, dirty_shards
+from tests.fault_arming import armed
 
 GRADIENT_METHODS = ["GLAD", "Minimax", "Minimax-Ord"]
 
@@ -77,8 +80,8 @@ class TestGradientRoundRecovery:
     def fit(answers, method, plan=None, policy=None):
         spec = MethodSpec(method, seed=0)
         with ShardRuntime(n_shards=2, max_workers=2) as rt:
-            with rt.lease(answers, spec, fault_policy=policy,
-                          faults=plan) as lease:
+            with armed(plan), rt.lease(answers, spec,
+                                       fault_policy=policy) as lease:
                 result = create(spec).fit(answers, shard_runner=lease)
         return result, lease.fault_events
 
@@ -107,8 +110,8 @@ class TestGradientRoundRecovery:
             delta = DeltaPlan(prev=state, dirty=dirty_shards(
                 state.task_cuts, grown.tasks[state.n_answers:],
                 grown.n_tasks))
-            with rt.lease(grown, spec, stream_key="s", fault_policy=policy,
-                          faults=plan) as lease:
+            with armed(plan), rt.lease(grown, spec, stream_key="s",
+                                       fault_policy=policy) as lease:
                 result = create(spec).fit(grown, shard_runner=lease,
                                           warm_start=first, delta=delta)
         return result, lease.fault_events
@@ -219,9 +222,28 @@ class TestSpecRetention:
         with self.engine(executor="process", max_workers=1) as engine:
             self.run_mix(engine)
             probe = engine._runtime._workers[0].call(_rt_probe)
-        # The first extend reallocates the segments, and the layout
-        # re-sent after it drops the worker's specs once.
-        assert probe["spec_reuses"] >= 12
+        assert probe["spec_reuses"] == 15
+
+    @pytest.mark.skipif(
+        bool(os.environ.get("REPRO_FAULTS")),
+        reason="a canned fault plan may respawn workers, resetting "
+               "their kept specs")
+    def test_extends_keep_the_segments_and_the_specs(self):
+        """A placement reserves room for every extend it allows, so
+        extends append in place and the worker keeps its spec."""
+        tasks, workers, values = build_answers(1000, 3300)
+        spec = MethodSpec("D&S", seed=0)
+        names, reuses = [], []
+        with ShardRuntime(n_shards=4, max_workers=1) as rt:
+            for n in (3000, 3100, 3200, 3300):
+                answers = answer_set((tasks[:n], workers[:n], values[:n]))
+                with rt.lease(answers, spec, stream_key="s") as lease:
+                    create(spec).fit(answers, shard_runner=lease)
+                names.append(rt.segment_names())
+                reuses.append(rt._workers[0].call(_rt_probe)["spec_reuses"])
+            assert rt.extends == 3
+        assert all(n == names[0] for n in names)
+        assert reuses == [0, 1, 2, 3]
 
     def test_the_oldest_spec_is_evicted_past_the_bound(self, base_part):
         answers = answer_set(base_part)
@@ -249,13 +271,13 @@ def test_crashes_reach_fit_stats_and_engine_totals(base_part):
     answers = answer_set(base_part)
     plan = FaultPlan([FaultTrigger("kill", shard=1, on=2)])
     policy = ExecutionPolicy(n_shards=2, executor="process", max_workers=2,
-                             faults=plan,
                              fault_policy=FaultPolicy(deadline=30.0))
     with InferenceEngine(TaskType.DECISION_MAKING, seed=0,
                          label_order=[0, 1], policy=policy) as engine:
         engine.add_answers(list(zip(*(part.tolist()
                                       for part in base_part))))
-        stats = engine.infer("D&S").fit_stats
+        with armed(plan):
+            stats = engine.infer("D&S").fit_stats
         totals = dict(engine.fault_totals)
     assert stats.crashes >= 1
     assert f"{stats.crashes} crashes" in stats.summary()

@@ -429,16 +429,14 @@ class TestTcpAnswerSource:
 class TestGarbleFault:
     def test_garbled_line_is_skipped_and_counted(self):
         from repro import faults
+        from tests.fault_arming import armed
 
         plan = faults.FaultPlan.parse("garble:on=2")
-        faults.arm(plan)
-        try:
+        with armed(plan):
             stream = io.StringIO("t1,w1,yes\nt2,w2,no\nt3,w3,yes\n")
             source = LineAnswerSource(stream,
                                       TaskSchema.declare("decision"))
             records = [r for b in source.batches(10) for r in b]
-        finally:
-            faults.disarm()
         assert records == [("t1", "w1", "yes"), ("t3", "w3", "yes")]
         assert source.bad_lines == 1
         assert plan.fired["garble"] == 1

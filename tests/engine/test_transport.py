@@ -2,14 +2,16 @@
 
 Contracts:
 
-* a phase is one message per worker slot, and the lease counts what
-  crossed the pipes (messages, pickled bytes, worker-side seconds);
+* a phase is one message per worker slot, a delayed one included, and
+  the lease counts what crossed the pipes (messages, pickled bytes,
+  worker-side seconds);
 * a reply that timed out is never read as a later request's reply;
 * a worker-side exception is re-raised on the master with its type and
   message, and the worker keeps serving;
 * a reply that cannot cross the pipe comes back as a typed error, and
   the slot serves the next lease;
-* sync, delay and phase messages apply in FIFO order;
+* a worker owes at most one reply: a second request before it is read
+  raises;
 * a lease run in a fresh interpreter exits without resource-tracker
   warnings (the tracker is started before any worker is forked).
 """
@@ -29,8 +31,13 @@ from repro.core.registry import create
 from repro.core.result import FitStats
 from repro.core.tasktypes import TaskType
 from repro.engine.runtime import ShardRuntime
-from repro.exceptions import PhaseTimeoutError, WorkerReplyError
+from repro.exceptions import (
+    PhaseTimeoutError,
+    ProtocolError,
+    WorkerReplyError,
+)
 from repro.faults import FaultPlan
+from tests.fault_arming import armed
 
 SPEC = MethodSpec("D&S", seed=0)
 
@@ -156,17 +163,16 @@ class TestLateReplies:
                        zip(init_blocks(first), want))
         plan = FaultPlan.parse("delay:phase=init_block,seconds=2")
         with ShardRuntime(n_shards=2, max_workers=1) as rt:
-            lease = rt.lease(first, SPEC, faults=plan,
+            lease = rt.lease(first, SPEC,
                              fault_policy=FaultPolicy(
                                  deadline=1.0, retries=0, degrade=False))
-            with pytest.raises(PhaseTimeoutError):
+            with armed(plan), pytest.raises(PhaseTimeoutError):
                 lease.call("init_block")
             stale_pid = rt._workers[0].pid
             lease.close()
             # Give the stale reply time to land on the old pipe.
             time.sleep(1.5)
-            with rt.lease(second, SPEC,
-                          fault_policy=FaultPolicy()) as lease2:
+            with rt.lease(second, SPEC) as lease2:
                 got = lease2.call("init_block")
                 assert rt._workers[0].pid != stale_pid
         assert_same_blocks(got, want)
@@ -185,6 +191,17 @@ class TestWorkerExceptions:
                 assert rt._workers[0].pid == pid
                 assert lease.fault_events["respawns"] == 0
         assert_same_blocks(got, init_blocks(answers))
+
+    def test_a_phase_raising_on_every_slot_leaves_no_reply_owed(self):
+        answers = build_answers()
+        with ShardRuntime(n_shards=2, max_workers=2) as rt:
+            with rt.lease(answers, SPEC) as lease:
+                with pytest.raises(AttributeError, match="no_such_phase"):
+                    lease.call("no_such_phase")
+                assert not any(worker.owed for worker in rt._workers)
+                got = lease.call("init_block")
+                assert not any(lease.fault_events.values())
+        assert_same_blocks(got, init_blocks(answers, max_workers=2))
 
     def test_exception_carries_the_worker_traceback(self):
         with ShardRuntime(n_shards=1, max_workers=1) as rt:
@@ -218,33 +235,53 @@ class TestUnpicklableReplies:
         assert_same_blocks(got, init_blocks(answers))
 
 
-class TestFifo:
-    def test_requests_apply_in_send_order(self):
+class TestOneReplyOwed:
+    def test_a_second_request_before_the_reply_raises(self):
         with ShardRuntime(n_shards=1, max_workers=1) as rt:
             with rt.lease(build_answers(), SPEC):
                 worker = rt._workers[0]
                 worker.send(_record, "a")
-                worker.send(_record, "b")
-                worker.send(_record, "c")
-                # result() drains every owed reply, returning the newest.
-                assert worker.result(30.0) == ["a", "b", "c"]
-                assert worker.owed == 0
+                with pytest.raises(ProtocolError, match="owes"):
+                    worker.send(_record, "b")
+                assert worker.result(30.0) == ["a"]
+                assert not worker.owed
+                assert worker.call(_record, "c", timeout=30.0) == ["a", "c"]
 
-    def test_sync_then_delay_then_phase(self):
-        """The lease's sync lands before the phase that needs it, and
-        a queued delay stalls the phase reply without failing it."""
+
+class TestDelayedPhase:
+    def test_a_delayed_phase_is_one_message(self):
+        """The delay rides in the phase message: the worker sleeps for
+        the summed delay of its delayed shards, then runs the phase."""
         answers = build_answers()
-        plan = FaultPlan.parse("delay:phase=init_block,seconds=0.3")
+        plan = FaultPlan.parse("delay:phase=init_block,count=2,seconds=0.2")
         with ShardRuntime(n_shards=2, max_workers=1) as rt:
-            with rt.lease(answers, SPEC, faults=plan,
+            with rt.lease(answers, SPEC,
                           fault_policy=FaultPolicy(deadline=30.0)) as lease:
-                started = time.perf_counter()
-                got = lease.call("init_block")
-                waited = time.perf_counter() - started
-                # sync, then the delay and the phase: three messages.
-                assert lease.ipc["messages"] == 3
+                with armed(plan):
+                    started = time.perf_counter()
+                    got = lease.call("init_block")
+                    waited = time.perf_counter() - started
+                # The sync, then the phase with its delay: two messages.
+                assert lease.ipc["messages"] == 2
                 assert not any(lease.fault_events.values())
-        assert waited >= 0.3
+        assert plan.fired["delay"] == 2
+        assert waited >= 0.4
+        assert_same_blocks(got, init_blocks(answers))
+
+    def test_a_delay_past_the_deadline_is_recovered_like_a_hang(self):
+        answers = build_answers()
+        plan = FaultPlan.parse("delay:phase=init_block,seconds=5")
+        with ShardRuntime(n_shards=2, max_workers=1) as rt:
+            with rt.lease(answers, SPEC,
+                          fault_policy=FaultPolicy(deadline=1.0)) as lease:
+                with armed(plan):
+                    got = lease.call("init_block")
+                events = dict(lease.fault_events)
+        # One delayed shard stalls its slot's one message, so both
+        # shards of the slot time out; the retry runs undelayed.
+        assert plan.fired["delay"] == 1
+        assert events["timeouts"] == 2
+        assert events["respawns"] == 1
         assert_same_blocks(got, init_blocks(answers))
 
 

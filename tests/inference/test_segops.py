@@ -1,15 +1,15 @@
 """Bit-exactness of the frozen segmented-reduction operators.
 
-The contract (see :mod:`repro.inference.segops`): the CSR form and the
-numpy fallback form are interchangeable with the ``np.bincount`` /
-``np.add.at`` idioms they replace at the bit level, for both the plain
-per-answer-weights form and the ``cols``-indirected table form.
+The contract (see :mod:`repro.inference.segops`): the CSR operators
+are interchangeable with the ``np.bincount`` / ``np.add.at`` idioms
+they replace at the bit level, for both the plain per-answer-weights
+form and the ``cols``-indirected table form.
 """
 
 import numpy as np
 import pytest
 
-from repro.inference.segops import HAVE_SPARSE, BasedScatterAdd, SegmentSum
+from repro.inference.segops import BasedScatterAdd, SegmentSum
 
 
 def random_case(seed=0, n=5000, n_rows=60, n_cols=40, m=3):
@@ -23,40 +23,25 @@ def random_case(seed=0, n=5000, n_rows=60, n_cols=40, m=3):
     return rows, cols, weights1, weights2, table1, table2
 
 
-def as_fallback(op):
-    """The same operator with the CSR backend disabled."""
-    op._op = None
-    return op
-
-
 class TestSegmentSum:
-    @pytest.mark.parametrize("fallback", [False, True])
-    def test_matches_bincount_1d(self, fallback):
+    def test_matches_bincount_1d(self):
         rows, _, weights, _, _, _ = random_case()
         op = SegmentSum(rows, 60)
-        if fallback:
-            op = as_fallback(op)
         expected = np.bincount(rows, weights=weights, minlength=60)
         assert np.array_equal(op(weights), expected)
 
-    @pytest.mark.parametrize("fallback", [False, True])
-    def test_matches_bincount_2d(self, fallback):
+    def test_matches_bincount_2d(self):
         rows, _, _, weights, _, _ = random_case()
         op = SegmentSum(rows, 60)
-        if fallback:
-            op = as_fallback(op)
         result = op(weights)
         for j in range(weights.shape[1]):
             assert np.array_equal(
                 result[:, j],
                 np.bincount(rows, weights=weights[:, j], minlength=60))
 
-    @pytest.mark.parametrize("fallback", [False, True])
-    def test_cols_indirection_matches_gather_then_bincount(self, fallback):
+    def test_cols_indirection_matches_gather_then_bincount(self):
         rows, cols, _, _, table1, table2 = random_case()
         op = SegmentSum(rows, 60, cols=cols, n_cols=40)
-        if fallback:
-            op = as_fallback(op)
         assert np.array_equal(
             op(table1),
             np.bincount(rows, weights=table1[cols], minlength=60))
@@ -82,35 +67,26 @@ class TestSegmentSum:
 
 
 class TestBasedScatterAdd:
-    @pytest.mark.parametrize("fallback", [False, True])
-    def test_matches_base_copy_add_at_1d(self, fallback):
+    def test_matches_base_copy_add_at_1d(self):
         rows, _, weights, _, _, _ = random_case(seed=1)
         base = np.random.default_rng(2).normal(0, 1, 60)
         op = BasedScatterAdd(rows, 60)
-        if fallback:
-            op = as_fallback(op)
         expected = base.copy()
         np.add.at(expected, rows, weights)
         assert np.array_equal(op(base, weights), expected)
 
-    @pytest.mark.parametrize("fallback", [False, True])
-    def test_matches_base_copy_add_at_2d(self, fallback):
+    def test_matches_base_copy_add_at_2d(self):
         rows, _, _, weights, _, _ = random_case(seed=3)
         base_row = np.random.default_rng(4).normal(0, 1, weights.shape[1])
         op = BasedScatterAdd(rows, 60)
-        if fallback:
-            op = as_fallback(op)
         expected = np.tile(base_row, (60, 1))
         np.add.at(expected, rows, weights)
         assert np.array_equal(op(base_row, weights), expected)
 
-    @pytest.mark.parametrize("fallback", [False, True])
-    def test_cols_indirection_matches_gathered_add_at(self, fallback):
+    def test_cols_indirection_matches_gathered_add_at(self):
         rows, cols, _, _, _, table = random_case(seed=5)
         base = np.random.default_rng(6).normal(0, 1, (60, table.shape[1]))
         op = BasedScatterAdd(rows, 60, cols=cols, n_cols=40)
-        if fallback:
-            op = as_fallback(op)
         expected = base.copy()
         np.add.at(expected, rows, table[cols])
         assert np.array_equal(op(base, table), expected)
@@ -131,8 +107,3 @@ class TestBasedScatterAdd:
         first = op(np.zeros(60), weights)
         second = op(np.zeros(60), 2.0 * weights)
         assert np.allclose(2.0 * first, second)
-
-
-def test_sparse_backend_is_active():
-    # The container ships SciPy; the fast path must actually be in use.
-    assert HAVE_SPARSE

@@ -22,6 +22,7 @@ from repro.core.tasktypes import TaskType
 from repro.core.answers import AnswerSet
 from repro.engine.runtime import ShardRuntime
 from repro.faults import FaultPlan, FaultTrigger
+from tests.fault_arming import armed
 
 METHODS = ["D&S", "KOS"]
 SHARD_COUNTS = [2, 4]
@@ -54,9 +55,8 @@ def fit(method, n_shards, plan=None):
     policy = FaultPolicy(deadline=30.0) if plan is not None else None
     rt = ShardRuntime(n_shards=n_shards, max_workers=2)
     try:
-        lease = rt.lease(answers(), spec, fault_policy=policy,
-                         faults=plan)
-        with lease:
+        with armed(plan), rt.lease(answers(), spec,
+                                   fault_policy=policy) as lease:
             result = create(spec).fit(answers(), shard_runner=lease)
         return result, dict(lease.fault_events)
     finally:

@@ -5,8 +5,10 @@ Two layers:
 * a hypothesis property — over random record tails, batch splits,
   duplicate policies and snapshot cadences, abandon the store after an
   arbitrary acknowledged prefix and require the recovered engine to
-  serve the *same truth* (posterior parity <= 1e-10) as an
-  uninterrupted engine fed that prefix;
+  recover the acknowledged stream bit-exactly, and to serve what a fit
+  of it from where recovery started serves (posterior parity <=
+  1e-10): the uninterrupted engine's fit when a snapshot exists at the
+  stream head, else a batch fit from the newest snapshot (or cold);
 * a real ``SIGKILL`` integration test — a child process streams batches
   through a durable engine and prints ``ACK <version>`` after each
   acknowledged batch; the parent kills it with ``-9`` mid-stream,
@@ -22,10 +24,11 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.policy import ExecutionPolicy, StorePolicy
+from repro.core.registry import create
 from repro.core.tasktypes import TaskType
 from repro.engine import InferenceEngine
 
@@ -49,6 +52,24 @@ def _batched(records, size):
 )
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
+# Small streams have several EM fixed points.  Recovery's one warm
+# refit from the seq-1 snapshot stops at max_iter at [0.31, 0.69]; the
+# uninterrupted engine's warm refits stay at [0, 1].
+@example(records=[(0, 0, 1)] + [(0, 0, 0)] * 7, batch_size=1,
+         crash_fraction=1.0, on_duplicate="keep", snapshot_every=10**9,
+         infer_during=True)
+# The replayed replacement makes recovery refit cold, to [0.5, 0.5];
+# the uninterrupted engine refits warm from its post-replacement fit,
+# to [1, 0].
+@example(records=[(0, 0, 0), (0, 0, 0), (0, 1, 1)], batch_size=1,
+         crash_fraction=1.0, on_duplicate="replace", snapshot_every=5,
+         infer_during=True)
+# The warm second fit snapshots at the head, and recovery serves that
+# snapshot as it is; one more warm refit from it would move off it.
+@example(records=[(1, 1, 1), (2, 0, 0), (2, 2, 0), (0, 2, 0), (0, 2, 0),
+                  (1, 1, 1), (0, 0, 1), (2, 2, 1), (2, 0, 0), (2, 0, 0)],
+         batch_size=5, crash_fraction=1.0, on_duplicate="keep",
+         snapshot_every=5, infer_during=True)
 def test_recovery_serves_the_acknowledged_truth(
         records, batch_size, crash_fraction, on_duplicate,
         snapshot_every, infer_during):
@@ -105,15 +126,25 @@ def test_recovery_serves_the_acknowledged_truth(
                 assert gap <= 1e-10
                 np.testing.assert_array_equal(result.truths, ref.truths)
             else:
-                # Recovery resumes EM from an older snapshot (or cold);
-                # both runs converge to the same fixed point within the
-                # EM tolerance, and agree on every decisively-labelled
-                # task (exact ties may break either way).
-                assert gap <= 1e-6
-                margin = np.abs(ref.posterior[:, 0] - ref.posterior[:, 1])
-                decisive = margin > 1e-4
-                np.testing.assert_array_equal(result.truths[decisive],
-                                              ref.truths[decisive])
+                # Recovery resumes EM from an older snapshot, or cold.
+                # A small stream has several fixed points, so it need
+                # not reach the uninterrupted engine's; it must reach
+                # what a batch fit of the recovered answers reaches
+                # from where recovery started.  A snapshot at the head
+                # is served as it is.
+                row = recovered.store.snapshots.load_latest(
+                    "D&S", max_seq=acked_version)
+                if row is not None and row[0] == acked_version:
+                    expected = row[2]["result"]
+                else:
+                    start = (row[2]["result"]
+                             if result.extras.get("warm_started") else None)
+                    expected = create("D&S", seed=0, tolerance=1e-7).fit(
+                        snap, warm_start=start)
+                assert np.abs(result.posterior
+                              - expected.posterior).max() <= 1e-10
+                np.testing.assert_array_equal(result.truths,
+                                              expected.truths)
 
 
 _WRITER_SCRIPT = """

@@ -140,13 +140,11 @@ class TestCommitRetry:
 
     def test_injected_lock_fault_is_retried_through(self, log):
         from repro import faults
+        from tests.fault_arming import armed
 
         plan = faults.FaultPlan.parse("commit")
-        faults.arm(plan)
-        try:
+        with armed(plan):
             log.append_batch([("t1", "w1", 1)], [0], version=1)
-        finally:
-            faults.disarm()
         assert plan.fired["commit"] == 1
         assert len(log) == 1
         assert log.last_seq == 1
@@ -154,14 +152,12 @@ class TestCommitRetry:
     def test_fault_outlasting_the_budget_raises_store_error(self, log):
         from repro import faults
         from repro.store.log import COMMIT_RETRIES
+        from tests.fault_arming import armed
 
         plan = faults.FaultPlan.parse(f"commit:count={COMMIT_RETRIES + 5}")
-        faults.arm(plan)
-        try:
-            with pytest.raises(StoreError, match="failed to commit"):
-                log.append_batch([("t1", "w1", 1)], [0], version=1)
-        finally:
-            faults.disarm()
+        with armed(plan), pytest.raises(StoreError,
+                                        match="failed to commit"):
+            log.append_batch([("t1", "w1", 1)], [0], version=1)
         # All-or-nothing: the exhausted batch left no partial row.
         assert len(log) == 0
         assert plan.fired["commit"] == COMMIT_RETRIES + 1

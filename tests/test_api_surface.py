@@ -23,8 +23,9 @@ from repro.core.registry import create
 from repro.core.tasktypes import TaskType
 from repro.datasets.schema import Dataset
 from repro.engine import BatchJob, BatchRunner, InferenceEngine
-from repro.engine.runtime import RuntimeRegistry
+from repro.engine.runtime import RuntimeRegistry, ShardRuntime
 from repro.experiments.runner import run_grid, run_many, run_method
+from repro.faults import FaultPlan
 
 REPRO_ALL = [
     "AnswerSet",
@@ -73,9 +74,8 @@ ENGINE_ALL = [
 
 #: Every execution knob a fit can be given, in declaration order.
 POLICY_FIELDS = ["n_shards", "executor", "max_workers", "refit",
-                 "freeze_tol", "verify_every", "store", "fault_policy",
-                 "faults"]
-PLAN_FIELDS = ["mode", "n_shards", "max_workers", "fault_policy", "faults"]
+                 "freeze_tol", "verify_every", "store", "fault_policy"]
+PLAN_FIELDS = ["mode", "n_shards", "max_workers", "fault_policy"]
 
 
 class TestExports:
@@ -163,6 +163,13 @@ REMOVED_SPELLINGS = {
         max_workers=1).run_grid([ds], methods=["MV"], n_shards=3),
     "lease-positional": lambda ds: RuntimeRegistry().lease(
         2, None, ds.answers, "D&S", {}),
+    # A fault plan is armed process-wide (repro.faults.arm), never
+    # through a policy or a lease.
+    "ExecutionPolicy-faults": lambda ds: ExecutionPolicy(
+        faults=FaultPlan.parse("kill")),
+    "ShardRuntime.lease-faults": lambda ds: ShardRuntime(
+        n_shards=2, max_workers=1).lease(ds.answers, "D&S",
+                                         faults=FaultPlan.parse("kill")),
 }
 
 
