@@ -81,6 +81,8 @@ internal lock that is released by :meth:`RuntimeLease.close` (or the
 the lock — each fit is internally parallel over the workers, so this
 is the intended schedule, not a bottleneck.  Taking a second lease
 from the thread that already holds one deadlocks; don't nest.
+Closing the runtime from that thread does not wait: it tears the
+runtime down and closes the lease with it.
 
 If a fit raises mid-EM while holding a lease, the lease's ``__exit__``
 **resets** the runtime — workers are stopped (a busy one is killed)
@@ -635,6 +637,8 @@ class RuntimeLease(SerialShardRunner):
         self._ranges = [tuple(r) for r in task_ranges]
         self._released = False
         self._dispatched = False
+        #: The leasing thread, whose close of the runtime cannot wait.
+        self._thread = threading.get_ident()
         #: The :class:`~repro.core.policy.FaultPolicy` this lease's
         #: dispatches recover under.
         self.fault_policy = fault_policy
@@ -922,6 +926,8 @@ class ShardRuntime(Placement):
         #: workers have not seen yet.
         self._pending: list = []
         self._closed = False
+        #: The open lease, ``None`` between leases.
+        self._lease: RuntimeLease | None = None
         self.last_used = time.monotonic()
         #: The spec-configure ledger entry a respawned worker replays.
         self._configure: MethodSpec | None = None
@@ -942,8 +948,16 @@ class ShardRuntime(Placement):
 
         Idempotent: teardown runs exactly once no matter how many of
         explicit ``close()``, registry eviction and the atexit hook
-        reach this runtime.
+        reach this runtime.  A close from the thread that holds the
+        open lease closes that lease too, instead of waiting for it.
         """
+        lease = self._lease
+        if lease is not None and lease._thread == threading.get_ident():
+            lease._host = None  # it views the segments torn down next
+            self._teardown()
+            self._closed = True
+            lease.close()
+            return
         with self._lock:
             if self._closed:
                 return
@@ -1072,6 +1086,7 @@ class ShardRuntime(Placement):
                 fault_events=events, ipc=ipc)
             if _VERIFIER is not None:
                 _VERIFIER.lease_acquired(id(self), id(lease))
+            self._lease = lease
             return lease
         except BaseException:
             self._teardown()
@@ -1090,6 +1105,7 @@ class ShardRuntime(Placement):
             super().adopt(answers, state, stream_key=stream_key)
 
     def _release_lease(self) -> None:
+        self._lease = None
         if _VERIFIER is not None:
             _VERIFIER.lease_released(id(self))
             _VERIFIER.lock_released("runtime", id(self))

@@ -172,11 +172,12 @@ class SufficientStats:
 class ShardedEMSpec(abc.ABC):
     """Method-specific shard computations for the sharded EM driver.
 
-    Subclasses implement the four phase hooks; every hook receives the
-    shard plus the per-shard static operators built (once) by
-    :meth:`build_ops`.  Hooks must depend only on their arguments and
-    the spec's construction-time configuration, so the same spec can be
-    rebuilt inside worker processes.
+    Subclasses implement :meth:`build_ops` and the phase hooks their
+    loop calls; the others raise.  Every hook receives the shard plus
+    the per-shard static operators built (once) by :meth:`build_ops`.
+    Hooks must depend only on their arguments and the spec's
+    construction-time configuration, so the same spec can be rebuilt
+    inside worker processes.
 
     :meth:`m_step` is the spec's one M-step hook, for full fits and
     delta refits alike.  Its default is a map-reduce over
@@ -200,12 +201,13 @@ class ShardedEMSpec(abc.ABC):
     statistics_m_step = True
 
     #: The phases that write per-shard ``ops`` state a later phase
-    #: reads (KOS's message rounds; the ``begin_m_step`` whose tensors
-    #: GLAD's and Minimax's gradient rounds read).  The process runtime
-    #: logs only these, per lease, and replays the log into a respawned
-    #: worker and onto a degraded slot's master-side host, so recovery
-    #: stays bit-identical.  Logging every phase would pin each
-    #: ``grad_step``'s fresh argument slice for the whole lease.
+    #: reads (KOS's ``prime``, ``task_round`` and ``worker_round``; the
+    #: ``begin_m_step`` whose tensors GLAD's and Minimax's gradient
+    #: rounds read).  The process runtime logs only these, per lease,
+    #: and replays the log into a respawned worker and onto a degraded
+    #: slot's master-side host, so recovery stays bit-identical.
+    #: Logging every phase would pin each ``grad_step``'s fresh
+    #: argument slice for the whole lease.
     stateful_phases: frozenset[str] = frozenset()
 
     #: Extra positional arguments appended to every ``accumulate`` call
@@ -256,25 +258,29 @@ class ShardedEMSpec(abc.ABC):
         """Build the frozen scatter/reduce operators for one shard."""
 
     # -- phases --------------------------------------------------------
-    @abc.abstractmethod
     def init_block(self, shard: AnswerShard, ops) -> np.ndarray:
         """Cold-start state block for the shard's task range (the
         method's default initialisation, e.g. majority voting)."""
+        raise self._undefined("init_block")
 
-    @abc.abstractmethod
     def accumulate(self, shard: AnswerShard, ops,
                    block: np.ndarray) -> SufficientStats:
         """Map phase of the M-step: this shard's sufficient statistics
         given its current posterior block."""
+        raise self._undefined("accumulate")
 
-    @abc.abstractmethod
     def finalize(self, stats: SufficientStats):
         """Reduce epilogue: merged statistics -> global parameters."""
+        raise self._undefined("finalize")
 
-    @abc.abstractmethod
     def e_block(self, shard: AnswerShard, ops, params) -> np.ndarray:
         """E-step for one shard: global parameters -> posterior block
         covering ``[shard.task_start, shard.task_stop)``."""
+        raise self._undefined("e_block")
+
+    def _undefined(self, hook: str) -> NotImplementedError:
+        return NotImplementedError(
+            f"{type(self).__name__} does not define {hook}")
 
     # -- control -------------------------------------------------------
     def prepare_accumulate(self, state: np.ndarray,
@@ -325,12 +331,6 @@ class AlternatingSpec(ShardedEMSpec):
     turns merged losses into weights), so the same spec also drives
     delta refits (:class:`DeltaPlan`) and the process runtime.
     """
-
-    def init_block(self, shard: AnswerShard, ops) -> np.ndarray:
-        raise NotImplementedError(
-            f"{type(self).__name__} always starts from initial weights; "
-            f"it has no cold-start state block"
-        )
 
 
 class SerialShardRunner:

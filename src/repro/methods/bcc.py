@@ -142,10 +142,6 @@ class _ConfusionCountSpec(ShardedEMSpec):
         return SufficientStats(confusion_counts=counts,
                                class_sums=block.sum(axis=0))
 
-    def finalize(self, stats: SufficientStats):
-        raise NotImplementedError(
-            "Gibbs parameters are drawn by the sample closure")
-
     def e_block(self, shard: AnswerShard, ops, params) -> np.ndarray:
         worker_log_conf, log_prior = params
         log_post = np.tile(log_prior, (shard.n_local_tasks, 1))

@@ -201,13 +201,6 @@ class _GladSpec(ShardedEMSpec):
                          self.n_workers),
                 ops.task_sum((residual * alpha_w) * beta_t))
 
-    # The statistics hooks are unused — m_step above replaces them.
-    def accumulate(self, shard, ops, block):  # pragma: no cover
-        raise NotImplementedError("GLAD merges gradients, not statistics")
-
-    def finalize(self, stats):  # pragma: no cover
-        raise NotImplementedError("GLAD merges gradients, not statistics")
-
     # -- E-step --------------------------------------------------------
     def e_block(self, shard: AnswerShard, ops, params) -> np.ndarray:
         alpha, log_beta = params

@@ -17,7 +17,9 @@ the task half of each round is shard-local; the worker half merges
 per-shard worker totals between the two message updates, and the
 normaliser merges per-shard squared sums.  The per-edge ``y``/``x``
 messages stay resident shard-side across rounds (in the cached shard
-operators, so the process tier never reships them).
+operators, so the process tier never reships them).  A round is the
+two phases ``task_round`` and ``worker_round``; its normaliser rides,
+as a per-shard divisor, into the next phase that reads ``y``.
 
 Seeding is *layout-independent*: the master draws one entropy word per
 fit and every edge derives its Gaussian seed shard-side from a hash of
@@ -28,18 +30,21 @@ epoch appends, or any shard count; the residual cross-layout
 difference is float summation order in the per-round ``bincount``
 reductions (the same last-ulp caveat every multi-shard merge has).
 
-Delta refits (the KOS incremental contract): a warm refit restores
-each clean shard's cached final ``y`` messages and re-primes dirty
-shards with fresh seeds, then replays the fixed message rounds with
-clean shards *frozen* — their worker-total partial is predicted
-analytically as ``s_k · P_k`` (``task_round`` is linear in ``y`` and a
-round's normalisation is one global scalar, so the master tracks each
-frozen shard's cumulative scale ``s_k``), and their normaliser
-contribution as ``s_k² · q_k``.  Periodic verify rounds (and always
-the final round) synchronise the frozen messages, run the real round
-everywhere, measure the prediction drift, and thaw any shard whose
-drift exceeds the threshold — so the final scores are always the
-output of a genuine full round.
+Delta refits (the KOS incremental contract): one round loop runs every
+fit, and a full fit is the case with nothing frozen.  A warm refit
+primes clean shards with their cached final ``y`` messages and seeds
+the rest (dirty shards, and a clean one whose cached block no longer
+matches its edges).  Shards primed from the cache start *frozen*: their
+worker-total partial is predicted analytically as ``s_k · P_k``
+(``task_round`` is linear in ``y`` and a round's normalisation is one
+global scalar, so the master tracks each frozen shard's cumulative
+scale ``s_k``), and their normaliser contribution as ``s_k² · q_k``.
+Periodic verify rounds (and always the final round) synchronise the
+frozen messages, run the real round everywhere, measure the prediction
+drift, and thaw any shard whose drift exceeds the threshold — so the
+final scores are always the output of a genuine full round.  The sync
+factor ``1/s_k`` is one more divisor owed, applied after the last
+verify's normaliser rather than multiplied into it.
 """
 
 from __future__ import annotations
@@ -106,21 +111,28 @@ def edge_seed_messages(tasks: np.ndarray, workers: np.ndarray,
     return 1.0 + ndtri(u)
 
 
-class _KOSSpec(ShardedEMSpec):
-    """Round phases of the KOS message passing.
+def _divide(y: np.ndarray, divisors: tuple) -> np.ndarray:
+    """``y`` divided by each of ``divisors`` in turn."""
+    for divisor in divisors:
+        y = y / divisor
+    return y
 
-    Not an EM method: the phases below are driven directly by
-    :meth:`KOS._fit` rather than ``run_em_sharded``, so the EM hooks
-    are stubs.  ``ops`` doubles as the shard's message store — built
-    once per shard and pinned to its worker process, it carries the
-    per-edge ``y``/``x`` vectors from round to round.
+
+class _KOSSpec(ShardedEMSpec):
+    """Shard phases of the KOS message passing, driven by
+    :meth:`KOS._fit`: ``prime``, ``task_round`` and ``worker_round``
+    per round, then ``score``; it defines none of the EM hooks.
+
+    ``ops`` doubles as the shard's message store — built once per shard
+    and pinned to its worker process, it carries the per-edge ``y``/``x``
+    vectors from round to round.  A phase that reads ``y`` first divides
+    it, in turn, by the ``divisors`` the shard owes.
     """
 
     #: The phases that write the message store, which the runtime
     #: replays to recover a shard (see
-    #: ``ShardedEMSpec.stateful_phases``).
-    stateful_phases = frozenset({"seed_edges", "restore_y", "task_round",
-                                 "worker_round", "scale_y"})
+    #: ``ShardedEMSpec.stateful_phases``); ``score`` only reads it.
+    stateful_phases = frozenset({"prime", "task_round", "worker_round"})
 
     def __init__(self, n_tasks: int, n_workers: int,
                  n_choices: int = 2) -> None:
@@ -143,23 +155,22 @@ class _KOSSpec(ShardedEMSpec):
         return True
 
     # -- round phases --------------------------------------------------
-    def seed_edges(self, shard: AnswerShard, ops, entropy: int) -> None:
-        """Seed this shard's ``y`` messages from edge identity (see
-        :func:`edge_seed_messages`) — the same values in any layout."""
+    def prime(self, shard: AnswerShard, ops, cached,
+              entropy: int) -> bool:
+        """Set this shard's ``y`` messages: adopt the ``cached`` block
+        when its length still matches the shard's edges, else seed from
+        edge identity (:func:`edge_seed_messages`, the same values in
+        any layout).  Returns whether the cached block was adopted."""
+        if cached is not None and len(cached) == len(ops.spins):
+            ops.y = np.array(cached, dtype=np.float64)
+            return True
         ops.y = edge_seed_messages(shard.tasks, shard.workers, entropy)
+        return False
 
-    def restore_y(self, shard: AnswerShard, ops,
-                  y_block: np.ndarray) -> bool:
-        """Adopt a cached message block; declines (returns False) when
-        the shard's edge count no longer matches — the caller then
-        re-seeds the shard instead of trusting a misaligned cache."""
-        if y_block is None or len(y_block) != len(ops.spins):
-            return False
-        ops.y = np.array(y_block, dtype=np.float64)
-        return True
-
-    def task_round(self, shard: AnswerShard, ops) -> np.ndarray:
+    def task_round(self, shard: AnswerShard, ops,
+                   divisors: tuple) -> np.ndarray:
         """x-update (shard-local) + this shard's worker-total partial."""
+        ops.y = _divide(ops.y, divisors)
         spins = ops.spins
         task_totals = np.bincount(shard.local_tasks, weights=spins * ops.y,
                                   minlength=shard.n_local_tasks)
@@ -175,52 +186,27 @@ class _KOSSpec(ShardedEMSpec):
         ops.y = worker_totals[shard.workers] - spins * ops.x
         return float(np.sum(ops.y * ops.y))
 
-    def scale_y(self, shard: AnswerShard, ops, norm: float) -> None:
-        ops.y = ops.y / norm
-
-    def score_block(self, shard: AnswerShard, ops
-                    ) -> tuple[np.ndarray, np.ndarray]:
+    def score(self, shard: AnswerShard, ops, divisors: tuple,
+              collect: bool) -> tuple:
         """Final task scores (shard-local) and the shard's partial of
-        the per-worker alignment sums."""
+        the per-worker alignment sums, leaving the message store as it
+        is.  With ``collect``, also a snapshot of the shard's message
+        state for the next delta refit, sharing the per-task totals:
+        the final ``y`` block, its ``task_round`` worker-total partial
+        and its squared sum."""
+        y = _divide(ops.y, divisors)
         spins = ops.spins
-        scores = np.bincount(shard.local_tasks, weights=spins * ops.y,
+        scores = np.bincount(shard.local_tasks, weights=spins * y,
                              minlength=shard.n_local_tasks)
         alignment = spins * np.sign(scores)[shard.local_tasks]
         sums = np.bincount(shard.workers, weights=alignment,
                            minlength=self.n_workers)
-        return scores, sums
-
-    def score_and_collect(self, shard: AnswerShard, ops):
-        """:meth:`score_block` plus a snapshot of this shard's message
-        state for the next delta refit, in one shard pass that shares
-        the per-task totals bincount — the delta path's final sweep.
-        The snapshot is the final ``y`` block, its ``task_round``
-        worker-total partial (computed without touching the resident
-        messages) and its squared sum."""
-        spins = ops.spins
-        scores = np.bincount(shard.local_tasks, weights=spins * ops.y,
-                             minlength=shard.n_local_tasks)
-        alignment = spins * np.sign(scores)[shard.local_tasks]
-        sums = np.bincount(shard.workers, weights=alignment,
-                           minlength=self.n_workers)
-        x = scores[shard.local_tasks] - spins * ops.y
+        if not collect:
+            return scores, sums
+        x = scores[shard.local_tasks] - spins * y
         partial = np.bincount(shard.workers, weights=spins * x,
                               minlength=self.n_workers)
-        return (scores, sums, np.array(ops.y), partial,
-                float(np.sum(ops.y * ops.y)))
-
-    # -- unused EM hooks -----------------------------------------------
-    def init_block(self, shard: AnswerShard, ops) -> np.ndarray:
-        raise NotImplementedError("KOS is not an EM method")
-
-    def accumulate(self, shard: AnswerShard, ops, block) -> None:
-        raise NotImplementedError("KOS is not an EM method")
-
-    def finalize(self, stats) -> None:
-        raise NotImplementedError("KOS is not an EM method")
-
-    def e_block(self, shard: AnswerShard, ops, params) -> np.ndarray:
-        raise NotImplementedError("KOS is not an EM method")
+        return scores, sums, np.array(y), partial, float(np.sum(y * y))
 
 
 @register
@@ -253,6 +239,8 @@ class KOS(BinaryMethod):
     ) -> InferenceResult:
         started = time.perf_counter()
         runner = shard_runner
+        n_shards = runner.n_shards
+        n_workers = answers.n_workers
         # One entropy word per fit: deterministic given the seed,
         # independent of any layout (the per-edge seeds are derived
         # from it shard-side — see edge_seed_messages).
@@ -264,43 +252,113 @@ class KOS(BinaryMethod):
         # cached KOS session; anything else demotes to a collecting
         # full fit (`refit="full"` passes no plan at all, so the
         # historical path is untouched bit-for-bit).
-        warm = (warm_start is not None and session is not None
-                and isinstance(session, dict)
+        warm = (warm_start is not None and isinstance(session, dict)
                 and session.get("family") == "kos"
-                and len(session.get("y", ())) == runner.n_shards)
+                and len(session.get("y", ())) == n_shards)
         if delta is not None and delta.prev is not None and not warm:
             delta = delta.collect_only()
 
+        fit_stats = FitStats(mode="delta" if warm else "full",
+                             n_shards=n_shards)
+        cached: list = [None] * n_shards
+        verify_every, thaw_tol = 1, 0.0  # read only while frozen
         if warm:
-            fit_stats = self._run_delta(runner, answers, delta, entropy)
-        else:
-            fit_stats = FitStats(mode="full", n_shards=runner.n_shards)
-            runner.call("seed_edges", shared=(entropy,))
-            for _ in range(self.n_rounds):
-                fit_stats.active_shards.append(runner.n_shards)
-                fit_stats.frozen_shards.append(0)
-                partials = runner.call("task_round")
-                fit_stats.e_block_calls += runner.n_shards
-                worker_totals = functools.reduce(np.add, partials)
-                squares = runner.call("worker_round",
-                                      shared=(worker_totals,))
-                fit_stats.accumulate_calls += runner.n_shards
-                norm = np.sqrt(sum(squares) / answers.n_answers)
-                if norm > 0:
-                    runner.call("scale_y", shared=(float(norm),))
+            dirty = np.asarray(delta.dirty, dtype=bool)
+            check_delta_layout(runner.task_ranges, delta.prev, dirty)
+            fit_stats.dirty_shards = int(dirty.sum())
+            verify_every = max(1, int(delta.verify_every))
+            freeze_tol = (delta.freeze_tol if delta.freeze_tol is not None
+                          else 0.0)
+            thaw_tol = max(_THAW_DRIFT_FLOOR, verify_every * freeze_tol)
+            cached = [None if dirty[k] else session["y"][k]
+                      for k in range(n_shards)]
+        adopted = runner.call("prime", per_shard=[(y,) for y in cached],
+                              shared=(entropy,))
+        # Shards primed from the cache start frozen, predicted from
+        # their cached worker-total partial and squared sum times their
+        # cumulative scale since caching.
+        frozen = {k for k, ok in enumerate(adopted) if ok}
+        part = {k: pad_rows(np.asarray(session["partial"][k],
+                                       dtype=np.float64), n_workers)
+                for k in frozen}
+        sq = {k: float(session["sq"][k]) for k in frozen}
+        scale = {k: 1.0 for k in frozen}
+        # The divisors each shard applies to ``y`` at its next read.
+        owed: list[list] = [[] for _ in range(n_shards)]
 
+        for r in range(1, self.n_rounds + 1):
+            active = [k for k in range(n_shards) if k not in frozen]
+            fit_stats.active_shards.append(len(active))
+            fit_stats.frozen_shards.append(n_shards - len(active))
+            verify = bool(frozen) and (r % verify_every == 0
+                                       or r == self.n_rounds)
+            if verify:
+                # Sync frozen y to the scale the predictions assumed,
+                # then run the round for real everywhere and grade the
+                # predictions against it.
+                fit_stats.verify_passes += 1
+                for k in frozen:
+                    if scale[k] != 1.0:
+                        owed[k].append(1.0 / scale[k])
+            run = list(range(n_shards)) if verify else active
+            partials = runner.call(
+                "task_round", per_shard=[(tuple(owed[k]),) for k in run],
+                only=run) if run else []
+            for k in run:
+                owed[k] = []
+            fit_stats.e_block_calls += len(run)
+            worker_totals = functools.reduce(np.add, partials,
+                                             np.zeros(n_workers))
+            if verify:
+                for k in sorted(frozen):
+                    predicted = scale[k] * part[k]
+                    real = partials[k]
+                    spread = max(float(np.max(np.abs(real))), 1e-30)
+                    drift = float(np.max(np.abs(real - predicted))) / spread
+                    if drift > thaw_tol and r < self.n_rounds:
+                        frozen.discard(k)
+                        fit_stats.thaws += 1
+            else:
+                for k in frozen:
+                    worker_totals += scale[k] * part[k]
+            squares = runner.call("worker_round", shared=(worker_totals,),
+                                  only=run) if run else []
+            fit_stats.accumulate_calls += len(run)
+            sq_total = sum(squares)
+            if not verify:
+                sq_total += sum(scale[k] ** 2 * sq[k] for k in frozen)
+            norm = np.sqrt(sq_total / answers.n_answers)
+            if norm > 0:
+                for k in run:
+                    owed[k].append(float(norm))
+                for k in frozen:
+                    if verify:
+                        # Refresh the surviving frozen caches at the
+                        # new (real, post-scale) messages, approximating
+                        # the round as the global rescale the freeze
+                        # model assumes; the next verify bounds the lag.
+                        part[k] = partials[k] / norm
+                        sq[k] = squares[k] / (norm * norm)
+                        scale[k] = 1.0
+                    else:
+                        scale[k] /= norm
+
+        packed = runner.call("score",
+                             per_shard=[(tuple(y),) for y in owed],
+                             shared=(delta is not None,))
+        scores = np.concatenate([p[0] for p in packed])
+        sums = functools.reduce(np.add, [p[1] for p in packed])
         shard_state = None
         if delta is not None:
-            packed = runner.call("score_and_collect")
-            fit_stats.e_block_calls += runner.n_shards
-            scores = np.concatenate([p[0] for p in packed])
-            sums = functools.reduce(np.add, [p[1] for p in packed])
-            shard_state = self._collect_state(runner, packed, delta)
-        else:
-            results = runner.call("score_block")
-            scores = np.concatenate([block for block, _ in results])
-            sums = functools.reduce(np.add,
-                                    [part for _, part in results])
+            # A collecting fit counts its final sweep: the session the
+            # next delta refit resumes from is taken there.
+            fit_stats.e_block_calls += n_shards
+            shard_state = ShardState.collect(
+                runner, [p[0] for p in packed], delta,
+                session={"family": "kos",
+                         "y": [p[2] for p in packed],
+                         "partial": [p[3] for p in packed],
+                         "sq": [p[4] for p in packed]})
 
         truths = np.where(scores > 0, LABEL_TRUE, 1 - LABEL_TRUE)
         ties = scores == 0
@@ -327,137 +385,4 @@ class KOS(BinaryMethod):
             extras={"task_scores": scores, "warm_started": warm},
             fit_stats=fit_stats,
             shard_state=shard_state,
-        )
-
-    # ------------------------------------------------------------------
-    # Delta refit: warm message restarts + frozen-shard scaling
-    # ------------------------------------------------------------------
-    def _run_delta(self, runner, answers: AnswerSet, delta,
-                   entropy: int) -> FitStats:
-        """Replay the message rounds from cached per-shard state.
-
-        Clean shards restore their cached final ``y`` (their edge
-        arrays are bit-stable under append-only growth); dirty shards —
-        and any clean shard whose cached block no longer matches its
-        edge count — are re-seeded from edge identity.  Restored shards
-        start *frozen*: between verify rounds their worker-total
-        partial is the analytic ``s_k · P_k`` and their normaliser
-        contribution ``s_k² · q_k``, with ``s_k`` accumulating the
-        global per-round scale.  Verify rounds (every
-        ``delta.verify_every`` rounds, and always the final round)
-        synchronise the frozen messages, run the real round everywhere,
-        refresh the caches and thaw shards whose relative prediction
-        drift exceeds the threshold.
-        """
-        prev = delta.prev
-        ranges = runner.task_ranges
-        n_shards = runner.n_shards
-        dirty = np.asarray(delta.dirty, dtype=bool)
-        check_delta_layout(ranges, prev, dirty)
-        verify_every = max(1, int(delta.verify_every))
-        freeze_tol = delta.freeze_tol if delta.freeze_tol is not None else 0.0
-        thaw_tol = max(_THAW_DRIFT_FLOOR, verify_every * freeze_tol)
-
-        fit_stats = FitStats(mode="delta", n_shards=n_shards,
-                             dirty_shards=int(dirty.sum()))
-        session = prev.session
-        n_workers = answers.n_workers
-
-        clean_idx = [k for k in range(n_shards) if not dirty[k]]
-        restored = runner.call(
-            "restore_y", per_shard=[session["y"][k] for k in clean_idx],
-            only=clean_idx) if clean_idx else []
-        frozen = {k for k, ok in zip(clean_idx, restored) if ok}
-        reseed = sorted(set(range(n_shards)) - frozen)
-        if reseed:
-            runner.call("seed_edges", shared=(entropy,), only=reseed)
-
-        # Per-frozen-shard prediction state: cached worker-total
-        # partial, cached squared sum, cumulative scale since caching.
-        part = {k: pad_rows(np.asarray(session["partial"][k],
-                                       dtype=np.float64), n_workers)
-                for k in frozen}
-        sq = {k: float(session["sq"][k]) for k in frozen}
-        scale = {k: 1.0 for k in frozen}
-
-        for r in range(1, self.n_rounds + 1):
-            active = [k for k in range(n_shards) if k not in frozen]
-            fit_stats.active_shards.append(len(active))
-            fit_stats.frozen_shards.append(n_shards - len(active))
-            verify = bool(frozen) and (r % verify_every == 0
-                                       or r == self.n_rounds)
-            if verify:
-                # Sync frozen y to the scale the predictions assumed,
-                # then run the round for real everywhere and grade the
-                # predictions against it.
-                sync = [k for k in sorted(frozen) if scale[k] != 1.0]
-                if sync:
-                    runner.call("scale_y",
-                                per_shard=[(1.0 / scale[k],) for k in sync],
-                                only=sync)
-                partials = runner.call("task_round")
-                fit_stats.e_block_calls += n_shards
-                fit_stats.verify_passes += 1
-                worker_totals = functools.reduce(np.add, partials)
-                for k in sorted(frozen):
-                    predicted = scale[k] * part[k]
-                    real = partials[k]
-                    spread = max(float(np.max(np.abs(real))), 1e-30)
-                    drift = float(np.max(np.abs(real - predicted))) / spread
-                    if drift > thaw_tol and r < self.n_rounds:
-                        frozen.discard(k)
-                        fit_stats.thaws += 1
-                        part.pop(k)
-                        sq.pop(k)
-                        scale.pop(k)
-                squares = runner.call("worker_round",
-                                      shared=(worker_totals,))
-                fit_stats.accumulate_calls += n_shards
-                norm = np.sqrt(sum(squares) / answers.n_answers)
-                if norm > 0:
-                    runner.call("scale_y", shared=(float(norm),))
-                    # Refresh the surviving frozen caches at the new
-                    # (real, post-scale) messages, approximating the
-                    # round as the global rescale the freeze model
-                    # assumes; the next verify bounds the lag.
-                    for k in frozen:
-                        part[k] = partials[k] / norm
-                        sq[k] = squares[k] / (norm * norm)
-                        scale[k] = 1.0
-            else:
-                partials = runner.call("task_round",
-                                       only=active) if active else []
-                fit_stats.e_block_calls += len(active)
-                worker_totals = np.zeros(n_workers)
-                for p in partials:
-                    worker_totals += p
-                for k in frozen:
-                    worker_totals += scale[k] * part[k]
-                squares = runner.call("worker_round",
-                                      shared=(worker_totals,),
-                                      only=active) if active else []
-                fit_stats.accumulate_calls += len(active)
-                sq_total = sum(squares) + sum(
-                    scale[k] ** 2 * sq[k] for k in frozen)
-                norm = np.sqrt(sq_total / answers.n_answers)
-                if norm > 0:
-                    if active:
-                        runner.call("scale_y", shared=(float(norm),),
-                                    only=active)
-                    for k in frozen:
-                        scale[k] /= norm
-        return fit_stats
-
-    @staticmethod
-    def _collect_state(runner, packed, delta) -> ShardState:
-        """Capture the per-shard message session the next delta refit
-        resumes from (collected by the combined final sweep)."""
-        return ShardState.collect(
-            runner, [scores for scores, _, _, _, _ in packed], delta,
-            session={
-                "family": "kos",
-                "y": [y for _, _, y, _, _ in packed],
-                "partial": [p for _, _, _, p, _ in packed],
-                "sq": [q for _, _, _, _, q in packed],
-            },
         )

@@ -295,13 +295,6 @@ class _MinimaxSpec(ShardedEMSpec):
         np.add.at(log_post, shard.local_tasks, edge_ll)
         return log_normalize_rows(log_post)
 
-    # -- unused statistics hooks ---------------------------------------
-    def accumulate(self, shard: AnswerShard, ops, block) -> None:
-        raise NotImplementedError("Minimax's M-step is iterative")
-
-    def finalize(self, stats) -> None:
-        raise NotImplementedError("Minimax's M-step is iterative")
-
 
 @register
 class MinimaxEntropy(CategoricalMethod):

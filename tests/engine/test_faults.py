@@ -28,6 +28,7 @@ from repro.core.answers import AnswerSet
 from repro.core.policy import ExecutionPolicy, FaultPolicy, MethodSpec
 from repro.core.registry import create
 from repro.core.tasktypes import TaskType
+from repro.engine import InferenceEngine
 from repro.engine.runtime import ShardRuntime, get_runtime_registry
 from repro.exceptions import PhaseTimeoutError, WorkerCrashError
 from repro.faults import Backoff, FaultPlan, FaultTrigger
@@ -60,6 +61,67 @@ def runtime_fit(answers, method="D&S", plan=None, policy=None,
         return result, dict(lease.fault_events)
     finally:
         rt.close()
+
+
+def kos_batches(seed=0, n_tasks=60, n_workers=8, base=500, steps=3,
+                growth=60):
+    """A base batch, then growth batches confined to the first quarter
+    of the tasks, as ``(task, worker, value)`` records."""
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(0, 2, n_tasks)
+    acc = rng.uniform(0.6, 0.95, n_workers)
+    batches = []
+    tasks = np.sort(rng.integers(0, n_tasks, base))
+    for step in range(steps + 1):
+        if step:
+            tasks = rng.integers(0, n_tasks // 4, growth)
+        workers = rng.integers(0, n_workers, len(tasks))
+        correct = rng.random(len(tasks)) < acc[workers]
+        values = np.where(correct, truth[tasks], 1 - truth[tasks])
+        batches.append(list(zip(tasks.tolist(), workers.tolist(),
+                                values.tolist())))
+    return batches
+
+
+def kos_stream(executor, plan=None, policy=None):
+    """KOS fits of :func:`kos_batches` on 4 shards with ``plan`` armed:
+    a collecting full fit, then delta refits whose clean shards start
+    frozen, verify every 3 rounds and thaw."""
+    fault_policy = policy or FaultPolicy()
+    execution = ExecutionPolicy(
+        n_shards=4, executor=executor,
+        max_workers=2 if executor == "process" else None, refit="delta",
+        verify_every=3, fault_policy=fault_policy)
+    try:
+        with armed(plan), InferenceEngine(TaskType.DECISION_MAKING,
+                                          policy=execution,
+                                          seed=0) as engine:
+            results = []
+            for batch in kos_batches():
+                engine.add_answers(batch)
+                results.append(engine.infer("KOS"))
+        return results
+    finally:
+        get_runtime_registry().close_all()
+
+
+def assert_same_kos_fits(expected, actual):
+    """Bit-for-bit equal KOS fits: scores, posteriors, worker quality,
+    the collected message session and the round counters."""
+    for want, got in zip(expected, actual, strict=True):
+        np.testing.assert_array_equal(want.extras["task_scores"],
+                                      got.extras["task_scores"])
+        np.testing.assert_array_equal(want.posterior, got.posterior)
+        np.testing.assert_array_equal(want.worker_quality,
+                                      got.worker_quality)
+        for key in ("y", "partial", "sq"):
+            for a, b in zip(want.shard_state.session[key],
+                            got.shard_state.session[key], strict=True):
+                np.testing.assert_array_equal(a, b)
+        for name in ("mode", "frozen_shards", "e_block_calls",
+                     "verify_passes", "thaws"):
+            assert getattr(want.fit_stats, name) == getattr(
+                got.fit_stats, name), name
 
 
 @pytest.fixture(scope="module")
@@ -395,6 +457,49 @@ class TestStatefulReplay:
             policy=FaultPolicy(deadline=30.0, retries=0))
         assert events["degraded"] >= 1
         assert np.array_equal(ref.posterior, out.posterior)
+
+    @pytest.mark.parametrize("n_rounds", [1, 10])
+    def test_kos_round_is_two_dispatches(self, answers, n_rounds):
+        """A cold R-round fit is ``prime``, two phases a round and
+        ``score``: one message each on a one-worker runtime."""
+        spec = MethodSpec.coerce(
+            "KOS", {"n_rounds": n_rounds}).with_defaults(seed=0)
+        rt = ShardRuntime(n_shards=4, max_workers=1)
+        try:
+            with armed(None), rt.lease(answers, spec) as lease:
+                synced = lease.ipc["messages"]
+                create(spec).fit(answers, shard_runner=lease)
+                assert lease.ipc["messages"] - synced == 2 * n_rounds + 2
+        finally:
+            rt.close()
+
+    def test_kos_delta_refits_match_serial(self):
+        serial = kos_stream("serial")
+        process = kos_stream("process")
+        refit = process[-1].fit_stats
+        assert refit.mode == "delta"
+        assert refit.frozen_shards[0] > 0
+        assert refit.verify_passes > 0 and refit.thaws > 0
+        assert_same_kos_fits(serial, process)
+
+    @pytest.mark.parametrize("retries, event", [(3, "respawns"),
+                                                (0, "degraded")])
+    def test_kos_delta_refit_recovers_bit_identically(self, retries,
+                                                      event):
+        """Shard 1 is frozen in the first refit, so its 12th
+        ``task_round`` is that refit's second verify round, where it
+        owes two divisors; a kill there replays the phase log into a
+        fresh worker, or onto the master once retries run out."""
+        count = 1 if retries else 999
+        plan = FaultPlan.parse(
+            f"kill:shard=1,phase=task_round,on=12,count={count}")
+        serial = kos_stream("serial")
+        process = kos_stream("process", plan, FaultPolicy(
+            deadline=30.0, retries=retries))
+        assert plan.fired["kill"] >= 1
+        assert process[1].fit_stats.mode == "delta"
+        assert getattr(process[1].fit_stats, event) >= 1
+        assert_same_kos_fits(serial, process)
 
     def test_stateless_specs_skip_the_phase_log(self, answers):
         spec = MethodSpec.coerce("D&S", {}).with_defaults(seed=0)

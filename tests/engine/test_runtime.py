@@ -15,6 +15,7 @@ Covers the PR-3 contracts:
 import multiprocessing
 import subprocess
 import sys
+import threading
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -323,6 +324,41 @@ class TestEvictionAndClose:
             with rt.lease(answers, "ZC", {"seed": 0}) as runner:
                 create("ZC", seed=0).fit(answers, shard_runner=runner)
             assert rt.pool_spawns == 1
+
+    def test_close_from_the_lease_holder_tears_down(self):
+        # An exception leaves ``with ShardRuntime(...)`` while its lease
+        # is still open: the close runs on the thread holding the lease,
+        # so it must not wait for that lease to be released.
+        answers = build_answers()
+        error = KeyError("mid-lease")
+        seen = {}
+
+        def scenario():
+            try:
+                with ShardRuntime(n_shards=2, max_workers=1) as rt:
+                    seen["rt"] = rt
+                    seen["lease"] = lease = rt.lease(answers, "ZC",
+                                                     {"seed": 0})
+                    create("ZC", seed=0).fit(answers, shard_runner=lease)
+                    raise error
+            except KeyError as exc:
+                seen["raised"] = exc
+
+        thread = threading.Thread(target=scenario, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        if thread.is_alive():
+            # Let the waiting close() through, so nothing leaks.
+            seen["lease"].close()
+            thread.join(timeout=30)
+            pytest.fail("close() from the lease holder did not return")
+        assert seen["raised"] is error
+        rt, lease = seen["rt"], seen["lease"]
+        assert rt.closed
+        assert rt.segment_names() == []
+        lease.close()  # already closed: a no-op
+        with pytest.raises(ProtocolError, match="lease already closed"):
+            lease.call("e_block", shared=(None,))
 
 
 class TestExceptionLeaks:
