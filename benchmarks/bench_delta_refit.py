@@ -179,8 +179,9 @@ def _hand_driven_warm_refits(batches, method: str = "D&S"):
             engine.add_answers(batch)
             snapshot = engine.stream.snapshot()
             instance = create(method, seed=0, tolerance=TOLERANCE,
-                              max_iter=MAX_ITER, policy=policy)
-            previous = instance.fit(snapshot, warm_start=previous)
+                              max_iter=MAX_ITER)
+            previous = instance.fit(snapshot, warm_start=previous,
+                                    policy=policy)
     return previous
 
 

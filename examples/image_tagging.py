@@ -56,8 +56,8 @@ def main() -> None:
     # identical numbers (the tag grid is one flat decision task space,
     # so it shards like any large workload would).
     policy = ExecutionPolicy(n_shards=4, executor="serial")
-    result = create(MethodSpec("D&S", seed=0), policy=policy).fit(
-        dataset.answers)
+    result = create(MethodSpec("D&S", seed=0)).fit(dataset.answers,
+                                                   policy=policy)
     recovered = decisions_to_tag_sets(result, n_images, n_tags)
     print()
     print("sample recoveries (D&S):")

@@ -127,15 +127,17 @@ def _cmd_run(args) -> int:
     dataset = load_paper_dataset(args.dataset, seed=args.seed,
                                  scale=args.scale)
     names = args.methods or methods_for_task_type(dataset.task_type)
-    rows = []
+    error = _require_applicable(dataset.task_type, *names)
+    if error:
+        return _complain(error)
+    rows, metric_names = [], None
     for name in names:
         result = create(name, seed=args.seed).fit(dataset.answers)
         scores = dataset.score(result)
+        metric_names = metric_names or list(scores)
         rows.append([name]
                     + [round(v, 4) for v in scores.values()]
                     + [f"{result.elapsed_seconds:.2f}s"])
-    metric_names = list(dataset.score(
-        create(names[0], seed=args.seed).fit(dataset.answers)))
     print(format_table(["method"] + metric_names + ["time"], rows,
                        title=f"{dataset.name} (scale={args.scale})"))
     return 0
@@ -144,6 +146,9 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     dataset = load_paper_dataset(args.dataset, seed=args.seed,
                                  scale=args.scale)
+    error = _require_applicable(dataset.task_type, *(args.methods or ()))
+    if error:
+        return _complain(error)
     sweep = sweep_redundancy(
         dataset,
         redundancies=args.redundancies,
@@ -185,13 +190,16 @@ def _read_answer_csv_or_complain(path: str):
     return records
 
 
-def _require_applicable(method: str, task_type: TaskType) -> str | None:
-    """An error message if ``method`` cannot run on ``task_type``."""
-    if method not in available_methods():
-        return f"unknown method: {method} (see `repro methods`)"
-    if method not in methods_for_task_type(task_type):
-        return (f"method {method} does not support {task_type.value} "
-                f"tasks (see `repro methods`)")
+def _require_applicable(task_type: TaskType, *methods: str) -> str | None:
+    """An error message for the first of ``methods`` that cannot run on
+    ``task_type``, checked before any fit starts."""
+    for method in methods:
+        if method not in available_methods():
+            return f"unknown method: {method} (see `repro methods`)"
+        if method not in methods_for_task_type(task_type,
+                                               include_extensions=True):
+            return (f"method {method} does not support {task_type.value} "
+                    f"tasks (see `repro methods`)")
     return None
 
 
@@ -201,8 +209,9 @@ def _require_minimums(*specs: tuple[str, int, int]) -> str | None:
     Returns the first violation as an error message, so every command
     rejects bad counts with identical wording (``stream`` and ``batch``
     historically disagreed on ``--workers``).  ``--shards`` above the
-    task count is *not* an error: :func:`repro.core.shards.shard_by_tasks`
-    clamps it deterministically to the task count.
+    task count is *not* an error:
+    :class:`~repro.core.shards.ShardedAnswerSet` clamps it
+    deterministically to the task count.
     """
     for flag, value, minimum in specs:
         if value < minimum:
@@ -246,7 +255,7 @@ def _cmd_infer(args) -> int:
 
     schema = infer_schema(records)
     labels = list(schema.labels)
-    error = _require_applicable(args.method, schema.task_type)
+    error = _require_applicable(schema.task_type, args.method)
     if error:
         print(error, file=sys.stderr)
         return 1
@@ -335,7 +344,7 @@ def _cmd_stream(args) -> int:
         schema = source.schema  # may pre-scan an undeclared CSV
     except ValueError as exc:
         return _complain(str(exc))
-    error = _require_applicable(args.method, schema.task_type)
+    error = _require_applicable(schema.task_type, args.method)
     if error:
         return _complain(error)
     from .exceptions import ReproError
@@ -415,7 +424,7 @@ def _cmd_recover(args) -> int:
     except (ValueError, ReproError) as exc:
         return _complain(str(exc))
     with engine:
-        error = _require_applicable(args.method, engine.stream.task_type)
+        error = _require_applicable(engine.stream.task_type, args.method)
         if error:
             return _complain(error)
         snapshot = engine.stream.snapshot()
@@ -494,6 +503,9 @@ def _cmd_plan_redundancy(args) -> int:
 
     dataset = load_paper_dataset(args.dataset, seed=args.seed,
                                  scale=args.scale)
+    error = _require_applicable(dataset.task_type, args.method)
+    if error:
+        return _complain(error)
     max_r = max(2, int(round(dataset.answers.redundancy)))
     grid = list(range(1, max_r + 1))
     metric = "accuracy" if dataset.task_type.is_categorical else "mae"

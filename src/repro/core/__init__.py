@@ -25,7 +25,7 @@ from .registry import (
     methods_for_task_type,
 )
 from .result import FitStats, InferenceResult
-from .shards import AnswerShard, ShardedAnswerSet, shard_by_tasks
+from .shards import AnswerShard, ShardedAnswerSet
 from .tasktypes import LABEL_FALSE, LABEL_TRUE, TaskType
 
 __all__ = [
@@ -54,5 +54,4 @@ __all__ = [
     "create_all",
     "method_class",
     "methods_for_task_type",
-    "shard_by_tasks",
 ]

@@ -14,7 +14,7 @@ it — redundancy subsampling, filtering — return new instances.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -350,19 +350,3 @@ class AnswerSet:
                 keep.append(rng.choice(idx, size=r, replace=False))
         flat = np.concatenate(keep) if keep else np.empty(0, dtype=np.int64)
         return self.select(np.sort(flat))
-
-    def answers_by_worker_dict(self) -> Mapping[int, np.ndarray]:
-        """Worker -> array of flat answer indices, for all workers."""
-        self._build_adjacency()
-        assert self._by_worker is not None
-        return {w: self._by_worker[w] for w in range(self.n_workers)}
-
-    def shard_by_tasks(self, n_shards: int):
-        """Partition into contiguous task-range shards for map-reduce EM.
-
-        Returns a :class:`~repro.core.shards.ShardedAnswerSet`; with
-        ``n_shards=1`` the single shard reuses these arrays untouched.
-        """
-        from .shards import ShardedAnswerSet
-
-        return ShardedAnswerSet(self, n_shards)

@@ -57,8 +57,7 @@ class TruthInferenceMethod(abc.ABC):
         Whether the method's EM is expressed as mergeable sufficient
         statistics over task-range shards
         (:mod:`repro.inference.sharded`) and therefore honours the
-        ``n_shards`` / ``shard_workers`` constructor knobs and the
-        ``shard_runner`` fit parameter.
+        ``policy`` and ``shard_runner`` fit parameters.
     supports_seed_posterior:
         Whether a cold fit can start from an externally supplied truth
         posterior (``fit(..., seed_posterior=...)``) in place of the
@@ -88,9 +87,9 @@ class TruthInferenceMethod(abc.ABC):
 
     #: Filled by :func:`repro.core.registry.create`: the
     #: :class:`~repro.core.policy.MethodSpec` this instance was built
-    #: from (execution knobs stripped), so ``fit(policy=...)``'s
-    #: process tier can rebuild the method inside worker processes.
-    #: ``None`` for instances constructed directly from the class.
+    #: from, so ``fit(policy=...)``'s process tier can rebuild the
+    #: method inside worker processes.  ``None`` for instances
+    #: constructed directly from the class.
     method_spec: MethodSpec | None = None
 
     def __init__(
@@ -98,25 +97,10 @@ class TruthInferenceMethod(abc.ABC):
         tolerance: float = DEFAULT_TOLERANCE,
         max_iter: int = DEFAULT_MAX_ITER,
         seed: int | None = None,
-        n_shards: int = 1,
-        shard_workers: int = 0,
     ) -> None:
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if n_shards > 1 and not type(self).supports_sharding:
-            raise ValueError(
-                f"{self.name} does not support sharded EM (n_shards={n_shards})"
-            )
-        if shard_workers < 0:
-            raise ValueError(
-                f"shard_workers must be >= 0, got {shard_workers}"
-            )
         self.tolerance = tolerance
         self.max_iter = max_iter
         self.seed = seed
-        self.n_shards = n_shards
-        #: Thread-pool width for in-process sharded fits (0/1 = serial).
-        self.shard_workers = shard_workers
 
     # ------------------------------------------------------------------
     def fit(
@@ -165,18 +149,18 @@ class TruthInferenceMethod(abc.ABC):
             Optional pre-built shard runner (e.g. a
             :class:`~repro.engine.runtime.RuntimeLease` over
             shared-memory shards) that sharded EM methods use in place
-            of the serial runner they would build from ``n_shards``.
-            Ignored by methods without ``supports_sharding``.
+            of the runner they would build from ``policy``.  Ignored by
+            methods without ``supports_sharding``.
         policy:
             Optional :class:`~repro.core.policy.ExecutionPolicy` (or
-            already-resolved plan) deciding *how this one fit* runs:
-            resolved against ``answers``, it overrides the instance's
-            constructor sharding knobs — serial/thread plans build the
-            matching in-process runner, process plans lease the
-            persistent shared-memory runtime from the process-wide
-            registry, under the plan's fault policy and fault plan.
-            Ignored by methods without ``supports_sharding`` and
-            whenever ``shard_runner`` is supplied explicitly.
+            already-resolved plan): the one place a fit is told *how*
+            it runs.  Resolved against ``answers``, serial/thread plans
+            build the matching in-process runner and process plans
+            lease the persistent shared-memory runtime from the
+            process-wide registry, under the plan's fault policy and
+            fault plan.  ``None`` runs one serial shard.  Ignored by
+            methods without ``supports_sharding`` and whenever
+            ``shard_runner`` is supplied explicitly.
         delta:
             Optional :class:`~repro.inference.sharded.DeltaPlan` opting
             this fit into the incremental (delta-refit) EM path: with a
@@ -350,14 +334,14 @@ class TruthInferenceMethod(abc.ABC):
         """Yield the ``(runner, delta)`` a sharded ``_fit`` runs with.
 
         A supplied ``shard_runner`` wins.  Otherwise the plan decides:
-        ``policy`` resolved against ``answers``, or else the plan the
-        constructor's ``n_shards`` / ``shard_workers`` stand for.  A
-        process plan leases the persistent shared-memory runtime from
-        the process-wide registry, under the plan's fault policy and
-        fault plan.  A serial or thread plan shards in process, over
-        ``delta.prev``'s pinned cuts when the fit resumes from a cached
-        state (else over fresh answer-balanced cuts), on a transient
-        thread pool for a thread plan.
+        ``policy`` resolved against ``answers``, or one serial shard
+        without a policy.  A process plan leases the persistent
+        shared-memory runtime from the process-wide registry, under the
+        plan's fault policy and fault plan.  A serial or thread plan
+        shards in process, over ``delta.prev``'s pinned cuts when the
+        fit resumes from a cached state (else over fresh
+        answer-balanced cuts), on a transient thread pool for a thread
+        plan.
 
         A delta refit is valid only over its cached state's cuts, so a
         runner placed over other cuts (a lease that re-placed, or a
@@ -370,11 +354,8 @@ class TruthInferenceMethod(abc.ABC):
             built = contextlib.nullcontext(shard_runner)
         else:
             if policy is None:
-                threads = self.shard_workers > 1
-                policy = ExecutionPlan(
-                    mode="thread" if threads else "serial",
-                    n_shards=self.n_shards,
-                    max_workers=self.shard_workers if threads else 0)
+                policy = ExecutionPlan(mode="serial", n_shards=1,
+                                       max_workers=0)
             plan = (policy.resolve(answers)
                     if isinstance(policy, ExecutionPolicy) else policy)
             built = (self._lease(answers, plan) if plan.mode == "process"

@@ -7,9 +7,11 @@ that runs a fit takes them:
   a fit should execute: shard count, executor tier, pool width, refit
   mode, durability and recovery.  ``resolve(answers)`` turns the
   declaration into a concrete :class:`ExecutionPlan` for one answer
-  set.  ``fit(policy=...)``, the engines, the batch runners, the CLI
-  and the runtime registry accept ``policy=``; ``create(spec,
-  policy=...)`` applies the in-process part of it.
+  set.  A single fit is told how to run in one place only:
+  ``fit(answers, policy=...)``, which has the answers the policy
+  resolves against.  The engines, the batch runners and the CLI take
+  a policy and run each fit under its resolved plan; the runtime
+  registry keys its runtimes on a plan.
 * :class:`MethodSpec` — a frozen ``(name, kwargs)`` description of
   *what* to run.  Specs are picklable, comparable (cache keys) and
   carry enough to rebuild the method in a worker process.
@@ -336,14 +338,6 @@ class ExecutionPolicy:
             )
 
     # ------------------------------------------------------------------
-    @property
-    def resolved_shards(self) -> int:
-        """The concrete shard count this policy stands for."""
-        if self.n_shards is not None:
-            return self.n_shards
-        cpus = os.cpu_count() or 1
-        return max(2, min(AUTO_SHARD_CAP, cpus))
-
     def resolve(self, answers: Any = None, *,
                 n_answers: int | None = None) -> ExecutionPlan:
         """Produce the concrete :class:`ExecutionPlan` for an input.
@@ -359,7 +353,7 @@ class ExecutionPolicy:
         if n_answers is None:
             n_answers = (getattr(answers, "n_answers", 0)
                          if answers is not None else 0)
-        n_shards = self.resolved_shards
+        n_shards = self.n_shards or max(2, min(AUTO_SHARD_CAP, cpus))
         mode = self.executor
         if mode == "auto":
             if n_answers >= DEFAULT_PROCESS_THRESHOLD and cpus > 1:
@@ -427,12 +421,11 @@ class MethodSpec:
         merged = {**defaults, **self.kwargs}
         return MethodSpec(self.name, **merged)
 
-    def create(self, policy: "ExecutionPolicy | ExecutionPlan | None"
-               = None) -> Any:
-        """Instantiate via the registry (``create(spec, policy=...)``)."""
+    def create(self) -> Any:
+        """Instantiate via the registry (``create(spec)``)."""
         from .registry import create
 
-        return create(self, policy=policy)
+        return create(self)
 
     def capabilities(self) -> Any:
         """The method's declared :class:`~repro.core.registry.Capabilities`."""

@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 from ..exceptions import UnknownMethodError
 from .base import TruthInferenceMethod
-from .policy import ExecutionPlan, ExecutionPolicy, MethodSpec
+from .policy import MethodSpec
 from .tasktypes import TaskType
 
 _REGISTRY: dict[str, Callable[..., TruthInferenceMethod]] = {}
@@ -100,59 +100,28 @@ def capabilities(name: str) -> Capabilities:
     return cached
 
 
-def create(method: str | MethodSpec, *,
-           policy: ExecutionPolicy | ExecutionPlan | None = None,
-           **kwargs) -> TruthInferenceMethod:
+def create(method: str | MethodSpec, **kwargs) -> TruthInferenceMethod:
     """Instantiate a method by its paper name or :class:`MethodSpec`.
 
     Extra keyword arguments are forwarded to the method constructor
     (e.g. ``seed=0``, ``max_iter=50``); with a spec, the spec's kwargs
-    win over same-named extras.
+    win over same-named extras.  How a fit runs is not the method's:
+    pass an :class:`~repro.core.policy.ExecutionPolicy` to
+    ``fit(answers, policy=...)``, the one place it is given.
 
-    ``policy`` applies an :class:`~repro.core.policy.ExecutionPolicy`
-    (or an already-resolved plan) to the instance's *in-process*
-    execution: methods with sharded EM get ``n_shards`` and — for the
-    thread tier — ``shard_workers`` from it; other methods ignore it,
-    so one policy can configure a whole grid.  An ``auto`` policy
-    applies only its shard count.  The process tier needs a runner at
-    fit time, so a sharding method handed ``executor="process"`` (or a
-    process plan) raises :class:`ValueError`: pass that policy to
-    ``fit(policy=...)`` instead.
+    >>> from repro.core.answers import AnswerSet
+    >>> from repro.core.policy import ExecutionPolicy
+    >>> answers = AnswerSet([0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 0, 0],
+    ...                     TaskType.DECISION_MAKING)
+    >>> policy = ExecutionPolicy(n_shards=2, executor="serial")
+    >>> create("D&S", seed=0).fit(answers, policy=policy).truths.tolist()
+    [1, 0]
     """
-    spec = MethodSpec.coerce(method, kwargs if isinstance(method, str)
-                             else None)
-    build_kwargs = spec.kwargs if isinstance(method, str) else {
-        **kwargs, **spec.kwargs}
-    cls = method_class(spec.name)
-    if policy is not None and cls.supports_sharding:
-        if isinstance(policy, ExecutionPolicy) and policy.executor != "auto":
-            # A forced tier resolves without an input (the thread width
-            # gets its proper default, not 0); auto needs answers, so
-            # only its shard count applies here.
-            policy = policy.resolve(n_answers=0)
-        if isinstance(policy, ExecutionPlan):
-            if policy.mode == "process":
-                raise ValueError(
-                    f"create() cannot run {spec.name} on the process "
-                    f"tier: worker processes need a runner at fit time; "
-                    f"create it without the policy and pass the policy "
-                    f"to fit(policy=...)"
-                )
-            n_shards = policy.n_shards
-            workers = (policy.max_workers
-                       if policy.mode == "thread" else 0)
-        else:
-            n_shards = policy.resolved_shards
-            workers = 0
-        build_kwargs.setdefault("n_shards", n_shards)
-        if workers:
-            build_kwargs.setdefault("shard_workers", workers)
-    instance = cls(**build_kwargs)
-    # Record the spec (minus execution knobs) so fit(policy=...) can
-    # rebuild the method inside worker processes.
-    instance.method_spec = MethodSpec(
-        spec.name, **{k: v for k, v in build_kwargs.items()
-                      if k not in ("n_shards", "shard_workers")})
+    spec = MethodSpec.coerce(method, kwargs)
+    instance = method_class(spec.name)(**spec.kwargs)
+    # Record the spec so fit(policy=...) can rebuild the method inside
+    # worker processes.
+    instance.method_spec = spec
     return instance
 
 
@@ -190,18 +159,17 @@ def methods_for_task_type(task_type: TaskType,
 
 
 def create_all(task_type: TaskType, names: Iterable[str] | None = None,
-               policy: ExecutionPolicy | None = None,
                **kwargs) -> dict[str, TruthInferenceMethod]:
     """Instantiate every method applicable to ``task_type``.
 
-    ``names`` optionally restricts (and orders) the selection; a
-    ``policy`` is applied to every instance as :func:`create` applies
-    it (methods that cannot shard ignore it).
+    ``names`` optionally restricts (and orders) the selection; extra
+    keyword arguments go to every constructor as :func:`create` passes
+    them.  Each fit's execution is given to its ``fit(policy=...)``.
     """
     selected = list(names) if names is not None else methods_for_task_type(task_type)
     instances = {}
     for name in selected:
-        method = create(name, policy=policy, **kwargs)
+        method = create(name, **kwargs)
         if task_type in method.task_types:
             instances[name] = method
     return instances

@@ -11,12 +11,11 @@ the decomposition mechanical:
   indices remain **global**: a shard never renumbers anything, so
   per-shard posterior blocks concatenate directly into the global
   posterior and per-shard worker statistics merge by plain addition.
-* :class:`ShardedAnswerSet` — an answer set re-ordered (stably) by task
-  plus the list of shards covering it.  With ``n_shards=1`` the original
-  arrays are used as-is, unsorted — the single-shard path is *the* plain
-  path, bit-for-bit.
-* :func:`shard_by_tasks` — the partitioner: answer-balanced task-range
-  cuts, so skewed task sizes still give even shard work.
+* :class:`ShardedAnswerSet` — the partitioner: an answer set
+  re-ordered (stably) by task plus the list of shards covering it, cut
+  answer-balanced so skewed task sizes still give even shard work.
+  With ``n_shards=1`` the original arrays are used as-is, unsorted —
+  the single-shard path is *the* plain path, bit-for-bit.
 
 The stable sort keeps each task's answers in their original arrival
 order, which is what lets sharded E-steps reproduce the unsharded
@@ -240,13 +239,3 @@ class ShardedAnswerSet:
             f"answers={self.answers.n_answers}, "
             f"tasks={self.answers.n_tasks})"
         )
-
-
-def shard_by_tasks(answers: AnswerSet, n_shards: int) -> ShardedAnswerSet:
-    """Partition an answer set into ``n_shards`` task-range shards.
-
-    The functional spelling of :class:`ShardedAnswerSet` (also available
-    as :meth:`AnswerSet.shard_by_tasks`).  ``n_shards`` greater than the
-    task count is clamped deterministically to the task count.
-    """
-    return ShardedAnswerSet(answers, n_shards)

@@ -64,9 +64,9 @@ plain fit, bit-for-bit.  Execution tiers:
 
 How to run and what to run are first-class objects
 (:class:`~repro.core.policy.ExecutionPolicy` /
-:class:`~repro.core.policy.MethodSpec`), accepted as ``policy=`` /
-method arguments by ``create``, ``fit``, the engine, the batch
-runners and the CLI; answer input is a declared-schema
+:class:`~repro.core.policy.MethodSpec`): ``create`` takes the spec,
+and ``fit``, the engine, the batch runners and the CLI take the
+policy; answer input is a declared-schema
 :class:`~repro.engine.sources.AnswerSource` (CSV, in-memory records,
 or a live line-delimited stream such as stdin or a socket).
 

@@ -46,8 +46,9 @@ class BatchJob:
     """One unit of work: fit ``method`` on ``dataset`` and score it.
 
     ``method`` is a registry name or a
-    :class:`~repro.core.policy.MethodSpec`; ``policy`` optionally
-    overrides the runner's execution policy for this one job.
+    :class:`~repro.core.policy.MethodSpec` (construction kwargs only);
+    ``policy`` optionally overrides the runner's execution policy for
+    this one job — the place a per-job shard count goes.
     """
 
     dataset: Dataset
@@ -81,8 +82,10 @@ class BatchRunner:
         datasets/results but overlap GIL-bound kernels on real cores.
     policy:
         Default :class:`~repro.core.policy.ExecutionPolicy` for every
-        job's *fit* (jobs with their own ``policy`` win).  A
-        process-tier policy routes each sharded fit through the shared
+        job's *fit*; a job with its own ``policy`` (say, its own shard
+        count) keeps it.  Each fit gets the policy resolved against its
+        dataset through ``fit(policy=...)``.  A process-tier policy
+        routes each sharded fit through the shared
         persistent runtime registry: a sweep of methods over one
         dataset places the answers in shared memory and spawns the
         worker pools once.  Concurrent thread jobs serialise on the

@@ -440,8 +440,7 @@ class InferenceEngine:
         sharded = plan is not None and plan.sharded
         use_runtime = sharded and plan.mode == "process"
         spec = spec.with_defaults(seed=self.seed)
-        instance = create(
-            spec, policy=plan if sharded and not use_runtime else None)
+        instance = create(spec)
         if (getattr(self.policy, "refit", "full") == "delta"
                 and not instance.supports_delta):
             # The method-level warning only fires when the policy is
@@ -504,7 +503,8 @@ class InferenceEngine:
                     snapshot, instance, stream_key=self._stream_key(),
                     pool=pool)
             result = instance.fit(snapshot, warm_start=warm,
-                                  shard_runner=runner, delta=delta)
+                                  shard_runner=runner, delta=delta,
+                                  policy=plan if sharded else None)
         if result.fit_stats is not None:
             for key in self.fault_totals:
                 self.fault_totals[key] += getattr(result.fit_stats, key, 0)

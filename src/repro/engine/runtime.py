@@ -136,7 +136,6 @@ from ..exceptions import (
 )
 from ..core.policy import (
     ExecutionPlan,
-    ExecutionPolicy,
     FaultPolicy,
     MethodSpec,
     resolve_process_workers,
@@ -906,19 +905,10 @@ class ShardRuntime(Placement):
     reply at a time.
     """
 
-    @staticmethod
-    def resolve_max_workers(n_shards: int,
-                            max_workers: int | None = None) -> int:
-        """The pool-slot count a runtime built with these arguments
-        uses (delegates to the policy layer's single formula, which the
-        registry cache key also uses, so ``max_workers=None`` and its
-        resolved value are the same configuration)."""
-        return resolve_process_workers(n_shards, max_workers)
-
     def __init__(self, n_shards: int = 4,
                  max_workers: int | None = None) -> None:
         super().__init__(n_shards)
-        self.max_workers = self.resolve_max_workers(n_shards, max_workers)
+        self.max_workers = resolve_process_workers(n_shards, max_workers)
         self._lock = threading.Lock()
         self._workers: list[_PinnedWorker] = []
         self._segments: dict[str, _Segment] = {}
@@ -1245,13 +1235,14 @@ class ShardRuntime(Placement):
 class RuntimeRegistry:
     """Process-wide pool of :class:`ShardRuntime`\\ s with idle eviction.
 
-    Keyed by the execution-plan runtime key ``(n_shards, pool_slots)``
-    — an :class:`~repro.core.policy.ExecutionPolicy` / resolved plan is
-    accepted anywhere a ``(n_shards, max_workers)`` pair is.
-    :meth:`acquire` returns the existing runtime (respawning a closed
-    one) and lazily evicts other runtimes idle longer than ``idle_ttl``
-    seconds; eviction never touches a runtime whose lease lock is held.
-    ``close_all`` runs at interpreter exit for the default registry.
+    Keyed by a resolved :class:`~repro.core.policy.ExecutionPlan`'s
+    :attr:`~repro.core.policy.ExecutionPlan.runtime_key`
+    ``(n_shards, pool_slots)``: :meth:`acquire` and :meth:`lease` take
+    the plan and nothing else.  :meth:`acquire` returns the existing
+    runtime (respawning a closed one) and lazily evicts other runtimes
+    idle longer than ``idle_ttl`` seconds; eviction never touches a
+    runtime whose lease lock is held.  ``close_all`` runs at
+    interpreter exit for the default registry.
     """
 
     def __init__(self, idle_ttl: float = DEFAULT_IDLE_TTL) -> None:
@@ -1259,54 +1250,37 @@ class RuntimeRegistry:
         self._runtimes: dict[tuple, ShardRuntime] = {}
         self._lock = threading.Lock()
 
-    @staticmethod
-    def _key_args(policy, max_workers=None) -> tuple[int, int | None]:
-        """``(n_shards, max_workers)`` for a policy, plan or raw pair."""
-        if isinstance(policy, ExecutionPolicy):
-            return policy.resolved_shards, policy.max_workers
-        if isinstance(policy, ExecutionPlan):
-            # The plan's runtime_key already carries the normalised
-            # slot count (idempotent under the resolve below), so plan
-            # and raw-pair spellings cannot key differently.
-            return policy.runtime_key
-        return int(policy), max_workers
+    def acquire(self, plan: ExecutionPlan) -> ShardRuntime:
+        """Get (or create) the runtime ``plan`` keys to.
 
-    def acquire(self, policy, max_workers: int | None = None) -> ShardRuntime:
-        """Get (or create) the runtime a policy (or raw pair) keys to.
-
-        ``policy`` may be an :class:`ExecutionPolicy`, a resolved
-        :class:`ExecutionPlan`, or a plain shard count with
-        ``max_workers``.  The width is normalised to the pool-slot
-        count a runtime would actually use, so ``None`` and its
-        resolved value share one runtime instead of duplicating pools
-        and segments.
+        The key carries the pool-slot count a runtime would actually
+        use, so a plan with ``max_workers=0`` and one with its resolved
+        value share one runtime instead of duplicating pools and
+        segments.
         """
-        n_shards, max_workers = self._key_args(policy, max_workers)
-        key = (int(n_shards),
-               ShardRuntime.resolve_max_workers(n_shards, max_workers))
+        key = plan.runtime_key
         if _VERIFIER is not None:
             _VERIFIER.registry_checkpoint()
         with self._lock:
             self._evict_idle_locked(time.monotonic())
             runtime = self._runtimes.get(key)
             if runtime is None or runtime.closed:
-                runtime = ShardRuntime(n_shards=n_shards,
-                                       max_workers=max_workers)
+                runtime = ShardRuntime(*key)
                 self._runtimes[key] = runtime
             runtime.last_used = time.monotonic()
             return runtime
 
-    def lease(self, policy: ExecutionPolicy | ExecutionPlan,
-              answers: AnswerSet, spec: MethodSpec, *, stream_key=None,
+    def lease(self, plan: ExecutionPlan, answers: AnswerSet,
+              spec: MethodSpec, *, stream_key=None,
               ) -> tuple[ShardRuntime, RuntimeLease]:
         """Acquire a runtime and lease it in one step.
 
-        ``policy`` (a policy or resolved plan) picks the runtime and
-        carries the :class:`~repro.core.policy.FaultPolicy` this lease
-        recovers under; ``spec`` is the
-        :class:`~repro.core.policy.MethodSpec` the workers rebuild.
-        Faults are injected by the plan armed process-wide
-        (:mod:`repro.faults`), never through the policy.
+        ``plan`` picks the runtime and carries the
+        :class:`~repro.core.policy.FaultPolicy` this lease recovers
+        under; ``spec`` is the :class:`~repro.core.policy.MethodSpec`
+        the workers rebuild.  Faults are injected by the fault plan
+        armed process-wide (:mod:`repro.faults`), never through
+        ``plan``.
 
         Retries when another holder's ``close()`` lands between the
         acquire and the lease (any holder may close a shared runtime at
@@ -1315,11 +1289,11 @@ class RuntimeRegistry:
         the runtime for introspection or an explicit ``close()``.
         """
         while True:
-            runtime = self.acquire(policy)
+            runtime = self.acquire(plan)
             try:
                 return runtime, runtime.lease(
                     answers, spec, stream_key=stream_key,
-                    fault_policy=policy.fault_policy)
+                    fault_policy=plan.fault_policy)
             except RuntimeError:
                 if not runtime.closed:
                     raise

@@ -47,32 +47,28 @@ def run_method(
     kwargs.  With ``golden`` supplied, scoring excludes the golden
     tasks (hidden-test protocol: evaluate on ``T − T'``).
     ``seed_posterior`` forwards a shared majority-vote posterior to
-    methods that accept one.  ``policy`` decides how the fit executes:
-    sharded EM for methods that support it (ignored for the rest, so
-    grids can set one globally), and its process tier leases a
-    persistent :class:`~repro.engine.runtime.ShardRuntime` from the
-    shared registry — repeated calls on the same ``dataset.answers``
-    (a method sweep) reuse the warm pools and placed segments.
+    methods that accept one.  ``policy`` decides how the fit executes,
+    resolved against ``dataset.answers`` and handed to
+    ``fit(policy=...)``: sharded EM for methods that support it
+    (ignored for the rest, so grids can set one globally), and its
+    process tier leases a persistent
+    :class:`~repro.engine.runtime.ShardRuntime` from the shared
+    registry — repeated calls on the same ``dataset.answers`` (a method
+    sweep) reuse the warm pools and placed segments.  A per-job shard
+    count is a per-job policy (:attr:`BatchJob.policy
+    <repro.engine.batch.BatchJob.policy>`).
     """
     spec = MethodSpec.coerce(method).with_defaults(seed=seed)
-    caps = capabilities(spec.name)
     plan = None
-    if policy is not None and caps.sharding:
-        # A shard count spelled in the spec's own kwargs wins over the
-        # grid-level policy (what lets a runner-level executor choice
-        # combine with per-job shard counts).
-        spec_shards = spec.kwargs.get("n_shards")
-        if spec_shards is not None:
-            policy = dataclasses.replace(policy, n_shards=spec_shards)
+    if policy is not None and capabilities(spec.name).sharding:
         plan = policy.resolve(dataset.answers)
-    instance = create(spec)
     # fit(policy=...) owns the tier dispatch (in-process runners,
     # persistent-runtime leases); an unsharded plan means the plain fit.
-    result = instance.fit(dataset.answers, golden=golden,
-                          initial_quality=initial_quality,
-                          seed_posterior=seed_posterior,
-                          policy=plan if plan is not None
-                          and plan.sharded else None)
+    result = create(spec).fit(dataset.answers, golden=golden,
+                              initial_quality=initial_quality,
+                              seed_posterior=seed_posterior,
+                              policy=plan if plan is not None
+                              and plan.sharded else None)
     exclude = set(int(t) for t in golden) if golden else None
     scores = dataset.score(result, exclude=exclude)
     return MethodRun(

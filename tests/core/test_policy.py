@@ -2,7 +2,6 @@
 
 import os
 import pickle
-import warnings
 
 import pytest
 
@@ -13,7 +12,7 @@ from repro.core.policy import (
     MethodSpec,
     resolve_process_workers,
 )
-from repro.core.registry import create, create_all
+from repro.core.registry import create
 from repro.core.tasktypes import TaskType
 
 
@@ -44,8 +43,10 @@ class TestExecutionPolicy:
 
     def test_auto_shards_default(self):
         cpus = os.cpu_count() or 1
-        assert ExecutionPolicy().resolved_shards == max(2, min(8, cpus))
-        assert ExecutionPolicy(n_shards=5).resolved_shards == 5
+        assert ExecutionPolicy().resolve(
+            n_answers=0).n_shards == max(2, min(8, cpus))
+        assert ExecutionPolicy(n_shards=5).resolve(
+            n_answers=0).n_shards == 5
 
     def test_serial_plan(self):
         plan = ExecutionPolicy(n_shards=4, executor="serial").resolve(
@@ -133,44 +134,6 @@ class TestMethodSpec:
         assert instance.method_spec == spec
         assert spec.capabilities().sharding is True
 
-    def test_create_with_policy_sets_sharding(self):
-        spec = MethodSpec("D&S", seed=0)
-        policy = ExecutionPolicy(n_shards=3, executor="serial")
-        assert spec.create(policy=policy).n_shards == 3
-        # Methods without sharded EM ignore the policy outright.
-        assert MethodSpec("MV").create(policy=policy).n_shards == 1
-
-    @pytest.mark.parametrize("policy", [
-        ExecutionPolicy(n_shards=2, executor="process"),
-        ExecutionPolicy(n_shards=2, executor="process").resolve(
-            n_answers=0),
-    ], ids=["policy", "plan"])
-    def test_create_rejects_the_process_tier(self, policy):
-        # A process-tier instance needs a runner at fit time; create()
-        # must not hand back a silently serial instance instead.
-        with pytest.raises(ValueError, match=r"fit\(policy=\.\.\.\)"):
-            MethodSpec("D&S", seed=0).create(policy=policy)
-        with pytest.raises(ValueError, match="process"):
-            create_all(TaskType.DECISION_MAKING, names=["D&S"],
-                       policy=policy)
-
-    def test_create_ignores_process_tier_for_non_sharding_methods(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            instance = create("MV", policy=ExecutionPolicy(
-                n_shards=4, executor="process"))
-        assert instance.n_shards == 1
-
-    def test_create_thread_policy_defaults_a_real_width(self):
-        # A forced thread tier must actually thread: the default pool
-        # width resolves like ExecutionPolicy.resolve, not to 0.
-        instance = MethodSpec("D&S").create(
-            policy=ExecutionPolicy(n_shards=4, executor="thread"))
-        expected = ExecutionPolicy(
-            n_shards=4, executor="thread").resolve(n_answers=0)
-        assert instance.shard_workers == expected.max_workers
-        assert instance.shard_workers >= 1
-
 
 class TestFitPolicy:
     """fit(policy=...) drives the in-process tiers end to end."""
@@ -184,25 +147,6 @@ class TestFitPolicy:
         return AnswerSet(rng.integers(0, 30, 300), rng.integers(0, 6, 300),
                          rng.integers(0, 2, 300), TaskType.DECISION_MAKING,
                          n_tasks=30, n_workers=6)
-
-    def test_fit_policy_matches_constructor_sharding(self):
-        import numpy as np
-
-        answers = self._answers()
-        policy = ExecutionPolicy(n_shards=3, executor="serial")
-        via_create = create("D&S", seed=0, policy=policy).fit(answers)
-        via_fit = create("D&S", seed=0).fit(answers, policy=policy)
-        assert np.array_equal(via_create.posterior, via_fit.posterior)
-
-    def test_fit_policy_overrides_constructor(self):
-        answers = self._answers()
-        instance = create("D&S", seed=0,
-                          policy=ExecutionPolicy(n_shards=2,
-                                                 executor="serial"))
-        # The per-fit policy wins over construction-time sharding.
-        result = instance.fit(
-            answers, policy=ExecutionPolicy(n_shards=1, executor="serial"))
-        assert result.posterior is not None
 
     def test_process_plan_requires_registry_built_method(self):
         from repro.methods.dawid_skene import DawidSkene

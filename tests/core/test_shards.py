@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.answers import AnswerSet
-from repro.core.shards import AnswerShard, ShardedAnswerSet, shard_by_tasks
+from repro.core.shards import AnswerShard, ShardedAnswerSet
 from repro.core.tasktypes import TaskType
 from repro.exceptions import InvalidAnswerSetError
 
@@ -32,7 +32,7 @@ class TestPartitioner:
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 7, 19, 40])
     def test_ranges_partition_task_space(self, n_shards):
         answers = build_answers()
-        sharded = shard_by_tasks(answers, n_shards)
+        sharded = ShardedAnswerSet(answers, n_shards)
         # Requests beyond the task count clamp deterministically.
         assert sharded.n_shards == min(n_shards, answers.n_tasks)
         assert sharded.requested_shards == n_shards
@@ -44,7 +44,7 @@ class TestPartitioner:
     @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
     def test_every_answer_lands_in_its_range(self, n_shards):
         answers = build_answers(seed=3)
-        sharded = shard_by_tasks(answers, n_shards)
+        sharded = ShardedAnswerSet(answers, n_shards)
         total = 0
         for shard in sharded:
             if shard.n_answers:
@@ -55,7 +55,7 @@ class TestPartitioner:
 
     def test_single_shard_reuses_original_arrays(self):
         answers = build_answers()
-        shard = shard_by_tasks(answers, 1)[0]
+        shard = ShardedAnswerSet(answers, 1)[0]
         assert np.shares_memory(shard.tasks, answers.tasks)
         assert np.shares_memory(shard.workers, answers.workers)
         assert np.array_equal(shard.tasks, answers.tasks)  # original order
@@ -63,7 +63,7 @@ class TestPartitioner:
 
     def test_multi_shard_views_are_zero_copy_slices(self):
         answers = build_answers(seed=1)
-        sharded = shard_by_tasks(answers, 4)
+        sharded = ShardedAnswerSet(answers, 4)
         for shard in sharded:
             if shard.n_answers:
                 assert shard.tasks.base is not None
@@ -72,14 +72,14 @@ class TestPartitioner:
         # Two answers to the same task keep their arrival order.
         answers = AnswerSet([1, 0, 1, 0], [0, 1, 2, 3], [1, 0, 0, 1],
                             TaskType.DECISION_MAKING)
-        sharded = shard_by_tasks(answers, 2)
+        sharded = ShardedAnswerSet(answers, 2)
         flat_workers = np.concatenate([s.workers for s in sharded])
         assert list(flat_workers) == [1, 3, 0, 2]
 
     def test_answer_balanced_cuts_on_skewed_tasks(self):
         answers = build_answers(n_tasks=50, n_answers=2000, seed=7,
                                 skew=True)
-        sharded = shard_by_tasks(answers, 4)
+        sharded = ShardedAnswerSet(answers, 4)
         sizes = [s.n_answers for s in sharded]
         # No shard may be starved while others hold nearly everything
         # (an even task split would put most answers in shard 0).
@@ -88,7 +88,7 @@ class TestPartitioner:
 
     def test_more_shards_than_tasks_clamps_to_task_count(self):
         answers = build_answers(n_tasks=3, n_answers=30)
-        sharded = shard_by_tasks(answers, 8)
+        sharded = ShardedAnswerSet(answers, 8)
         assert sharded.n_shards == 3
         assert sharded.requested_shards == 8
         assert sum(s.n_answers for s in sharded) == 30
@@ -97,20 +97,21 @@ class TestPartitioner:
     def test_empty_answer_set(self):
         answers = AnswerSet([], [], [], TaskType.DECISION_MAKING,
                             n_tasks=10, n_workers=2)
-        sharded = shard_by_tasks(answers, 4)
+        sharded = ShardedAnswerSet(answers, 4)
         assert sharded[-1].task_stop == 10
         assert all(s.n_answers == 0 for s in sharded)
 
     def test_invalid_shard_count(self):
         answers = build_answers()
         with pytest.raises(InvalidAnswerSetError):
-            shard_by_tasks(answers, 0)
+            ShardedAnswerSet(answers, 0)
 
-    def test_answer_set_method_delegates(self):
+    def test_sharded_set_wraps_its_answer_set(self):
         answers = build_answers()
-        sharded = answers.shard_by_tasks(3)
-        assert isinstance(sharded, ShardedAnswerSet)
-        assert sharded.n_shards == 3
+        sharded = ShardedAnswerSet(answers, 3)
+        assert sharded.answers is answers
+        assert len(sharded) == sharded.n_shards == 3
+        assert list(sharded) == sharded.shards
 
 
 class TestAnswerShard:

@@ -229,8 +229,7 @@ class TestDeltaCapabilityWarning:
         from repro.core.registry import capabilities
 
         assert capabilities("KOS").delta
-        method = create("KOS", seed=0,
-                        policy=ExecutionPolicy(n_shards=2))
+        method = create("KOS", seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             method.fit(self._answers(),
@@ -308,8 +307,9 @@ class TestFullBitIdentity:
                 engine.add_answers(batch)
                 snapshot = engine.stream.snapshot()
                 instance = create("D&S", seed=0, tolerance=1e-7,
-                                  max_iter=500, policy=policy)
-                previous = instance.fit(snapshot, warm_start=previous)
+                                  max_iter=500)
+                previous = instance.fit(snapshot, warm_start=previous,
+                                        policy=policy)
         assert np.array_equal(full[-1].posterior, previous.posterior)
         assert np.array_equal(full[-1].truths, previous.truths)
 

@@ -346,14 +346,19 @@ class TestBatchRunner:
 
 
 def test_package_doctests_stay_honest():
-    """The streaming-protocol examples in the module docs must run."""
+    """The examples in the module docs must run: the streaming protocol,
+    the execution vocabulary and its one entry point."""
     import doctest
 
+    import repro.core.policy
+    import repro.core.registry
     import repro.engine
     import repro.engine.engine
 
-    for module in (repro.engine, repro.engine.engine):
-        assert doctest.testmod(module).failed == 0
+    for module in (repro.engine, repro.engine.engine, repro.core.policy,
+                   repro.core.registry):
+        outcome = doctest.testmod(module)
+        assert outcome.attempted and not outcome.failed, module.__name__
 
 
 class TestRunnerWiring:

@@ -108,7 +108,8 @@ def test_policy_fit_resumes_from_a_cached_state(tier):
                           policy=policy)
     else:
         assert result.fit_stats.mode == "delta"
-        ref = delta_refit(create("D&S", seed=0, n_shards=4), base, grown)
+        ref = delta_refit(create("D&S", seed=0), base, grown,
+                          policy=TIERS["serial"])
     assert result.n_iterations == ref.n_iterations
     np.testing.assert_array_equal(result.posterior, ref.posterior)
 
@@ -222,9 +223,10 @@ def test_every_tier_builds_the_same_shards(run):
         for step, answers in enumerate(growth):
             key = "a" if step < run["key_change"] else "b"
             if step == run["adopt_at"]:
-                state = create("D&S", seed=0, n_shards=n_shards,
-                               max_iter=1).fit(
-                    growth[step - 1], delta=DeltaPlan()).shard_state
+                state = create("D&S", seed=0, max_iter=1).fit(
+                    growth[step - 1], delta=DeltaPlan(),
+                    policy=ExecutionPolicy(n_shards=n_shards,
+                                           executor="serial")).shard_state
                 session.adopt(answers, state, stream_key=key)
                 rt.adopt(answers, state, stream_key=key)
                 decisions.append((session.last_placement,

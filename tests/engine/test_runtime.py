@@ -22,7 +22,12 @@ import numpy as np
 import pytest
 
 from repro.core.answers import AnswerSet
-from repro.core.policy import ExecutionPolicy, MethodSpec
+from repro.core.policy import (
+    ExecutionPlan,
+    ExecutionPolicy,
+    MethodSpec,
+    resolve_process_workers,
+)
 from repro.core.registry import create
 from repro.core.tasktypes import TaskType
 from repro.engine import placement
@@ -58,6 +63,12 @@ def grow_answers(answers, extra, n_tasks=None, seed=99):
     values = np.concatenate([answers.values, rng.integers(0, 2, extra)])
     return AnswerSet(tasks, workers, values, TaskType.DECISION_MAKING,
                      n_tasks=n_tasks, n_workers=answers.n_workers)
+
+
+def process_plan(n_shards, max_workers):
+    """The resolved process-tier plan the registry keys on."""
+    return ExecutionPlan(mode="process", n_shards=n_shards,
+                         max_workers=max_workers)
 
 
 def assert_unlinked(names):
@@ -237,7 +248,7 @@ class TestIncrementalExtend:
 class TestEvictionAndClose:
     def test_eviction_closes_everything_exactly_once(self, monkeypatch):
         registry = RuntimeRegistry(idle_ttl=0.0)
-        rt = registry.acquire(2, 1)
+        rt = registry.acquire(process_plan(2, 1))
         answers = build_answers()
         with rt.lease(answers, "ZC", {"seed": 0}) as runner:
             create("ZC", seed=0).fit(answers, shard_runner=runner)
@@ -255,13 +266,13 @@ class TestEvictionAndClose:
         assert_unlinked(names)
         assert multiprocessing.active_children() == []
         # The registry respawns on the next acquire.
-        fresh = registry.acquire(2, 1)
+        fresh = registry.acquire(process_plan(2, 1))
         assert fresh is not rt and not fresh.closed
         registry.close_all()
 
     def test_eviction_skips_leased_runtime(self):
         registry = RuntimeRegistry(idle_ttl=0.0)
-        rt = registry.acquire(2, 1)
+        rt = registry.acquire(process_plan(2, 1))
         answers = build_answers()
         lease = rt.lease(answers, "ZC", {"seed": 0})
         try:
@@ -274,19 +285,21 @@ class TestEvictionAndClose:
 
     def test_acquire_reuses_open_runtime(self):
         registry = RuntimeRegistry()
-        a = registry.acquire(3, 2)
-        b = registry.acquire(3, 2)
+        a = registry.acquire(process_plan(3, 2))
+        b = registry.acquire(process_plan(3, 2))
         assert a is b
-        assert registry.acquire(4, 2) is not a
+        assert registry.acquire(process_plan(4, 2)) is not a
         registry.close_all()
         assert len(registry) == 0
 
     def test_registry_key_normalizes_max_workers(self):
-        # None and its resolved slot count are the same configuration;
-        # keying them separately would duplicate pools and segments.
+        # An unset width and its resolved slot count are the same
+        # configuration; keying them separately would duplicate pools
+        # and segments.
         registry = RuntimeRegistry()
-        resolved = ShardRuntime.resolve_max_workers(4, None)
-        assert registry.acquire(4, None) is registry.acquire(4, resolved)
+        resolved = resolve_process_workers(4, None)
+        assert registry.acquire(process_plan(4, 0)) is registry.acquire(
+            process_plan(4, resolved))
         registry.close_all()
 
     def test_registry_lease_retries_past_concurrent_close(self):
@@ -295,11 +308,10 @@ class TestEvictionAndClose:
         # instead of failing the fit.
         registry = RuntimeRegistry()
         answers = build_answers()
-        stale = registry.acquire(2, 1)
+        stale = registry.acquire(process_plan(2, 1))
         stale.close()
         runtime, lease = registry.lease(
-            ExecutionPolicy(n_shards=2, executor="process", max_workers=1),
-            answers, MethodSpec("ZC", seed=0))
+            process_plan(2, 1), answers, MethodSpec("ZC", seed=0))
         try:
             assert runtime is not stale and not runtime.closed
             create("ZC", seed=0).fit(answers, shard_runner=lease)
@@ -379,7 +391,7 @@ class TestExceptionLeaks:
         try:
             # First a clean fit, so the runtime is warm and placed.
             create("D&S", seed=0).fit(answers, policy=policy)
-            runtime = registry.acquire(policy)
+            runtime = registry.acquire(policy.resolve(answers))
             names = runtime.segment_names()
             assert names
             # The master-side spec finalize runs in this process: patch
@@ -439,9 +451,8 @@ answers = AnswerSet(rng.integers(0, 30, 200), rng.integers(0, 6, 200),
                     rng.integers(0, 2, 200), TaskType.DECISION_MAKING,
                     n_tasks=30, n_workers=6)
 registry = get_runtime_registry()
-runtime, lease = registry.lease(ExecutionPolicy(n_shards=2,
-                                                executor="process"),
-                                answers, MethodSpec("D&S", seed=0))
+plan = ExecutionPolicy(n_shards=2, executor="process").resolve(answers)
+runtime, lease = registry.lease(plan, answers, MethodSpec("D&S", seed=0))
 lease.call("init_block")
 print("OK")
 # Exit WITHOUT closing the lease: the process-wide atexit hook must
@@ -549,7 +560,7 @@ class TestEngineIntegration:
         try:
             a = create("D&S", seed=0).fit(answers, policy=policy)
             b = create("ZC", seed=0).fit(answers, policy=policy)
-            runtime = registry.acquire(policy)
+            runtime = registry.acquire(policy.resolve(answers))
             assert runtime.pool_spawns == 1
             assert runtime.reuses >= 1
         finally:

@@ -171,9 +171,10 @@ class TestProcessAdoption:
         base = answer_set(base_part)
         grown = answer_set(base_part,
                            build_answers(60, 400, seed=1, first_task=60))
-        state = create(spec, policy=ExecutionPolicy(
-            n_shards=4, executor="serial")).fit(
-                base, delta=DeltaPlan()).shard_state
+        state = create(spec).fit(
+            base, delta=DeltaPlan(),
+            policy=ExecutionPolicy(n_shards=4,
+                                   executor="serial")).shard_state
         with ShardRuntime(n_shards=4, max_workers=1) as rt:
             rt.adopt(base, state, stream_key="s")
             with rt.lease(grown, spec, stream_key="s") as lease:

@@ -48,10 +48,8 @@ class TestProcessTierFit:
     def test_matches_in_process_sharded_fit_bitwise(self,
                                                      process_registry):
         answers, _ = build_answers()
-        serial = create("D&S", seed=0,
-                        policy=ExecutionPolicy(n_shards=3,
-                                               executor="serial")
-                        ).fit(answers)
+        serial = create("D&S", seed=0).fit(
+            answers, policy=ExecutionPolicy(n_shards=3, executor="serial"))
         proc = create("D&S", seed=0).fit(
             answers, policy=ExecutionPolicy(n_shards=3, executor="process",
                                             max_workers=2))
@@ -62,10 +60,8 @@ class TestProcessTierFit:
     def test_glad_gradient_rounds_through_processes(self,
                                                     process_registry):
         answers, _ = build_answers(seed=1)
-        serial = create(
-            MethodSpec("GLAD", seed=0, max_iter=8),
-            policy=ExecutionPolicy(n_shards=2, executor="serial"),
-        ).fit(answers)
+        serial = create(MethodSpec("GLAD", seed=0, max_iter=8)).fit(
+            answers, policy=ExecutionPolicy(n_shards=2, executor="serial"))
         proc = create(MethodSpec("GLAD", seed=0, max_iter=8)).fit(
             answers, policy=ExecutionPolicy(n_shards=2, executor="process",
                                             max_workers=2))
@@ -122,8 +118,8 @@ class TestPolicyTiers:
         answers, _ = build_answers()
         with pytest.raises(ValueError, match="sharded"):
             process_registry.lease(
-                ExecutionPolicy(n_shards=2, executor="process"), answers,
-                MethodSpec("MV"))
+                ExecutionPolicy(n_shards=2, executor="process").resolve(
+                    answers), answers, MethodSpec("MV"))
 
     def test_invalid_executor_name(self):
         with pytest.raises(ValueError, match="executor"):

@@ -103,7 +103,7 @@ class TestPadRows:
 class TestRunnerOnly:
     def test_only_runs_exactly_the_listed_shards(self):
         answers = synthetic()
-        method = create("D&S", seed=0, policy=POLICY)
+        method = create("D&S", seed=0)
         spec = method.make_em_spec(answers.n_tasks, answers.n_workers,
                                    answers.n_choices)
         runner = make_runner(answers, spec, 4)
@@ -120,23 +120,24 @@ def _fit_pair(tail_tasks, **delta_kwargs):
     the grown answers; returns (full_result, delta_result, state)."""
     base = synthetic()
     grown = synthetic(tail_tasks=tail_tasks)
-    cold = create("D&S", seed=0, policy=POLICY).fit(base,
-                                                    delta=DeltaPlan())
+    cold = create("D&S", seed=0).fit(base, delta=DeltaPlan(),
+                                     policy=POLICY)
     state = cold.shard_state
-    full = create("D&S", seed=0, policy=POLICY).fit(grown, warm_start=cold)
+    full = create("D&S", seed=0).fit(grown, warm_start=cold, policy=POLICY)
     dirty = dirty_shards(state.task_cuts, grown.tasks[state.n_answers:],
                          grown.n_tasks)
-    delta = create("D&S", seed=0, policy=POLICY).fit(
+    delta = create("D&S", seed=0).fit(
         grown, warm_start=cold,
-        delta=DeltaPlan(prev=state, dirty=dirty, **delta_kwargs))
+        delta=DeltaPlan(prev=state, dirty=dirty, **delta_kwargs),
+        policy=POLICY)
     return full, delta, state, dirty
 
 
 class TestDeltaLoop:
     def test_collecting_full_fit_emits_aligned_state(self):
         answers = synthetic()
-        result = create("D&S", seed=0, policy=POLICY).fit(
-            answers, delta=DeltaPlan())
+        result = create("D&S", seed=0).fit(
+            answers, delta=DeltaPlan(), policy=POLICY)
         state = result.shard_state
         assert state is not None
         assert state.n_shards == 4
@@ -154,9 +155,9 @@ class TestDeltaLoop:
 
     def test_collect_does_not_change_the_fit(self):
         answers = synthetic()
-        plain = create("D&S", seed=0, policy=POLICY).fit(answers)
-        collected = create("D&S", seed=0, policy=POLICY).fit(
-            answers, delta=DeltaPlan())
+        plain = create("D&S", seed=0).fit(answers, policy=POLICY)
+        collected = create("D&S", seed=0).fit(
+            answers, delta=DeltaPlan(), policy=POLICY)
         assert np.array_equal(plain.posterior, collected.posterior)
         assert plain.n_iterations == collected.n_iterations
 
@@ -187,16 +188,17 @@ class TestDeltaLoop:
         # posterior must move.
         tail = np.zeros(300, dtype=np.int64)
         grown = synthetic(tail_tasks=tail)
-        cold = create("D&S", seed=0, policy=POLICY).fit(base,
-                                                        delta=DeltaPlan())
+        cold = create("D&S", seed=0).fit(base, delta=DeltaPlan(),
+                                         policy=POLICY)
         state = cold.shard_state
         dirty = dirty_shards(state.task_cuts, grown.tasks[state.n_answers:],
                              grown.n_tasks)
         assert list(dirty) == [True, False, False, False]
-        delta = create("D&S", seed=0, policy=POLICY).fit(
+        delta = create("D&S", seed=0).fit(
             grown, warm_start=cold,
             delta=DeltaPlan(prev=state, dirty=dirty, freeze_tol=1e9,
-                            verify_every=1))
+                            verify_every=1),
+            policy=POLICY)
         stats = delta.fit_stats
         assert stats.dirty_shards == 1
         assert stats.e_block_calls >= 1  # the dirty shard was primed
@@ -217,10 +219,10 @@ class TestDeltaLoop:
 
     def test_delta_requires_warm_parameters(self):
         answers = synthetic()
-        cold = create("D&S", seed=0, policy=POLICY).fit(answers,
-                                                        delta=DeltaPlan())
+        cold = create("D&S", seed=0).fit(answers, delta=DeltaPlan(),
+                                         policy=POLICY)
         state = cold.shard_state
-        method = create("D&S", seed=0, policy=POLICY)
+        method = create("D&S", seed=0)
         spec = method.make_em_spec(answers.n_tasks, answers.n_workers,
                                    answers.n_choices)
         runner = make_runner(answers, spec, 4)
@@ -233,10 +235,10 @@ class TestDeltaLoop:
         # (e.g. a runtime that re-placed with different cuts) must be
         # rejected rather than silently misaligning blocks.
         answers = synthetic()
-        cold = create("D&S", seed=0, policy=POLICY).fit(answers,
-                                                        delta=DeltaPlan())
+        cold = create("D&S", seed=0).fit(answers, delta=DeltaPlan(),
+                                         policy=POLICY)
         state = cold.shard_state
-        method = create("D&S", seed=0, policy=POLICY)
+        method = create("D&S", seed=0)
         spec = method.make_em_spec(answers.n_tasks, answers.n_workers,
                                    answers.n_choices)
         runner = make_runner(answers, spec, 2)  # 2 shards vs cached 4
@@ -256,7 +258,7 @@ class TestDeltaLoop:
 class TestFitStats:
     def test_full_fit_records_telemetry(self):
         answers = synthetic()
-        result = create("D&S", seed=0, policy=POLICY).fit(answers)
+        result = create("D&S", seed=0).fit(answers, policy=POLICY)
         stats = result.fit_stats
         assert stats is not None and stats.mode == "full"
         assert stats.n_shards == 4
@@ -273,12 +275,12 @@ class TestFitStats:
         # Specs with their own M-step hook count its map-phase shard
         # calls in full fits too, as their delta refits do.
         answers = synthetic()
-        glad = create("GLAD", seed=0, policy=POLICY).fit(answers)
+        glad = create("GLAD", seed=0).fit(answers, policy=POLICY)
         assert glad.fit_stats.accumulate_calls == 4 * 12 * glad.n_iterations
-        vi_bp = create("VI-BP", seed=0, policy=POLICY).fit(answers)
+        vi_bp = create("VI-BP", seed=0).fit(answers, policy=POLICY)
         assert vi_bp.fit_stats.accumulate_calls == 4 * vi_bp.n_iterations
-        minimax = create("Minimax", seed=0, policy=POLICY, max_iter=2,
-                         gradient_steps=3).fit(answers)
+        minimax = create("Minimax", seed=0, max_iter=2,
+                         gradient_steps=3).fit(answers, policy=POLICY)
         assert minimax.fit_stats.accumulate_calls == 4 * 3 * 2
 
     def test_delta_fit_summary_names_the_mode(self):
@@ -306,8 +308,8 @@ class TestFitStats:
 
 class TestPhaseSeconds:
     def test_full_fit_times_each_runner_phase(self):
-        stats = create("D&S", seed=0, policy=POLICY).fit(
-            synthetic()).fit_stats
+        stats = create("D&S", seed=0).fit(
+            synthetic(), policy=POLICY).fit_stats
         assert list(stats.phase_seconds) == ["init_block", "accumulate",
                                              "e_block"]
         assert all(spent > 0 for spent in stats.phase_seconds.values())
@@ -323,8 +325,8 @@ class TestPhaseSeconds:
         assert set(stats.phase_seconds) == {"accumulate", "e_block"}
 
     def test_message_passing_fit_times_its_rounds(self):
-        stats = create("KOS", seed=0, policy=POLICY).fit(
-            synthetic()).fit_stats
+        stats = create("KOS", seed=0).fit(
+            synthetic(), policy=POLICY).fit_stats
         assert {"task_round", "worker_round"} <= set(stats.phase_seconds)
 
     def test_fold_adds_per_phase_and_keeps_the_default_unset(self):

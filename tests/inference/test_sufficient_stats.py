@@ -93,8 +93,8 @@ class TestTotal:
         resumes from must come back unchanged."""
         base = synthetic()
         grown = synthetic(tail_tasks=np.arange(190, 200))
-        cold = create("D&S", seed=0, policy=POLICY).fit(
-            base, delta=DeltaPlan())
+        cold = create("D&S", seed=0).fit(
+            base, delta=DeltaPlan(), policy=POLICY)
         state = cold.shard_state
         saved = [{name: np.array(value, copy=True)
                   for name, value in bundle.fields.items()}
@@ -102,8 +102,9 @@ class TestTotal:
         dirty = dirty_shards(state.task_cuts, grown.tasks[state.n_answers:],
                              grown.n_tasks)
         assert not dirty[0]
-        delta = create("D&S", seed=0, policy=POLICY).fit(
-            grown, warm_start=cold, delta=DeltaPlan(prev=state, dirty=dirty))
+        delta = create("D&S", seed=0).fit(
+            grown, warm_start=cold, delta=DeltaPlan(prev=state, dirty=dirty),
+            policy=POLICY)
         assert delta.fit_stats.mode == "delta"
         for bundle, before in zip(state.stats, saved):
             for name, value in bundle.fields.items():

@@ -221,10 +221,8 @@ def test_cbcc_bitwise_matches_prerefactor():
 def test_sharded_matches_unsharded(method_name, n_shards):
     answers = _answers_for(method_name)
     base = create(method_name, seed=0).fit(answers)
-    sharded = create(
-        method_name, seed=0,
-        policy=ExecutionPolicy(n_shards=n_shards, executor="serial"),
-    ).fit(answers)
+    sharded = create(method_name, seed=0).fit(
+        answers, policy=ExecutionPolicy(n_shards=n_shards, executor="serial"))
     assert sharded.n_iterations == base.n_iterations
     diff = np.max(np.abs(sharded.posterior - base.posterior))
     assert diff <= 1e-10, (
@@ -238,9 +236,8 @@ def test_sharded_single_shard_policy_stays_bitwise():
     for name in REDUCTION_METHODS + ["BCC", "CBCC"]:
         answers = _answers_for(name)
         base = create(name, seed=0).fit(answers)
-        one = create(name, seed=0,
-                     policy=ExecutionPolicy(n_shards=1,
-                                            executor="serial")).fit(answers)
+        one = create(name, seed=0).fit(
+            answers, policy=ExecutionPolicy(n_shards=1, executor="serial"))
         assert np.array_equal(base.posterior, one.posterior), name
 
 
@@ -253,8 +250,8 @@ def test_sharded_single_shard_policy_stays_bitwise():
 def test_gibbs_seeded_determinism(name, n_shards):
     answers = random_categorical(10)
     policy = ExecutionPolicy(n_shards=n_shards, executor="serial")
-    first = create(name, seed=3, policy=policy).fit(answers)
-    second = create(name, seed=3, policy=policy).fit(answers)
+    first = create(name, seed=3).fit(answers, policy=policy)
+    second = create(name, seed=3).fit(answers, policy=policy)
     assert np.array_equal(first.posterior, second.posterior)
     assert np.array_equal(first.truths, second.truths)
     assert np.array_equal(first.worker_quality, second.worker_quality)
@@ -267,10 +264,8 @@ def test_gibbs_seeded_determinism(name, n_shards):
 @pytest.mark.parametrize("name", REDUCTION_METHODS + ["BCC", "CBCC"])
 def test_process_tier_matches_serial(name):
     answers = _answers_for(name)
-    serial = create(
-        name, seed=0,
-        policy=ExecutionPolicy(n_shards=4, executor="serial"),
-    ).fit(answers)
+    serial = create(name, seed=0).fit(
+        answers, policy=ExecutionPolicy(n_shards=4, executor="serial"))
     process = create(name, seed=0).fit(
         answers, policy=ExecutionPolicy(n_shards=4, executor="process"))
     # The fit really crossed the pipe (not a serial fit in disguise).

@@ -144,8 +144,9 @@ def test_sharded_matches_unsharded_categorical(method_name, n_shards):
     answers = random_categorical(7)
     for max_iter in (1, 4, 9):
         base = create(method_name, seed=0, max_iter=max_iter).fit(answers)
-        sharded = create(method_name, seed=0, max_iter=max_iter,
-                     policy=ExecutionPolicy(n_shards=n_shards, executor="serial")).fit(answers)
+        sharded = create(method_name, seed=0, max_iter=max_iter).fit(
+            answers, policy=ExecutionPolicy(n_shards=n_shards,
+                                            executor="serial"))
         assert sharded.n_iterations == base.n_iterations
         diff = np.max(np.abs(sharded.posterior - base.posterior))
         if n_shards == 1:
@@ -162,8 +163,9 @@ def test_sharded_matches_unsharded_numeric(n_shards):
     answers = random_numeric(11)
     for max_iter in (1, 4, 9):
         base = create("LFC_N", seed=0, max_iter=max_iter).fit(answers)
-        sharded = create("LFC_N", seed=0, max_iter=max_iter,
-                     policy=ExecutionPolicy(n_shards=n_shards, executor="serial")).fit(answers)
+        sharded = create("LFC_N", seed=0, max_iter=max_iter).fit(
+            answers, policy=ExecutionPolicy(n_shards=n_shards,
+                                            executor="serial"))
         diff = np.max(np.abs(sharded.truths - base.truths))
         if n_shards == 1:
             assert diff == 0.0
@@ -177,14 +179,16 @@ def test_sharded_with_golden_and_warm(method_name):
     answers = random_categorical(5)
     golden = {0: 1, 3: 2}
     base = create(method_name, seed=0).fit(answers, golden=golden)
-    sharded = create(method_name, seed=0, policy=ExecutionPolicy(n_shards=4, executor="serial")).fit(answers,
-                                                          golden=golden)
+    sharded = create(method_name, seed=0).fit(
+        answers, golden=golden,
+        policy=ExecutionPolicy(n_shards=4, executor="serial"))
     assert int(sharded.truths[0]) == 1 and int(sharded.truths[3]) == 2
     assert np.max(np.abs(sharded.posterior - base.posterior)) <= 1e-10
 
     warm_base = create(method_name, seed=0).fit(answers, warm_start=base)
-    warm_sharded = create(method_name, seed=0, policy=ExecutionPolicy(n_shards=4, executor="serial")).fit(
-        answers, warm_start=base)
+    warm_sharded = create(method_name, seed=0).fit(
+        answers, warm_start=base,
+        policy=ExecutionPolicy(n_shards=4, executor="serial"))
     assert warm_sharded.extras["warm_started"]
     assert warm_sharded.n_iterations == warm_base.n_iterations
     assert np.max(np.abs(warm_sharded.posterior
@@ -192,10 +196,13 @@ def test_sharded_with_golden_and_warm(method_name):
 
 
 def test_sharded_thread_pool_matches_serial():
-    """shard_workers only changes where shards run, never the numbers."""
+    """The thread tier only changes where shards run, never the numbers."""
     answers = random_categorical(9)
-    serial = create("D&S", seed=0, policy=ExecutionPolicy(n_shards=4, executor="serial")).fit(answers)
-    threaded = create("D&S", seed=0, policy=ExecutionPolicy(n_shards=4, executor="thread", max_workers=3)).fit(answers)
+    serial = create("D&S", seed=0).fit(
+        answers, policy=ExecutionPolicy(n_shards=4, executor="serial"))
+    threaded = create("D&S", seed=0).fit(
+        answers, policy=ExecutionPolicy(n_shards=4, executor="thread",
+                                        max_workers=3))
     assert np.array_equal(serial.posterior, threaded.posterior)
     assert np.array_equal(serial.worker_quality, threaded.worker_quality)
 
@@ -204,5 +211,6 @@ def test_sharded_handles_empty_and_tiny_shards():
     """More shards than tasks: trailing shards own empty task ranges."""
     answers = random_categorical(13, n_tasks=5, n_workers=4, n_answers=30)
     base = create("D&S", seed=0).fit(answers)
-    sharded = create("D&S", seed=0, policy=ExecutionPolicy(n_shards=8, executor="serial")).fit(answers)
+    sharded = create("D&S", seed=0).fit(
+        answers, policy=ExecutionPolicy(n_shards=8, executor="serial"))
     assert np.max(np.abs(sharded.posterior - base.posterior)) <= 1e-10

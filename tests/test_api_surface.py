@@ -3,14 +3,13 @@
 1. The ``__all__`` exports of :mod:`repro` and :mod:`repro.engine`, and
    the fields of ``ExecutionPolicy``/``ExecutionPlan``, are pinned, so a
    refactor cannot silently drop (or leak) a public name or knob.
-2. Grid-level policies combine with per-spec shard counts the way the
-   batch layer documents, on every tier.
-3. A method-kwarg shard count matches the ``policy=`` spelling; knobs
-   with no entry point left fail at the call with a ``TypeError``.
+2. Grid-level and per-job policies reach each fit the way the batch
+   layer documents, on every tier.
+3. ``fit(policy=...)`` is the one execution entry point: knobs with no
+   entry point left fail at the call with a ``TypeError``.
 """
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ import repro
 import repro.engine
 from repro.core.answers import AnswerSet
 from repro.core.policy import ExecutionPlan, ExecutionPolicy, MethodSpec
-from repro.core.registry import create
+from repro.core.registry import create, create_all
 from repro.core.tasktypes import TaskType
 from repro.datasets.schema import Dataset
 from repro.engine import BatchJob, BatchRunner, InferenceEngine
@@ -98,7 +97,7 @@ class TestExports:
 
 
 # ----------------------------------------------------------------------
-# Grid policies and per-spec shard counts
+# Grid policies and per-job shard counts
 # ----------------------------------------------------------------------
 def build_answers(seed=0, n_tasks=40, n_workers=6, n_answers=320):
     rng = np.random.default_rng(seed)
@@ -116,24 +115,6 @@ def build_answers(seed=0, n_tasks=40, n_workers=6, n_answers=320):
 def dataset():
     answers, truth = build_answers(seed=2)
     return Dataset(name="synthetic", answers=answers, truth=truth)
-
-
-class TestCreateKwargs:
-    @pytest.mark.parametrize("kwargs,policy", [
-        ({"n_shards": 3}, ExecutionPolicy(n_shards=3, executor="serial")),
-        ({"n_shards": 3, "shard_workers": 2},
-         ExecutionPolicy(n_shards=3, executor="thread", max_workers=2)),
-    ], ids=["n_shards", "shard_workers"])
-    def test_per_spec_kwargs_match_the_policy(self, kwargs, policy):
-        answers = build_answers()[0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            per_spec = create("D&S", seed=0, **kwargs).fit(answers)
-        modern = create("D&S", seed=0, policy=policy).fit(answers)
-        assert per_spec.n_iterations == modern.n_iterations
-        np.testing.assert_array_equal(per_spec.posterior, modern.posterior)
-        np.testing.assert_array_equal(per_spec.worker_quality,
-                                      modern.worker_quality)
 
 
 #: Execution knobs with no entry point left, each spelled at the call it
@@ -163,6 +144,18 @@ REMOVED_SPELLINGS = {
         max_workers=1).run_grid([ds], methods=["MV"], n_shards=3),
     "lease-positional": lambda ds: RuntimeRegistry().lease(
         2, None, ds.answers, "D&S", {}),
+    # The registry keys on a resolved plan only.
+    "registry.acquire-pair": lambda ds: RuntimeRegistry().acquire(2, 1),
+    # How a fit runs is given to fit(policy=...), never to the method.
+    "create-policy": lambda ds: create(
+        "D&S", policy=ExecutionPolicy(n_shards=2, executor="serial")),
+    "create-n_shards": lambda ds: create("D&S", n_shards=3),
+    "create-shard_workers": lambda ds: create("D&S", shard_workers=2),
+    "create_all-policy": lambda ds: create_all(
+        TaskType.DECISION_MAKING, names=["D&S"],
+        policy=ExecutionPolicy(n_shards=2, executor="serial")),
+    "MethodSpec.create-policy": lambda ds: MethodSpec("D&S").create(
+        policy=ExecutionPolicy(n_shards=2, executor="serial")),
     # A fault plan is armed process-wide (repro.faults.arm), never
     # through a policy or a lease.
     "ExecutionPolicy-faults": lambda ds: ExecutionPolicy(
@@ -202,19 +195,20 @@ class TestBatchPolicies:
         assert runs[0].n_iterations == plain.n_iterations
 
     def test_spec_shard_counts_reach_the_runtime(self, dataset):
-        """A shard count spelled in the job's spec combines with a
-        process-tier policy: the fit must actually run on the leased
-        runtime at that shard count."""
+        """A shard count spelled in the job's own policy wins over the
+        runner's process-tier policy: the fit must actually run on the
+        leased runtime at that shard count."""
         from repro.engine.runtime import get_runtime_registry
 
-        job = BatchJob(dataset=dataset,
-                       method=MethodSpec("D&S", n_shards=2),
-                       policy=ExecutionPolicy(n_shards=1,
+        job = BatchJob(dataset=dataset, method="D&S",
+                       policy=ExecutionPolicy(n_shards=2,
                                               executor="process"))
         registry = get_runtime_registry()
         try:
-            runs = BatchRunner(max_workers=1).run([job])
-            runtime = registry.acquire(2, None)
+            runs = BatchRunner(
+                max_workers=1, policy=ExecutionPolicy(
+                    n_shards=1, executor="process")).run([job])
+            runtime = registry.acquire(job.policy.resolve(dataset.answers))
             assert runtime.placements >= 1  # the lease really happened
         finally:
             registry.close_all()

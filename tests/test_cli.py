@@ -177,7 +177,7 @@ class TestCommands:
 
     def test_stream_shards_beyond_task_count_clamped(self, tmp_path,
                                                      capsys):
-        # More shards than tasks is not an error: shard_by_tasks clamps
+        # More shards than tasks is not an error: ShardedAnswerSet clamps
         # deterministically and the run succeeds.
         path = tmp_path / "answers.csv"
         with open(path, "w", newline="") as handle:
@@ -324,6 +324,45 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "saturation redundancy" in out
+
+
+class TestMethodNames:
+    """``run``, ``sweep`` and ``plan-redundancy`` check every method name
+    before the first fit, as ``infer``, ``stream`` and ``recover`` do."""
+
+    def test_run_fits_each_method_once(self, monkeypatch, capsys):
+        from repro.core.base import TruthInferenceMethod
+
+        fitted = []
+        fit = TruthInferenceMethod.fit
+
+        def counting_fit(self, *args, **kwargs):
+            fitted.append(self.name)
+            return fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(TruthInferenceMethod, "fit", counting_fit)
+        assert main(["run", "--dataset", "D_Product", "--scale", "0.05",
+                     "--methods", "MV", "ZC"]) == 0
+        assert fitted == ["MV", "ZC"]
+        assert "accuracy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--dataset", "D_Product", "--methods", "MV", "Nope"],
+         "unknown method: Nope"),
+        (["run", "--dataset", "D_Product", "--methods", "LFC_N"],
+         "method LFC_N does not support decision-making tasks"),
+        (["sweep", "--dataset", "D_PosSent", "--methods", "Nope"],
+         "unknown method: Nope"),
+        (["plan-redundancy", "--dataset", "D_PosSent", "--method", "Nope"],
+         "unknown method: Nope"),
+    ], ids=["run-unknown", "run-inapplicable", "sweep-unknown",
+            "plan-redundancy-unknown"])
+    def test_bad_method_fails_in_one_line(self, argv, message, capsys):
+        assert main(argv + ["--scale", "0.05"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"{message} (see `repro methods`)"]
+        assert captured.out == ""
 
 
 class TestTcpSource:
