@@ -32,11 +32,13 @@ Quickstart::
     policy = ExecutionPolicy(n_shards=4)
     result = create(spec).fit(dataset.answers, policy=policy)
 
-Capabilities (warm starts, sharding, golden tasks, ...) are queried
-through ``capabilities(name)`` instead of probing class attributes::
+Capabilities (sharding, golden tasks, qualification tests, ...) are
+queried through ``capabilities(name)`` instead of probing class
+attributes; ``sharding`` is the one execution capability — a sharding
+method also warm-starts and delta-refits::
 
     from repro import capabilities
-    capabilities("D&S").warm_start  # -> True
+    capabilities("D&S").sharding  # -> True
 """
 
 from .core import (

@@ -6,17 +6,15 @@ derives what each class *actually* supports from its implementation
 and cross-checks the declaration, so the capability table is a derived
 artifact instead of a hand-maintained parallel truth:
 
-- ``warm_start`` / ``seed_posterior`` / ``sharding`` — the base class
-  forwards the keyword exactly when the flag is set, so ``_fit`` must
-  accept ``warm_start`` / ``seed_posterior`` / ``shard_runner``.
-- ``sharding`` additionally requires the sharded-spec hook: the class
-  must override
+- ``sharding`` — the one execution flag (sharded EM, warm starts and
+  delta refits) rests on two facts: ``_fit`` accepts the
+  ``warm_start``, ``shard_runner`` and ``delta`` keywords the base
+  class forwards exactly when the flag is set, and the class overrides
+  the sharded-spec hook
   :meth:`~repro.core.base.TruthInferenceMethod.make_em_spec`.
 - ``golden`` / ``initial_quality`` — ``_fit`` always receives both
   (masked to ``None`` when the flag is off), so an honest flag means
   the body actually *reads* the parameter.
-- ``delta`` — the delta-refit keyword is forwarded to every sharding
-  method, so ``delta=True`` means sharding plus a body that reads it.
 
 ``task_types`` and ``is_extension`` are declarations of paper
 semantics with no implementation signal to check; they pass through.
@@ -42,12 +40,8 @@ KNOWN_EXEMPTIONS = {
         "never influenced the numeric fit",
 }
 
-#: Capability field -> `_fit` parameter the base class forwards for it.
-_SIGNATURE_FLAGS = {
-    "warm_start": "warm_start",
-    "seed_posterior": "seed_posterior",
-    "sharding": "shard_runner",
-}
+#: The `_fit` parameters the base class forwards to a sharding method.
+_SHARDING_PARAMS = ("warm_start", "shard_runner", "delta")
 
 #: Capability field -> `_fit` parameter whose *body read* backs it.
 _BODY_FLAGS = {
@@ -92,15 +86,13 @@ def _overrides_em_spec(cls: Any) -> bool:
 
 def _derive_flags(name: str, cls: Any) -> dict[str, bool]:
     params, accepts_kwargs = _fit_params(cls)
-    derived: dict[str, bool] = {}
-    for field, parameter in _SIGNATURE_FLAGS.items():
-        derived[field] = parameter in params or accepts_kwargs
-    # The spec hook is the second half of the sharding contract; a
-    # `shard_runner` parameter without it can never run a phase.
-    derived["sharding"] = derived["sharding"] and _overrides_em_spec(cls)
+    # The spec hook is the second half of the sharding contract; the
+    # forwarded parameters without it can never run a phase.
+    derived = {"sharding": (
+        (accepts_kwargs or all(p in params for p in _SHARDING_PARAMS))
+        and _overrides_em_spec(cls))}
     for field, parameter in _BODY_FLAGS.items():
         derived[field] = _body_reads(cls, parameter)
-    derived["delta"] = derived["sharding"] and _body_reads(cls, "delta")
     for (exempt_name, field), _reason in KNOWN_EXEMPTIONS.items():
         if exempt_name == name:
             derived[field] = bool(getattr(cls, f"supports_{field}"))

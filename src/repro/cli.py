@@ -74,40 +74,20 @@ TASK_TYPE_CHOICES = sorted(TASK_TYPE_ALIASES)
 def _cmd_methods(_args) -> int:
     from .core.registry import capabilities
 
-    rows = []
-    for name in available_methods():
-        caps = capabilities(name)
-        types = ", ".join(sorted(t.value for t in caps.task_types))
-        rows.append([
-            name, types,
-            "yes" if caps.initial_quality else "no",
-            "yes" if caps.golden else "no",
-        ])
-    print(format_table(
-        ["method", "task types", "qualification", "hidden test"], rows,
-        title="Registered truth-inference methods (paper Table 4)"))
-    return 0
-
-
-def _cmd_capabilities(_args) -> int:
-    from .core.registry import capabilities
-
     def yn(flag: bool) -> str:
         return "yes" if flag else "no"
 
     rows = []
     for name in available_methods():
         caps = capabilities(name)
-        rows.append([
-            name,
-            yn(caps.sharding),
-            yn(caps.warm_start),
-            yn(caps.delta),
-            yn(caps.seed_posterior),
-        ])
+        types = ", ".join(sorted(t.value for t in caps.task_types))
+        rows.append([name, types, yn(caps.initial_quality),
+                     yn(caps.golden), yn(caps.sharding)])
     print(format_table(
-        ["method", "sharded", "warm-start", "delta", "seed-posterior"],
-        rows, title="Execution capabilities by method"))
+        ["method", "task types", "qualification", "hidden test",
+         "sharded"], rows,
+        title="Registered truth-inference methods (paper Table 4; "
+              "sharded = sharded EM, warm starts and delta refits)"))
     return 0
 
 
@@ -579,11 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("methods", help="list registered methods")
-
-    sub.add_parser("capabilities",
-                   help="execution capabilities per method "
-                        "(sharded, warm-start, delta, seed-posterior)")
+    sub.add_parser("methods",
+                   help="list registered methods and their capabilities")
 
     p_datasets = sub.add_parser("datasets", help="Table 5 of the replicas")
     _common(p_datasets)
@@ -755,7 +732,6 @@ def _common(parser: argparse.ArgumentParser) -> None:
 
 _COMMANDS = {
     "methods": _cmd_methods,
-    "capabilities": _cmd_capabilities,
     "datasets": _cmd_datasets,
     "run": _cmd_run,
     "sweep": _cmd_sweep,

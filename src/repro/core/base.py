@@ -48,39 +48,25 @@ class TruthInferenceMethod(abc.ABC):
     supports_golden:
         Whether the method can clamp hidden-test golden truths (Section
         6.3.3 lists the 9 methods that can).
-    supports_warm_start:
-        Whether the method can resume from a previous
-        :class:`InferenceResult` fitted on an earlier (smaller) snapshot
-        of the same answer stream — see :meth:`fit`'s ``warm_start``
-        parameter and :mod:`repro.core.warmstart`.
     supports_sharding:
         Whether the method's EM is expressed as mergeable sufficient
         statistics over task-range shards
-        (:mod:`repro.inference.sharded`) and therefore honours the
-        ``policy`` and ``shard_runner`` fit parameters.
-    supports_seed_posterior:
-        Whether a cold fit can start from an externally supplied truth
-        posterior (``fit(..., seed_posterior=...)``) in place of the
-        majority-vote posterior it would otherwise compute — lets batch
-        runs compute majority voting once per dataset and share it.
-    supports_delta:
-        Whether the method honours an incremental
-        :class:`~repro.inference.sharded.DeltaPlan` with a cached
-        ``prev`` state — its own per-family contract (dirty-shard
-        statistics EM, message warm restarts, gradient restarts, Gibbs
-        chain continuation).  Methods without it demote a passed plan
-        to a collecting full fit; ``ExecutionPolicy(refit="delta")``
-        warns when handed to such a method.
+        (:mod:`repro.inference.sharded`).  It is the one execution flag:
+        such a method honours the ``policy`` and ``shard_runner`` fit
+        parameters, resumes from a ``warm_start`` (a previous
+        :class:`InferenceResult` fitted on an earlier, smaller snapshot
+        of the same answer stream — see :mod:`repro.core.warmstart`),
+        and under ``ExecutionPolicy(refit="delta")`` runs a delta refit
+        from the warm start's cached shard state (its own per-family
+        contract: dirty-shard statistics EM, message warm restarts,
+        gradient restarts, Gibbs chain continuation).
     """
 
     name: ClassVar[str] = "abstract"
     task_types: ClassVar[frozenset] = frozenset()
     supports_initial_quality: ClassVar[bool] = False
     supports_golden: ClassVar[bool] = False
-    supports_warm_start: ClassVar[bool] = False
     supports_sharding: ClassVar[bool] = False
-    supports_seed_posterior: ClassVar[bool] = False
-    supports_delta: ClassVar[bool] = False
     #: True for post-paper extension methods (kept out of the faithful
     #: 17-method experiment harness unless explicitly requested).
     is_extension: ClassVar[bool] = False
@@ -109,10 +95,8 @@ class TruthInferenceMethod(abc.ABC):
         golden: Mapping[int, float] | None = None,
         initial_quality: np.ndarray | None = None,
         warm_start: InferenceResult | None = None,
-        seed_posterior: np.ndarray | None = None,
         shard_runner=None,
         policy: ExecutionPolicy | ExecutionPlan | None = None,
-        delta=None,
     ) -> InferenceResult:
         """Infer truths and worker qualities from an answer set.
 
@@ -132,19 +116,15 @@ class TruthInferenceMethod(abc.ABC):
             methods that set ``supports_initial_quality = False``.
         warm_start:
             Optional :class:`InferenceResult` from a previous fit on an
-            earlier snapshot of the same (append-only) answer stream.
-            Methods that set ``supports_warm_start = True`` resume the
-            iteration from that state — previously seen tasks/workers
-            keep their fitted parameters, new ones are seeded from
-            majority voting or neutral defaults — and typically converge
-            in a handful of iterations.  Ignored by other methods.
-        seed_posterior:
-            Optional ``(n_tasks, n_choices)`` truth posterior a cold fit
-            starts from *in place of* the majority-vote posterior it
-            would compute itself (same values, shared across methods —
-            see :class:`repro.engine.batch.BatchRunner`).  Lower
-            precedence than ``warm_start`` and ``initial_quality``;
-            ignored by methods without ``supports_seed_posterior``.
+            earlier snapshot of the same (append-only) answer stream —
+            the one input a fit resumes from.  Methods that set
+            ``supports_sharding = True`` resume the iteration from that
+            state — previously seen tasks/workers keep their fitted
+            parameters, new ones are seeded from majority voting or
+            neutral defaults — and typically converge in a handful of
+            iterations.  Under ``refit="delta"`` the warm start's
+            ``shard_state`` decides whether the fit is a delta refit
+            (see :meth:`_shard_runner`).  Ignored by other methods.
         shard_runner:
             Optional pre-built shard runner (e.g. a
             :class:`~repro.engine.runtime.RuntimeLease` over
@@ -158,22 +138,11 @@ class TruthInferenceMethod(abc.ABC):
             build the matching in-process runner and process plans
             lease the persistent shared-memory runtime from the
             process-wide registry, under the plan's fault policy and
-            fault plan.  ``None`` runs one serial shard.  Ignored by
-            methods without ``supports_sharding`` and whenever
-            ``shard_runner`` is supplied explicitly.
-        delta:
-            Optional :class:`~repro.inference.sharded.DeltaPlan` opting
-            this fit into the incremental (delta-refit) EM path: with a
-            cached ``prev`` state the fit primes only dirty shards and
-            freezes converged ones (``warm_start`` required); with
-            ``prev=None`` the fit runs full but collects the
-            :class:`~repro.inference.sharded.ShardState` the next delta
-            refit resumes from (returned as ``result.shard_state``).
-            Driven by the engines when the policy says
-            ``refit="delta"``; ignored by methods without
-            ``supports_sharding``.  A runner whose shard cuts are not
-            ``prev``'s — a process-tier lease places its own — demotes
-            the plan to a collecting full fit.
+            fault plan.  Its ``refit``, ``freeze_tol`` and
+            ``verify_every`` configure delta refits, also over a
+            supplied ``shard_runner``.  ``None`` runs one serial shard
+            and refits full.  Ignored by methods without
+            ``supports_sharding``.
         """
         if answers.task_type not in self.task_types:
             raise TaskTypeMismatchError(
@@ -193,33 +162,15 @@ class TruthInferenceMethod(abc.ABC):
                 raise ValueError(f"golden task indices out of range: {bad[:5]}")
 
         extra_kwargs = {}
-        if self.supports_warm_start:
+        runner_cm = contextlib.nullcontext()
+        if self.supports_sharding:
             if warm_start is not None:
                 self._validate_warm_start(warm_start, answers)
             extra_kwargs["warm_start"] = warm_start
-        if self.supports_seed_posterior:
-            if seed_posterior is not None:
-                seed_posterior = np.asarray(seed_posterior, dtype=np.float64)
-                expected = (answers.n_tasks, answers.n_choices)
-                if seed_posterior.shape != expected:
-                    raise ValueError(
-                        f"seed_posterior must have shape {expected}, "
-                        f"got {seed_posterior.shape}"
-                    )
-            extra_kwargs["seed_posterior"] = seed_posterior
-        runner_cm = contextlib.nullcontext()
-        if self.supports_sharding:
             runner_cm = self._shard_runner(answers, shard_runner, policy,
-                                           delta)
+                                           warm_start)
         elif policy is not None:
             self._warn_ignored_policy(policy)
-        if (policy is not None and not self.supports_delta
-                and getattr(policy, "refit", "full") == "delta"):
-            warnings.warn(
-                f"{self.name} can only refit full; ExecutionPolicy "
-                f'refit="delta" is ignored (no per-family delta '
-                f"contract — see Capabilities.delta)",
-                UserWarning, stacklevel=2)
 
         rng = np.random.default_rng(self.seed)
         started = time.perf_counter()
@@ -303,7 +254,8 @@ class TruthInferenceMethod(abc.ABC):
     def _warn_ignored_policy(
             self, policy: ExecutionPolicy | ExecutionPlan) -> None:
         """Warn once per fit when a non-sharding method is handed a
-        policy naming explicit parallelism it cannot honour.
+        policy naming explicit parallelism it cannot honour, and once
+        more when the policy asks for delta refits.
 
         Grids legitimately set one policy for a whole method zoo, so a
         *default* policy (auto tiering, unset shard count) stays
@@ -326,43 +278,68 @@ class TruthInferenceMethod(abc.ABC):
                 f"{self.name} does not support sharding; ExecutionPolicy "
                 f"fields ignored: {', '.join(ignored)}",
                 UserWarning, stacklevel=3)
+        if policy.refit == "delta":
+            warnings.warn(
+                f"{self.name} can only refit full; ExecutionPolicy "
+                f'refit="delta" is ignored (no sharded EM — see '
+                f"Capabilities.sharding)",
+                UserWarning, stacklevel=3)
 
     @contextlib.contextmanager
     def _shard_runner(self, answers: AnswerSet, shard_runner=None,
                       policy: ExecutionPolicy | ExecutionPlan | None = None,
-                      delta=None):
-        """Yield the ``(runner, delta)`` a sharded ``_fit`` runs with.
+                      warm_start: InferenceResult | None = None):
+        """Yield the ``(runner, delta)`` a sharded ``_fit`` runs with —
+        the one place a fit decides whether it is a delta refit.
 
-        A supplied ``shard_runner`` wins.  Otherwise the plan decides:
-        ``policy`` resolved against ``answers``, or one serial shard
-        without a policy.  A process plan leases the persistent
-        shared-memory runtime from the process-wide registry, under the
-        plan's fault policy and fault plan.  A serial or thread plan
-        shards in process, over ``delta.prev``'s pinned cuts when the
-        fit resumes from a cached state (else over fresh
-        answer-balanced cuts), on a transient thread pool for a thread
-        plan.
+        ``policy`` is resolved against ``answers`` (one serial shard
+        without a policy).  A supplied ``shard_runner`` wins; otherwise
+        a process plan leases the persistent shared-memory runtime from
+        the process-wide registry, under the plan's fault policy and
+        fault plan, and a serial or thread plan shards in process (on a
+        transient thread pool for a thread plan).
 
-        A delta refit is valid only over its cached state's cuts, so a
-        runner placed over other cuts (a lease that re-placed, or a
-        supplied runner) demotes ``delta`` to a collecting full fit.
+        Under ``refit="full"`` ``delta`` is ``None``.  Under
+        ``refit="delta"`` it is a
+        :class:`~repro.inference.sharded.DeltaPlan` that resumes
+        ``warm_start.shard_state`` when three things hold: the state is
+        this method's, its cuts still hold for ``answers``
+        (:func:`~repro.engine.placement.cuts_hold`), and the runner lies
+        on them (:func:`~repro.engine.placement.cuts_align`; an
+        in-process runner is built on them).  Otherwise the fit runs
+        full and collects the state the next delta refit resumes from.
         """
-        from ..engine.placement import cuts_align
+        from ..engine.placement import cuts_align, cuts_hold
+        from ..inference.sharded import DeltaPlan, dirty_shards
 
-        prev = delta.prev if delta is not None else None
+        if policy is None:
+            policy = ExecutionPlan(mode="serial", n_shards=1, max_workers=0)
+        plan = (policy.resolve(answers)
+                if isinstance(policy, ExecutionPolicy) else policy)
+        prev = None
+        if plan.refit == "delta" and warm_start is not None:
+            state = warm_start.shard_state
+            if (warm_start.method == self.name and state is not None
+                    and cuts_hold(answers, state.n_answers,
+                                  state.task_cuts[-1], state.base_answers)):
+                prev = state
         if shard_runner is not None:
             built = contextlib.nullcontext(shard_runner)
+        elif plan.mode == "process":
+            built = self._lease(answers, plan)
         else:
-            if policy is None:
-                policy = ExecutionPlan(mode="serial", n_shards=1,
-                                       max_workers=0)
-            plan = (policy.resolve(answers)
-                    if isinstance(policy, ExecutionPolicy) else policy)
-            built = (self._lease(answers, plan) if plan.mode == "process"
-                     else self._local_runner(answers, plan, prev))
+            built = self._local_runner(answers, plan, prev)
         with built as runner:
-            if prev is not None and not cuts_align(runner.task_ranges, prev):
-                delta = delta.collect_only()
+            delta = None
+            if plan.refit == "delta":
+                delta = DeltaPlan(freeze_tol=plan.freeze_tol,
+                                  verify_every=plan.verify_every)
+                if prev is not None and cuts_align(runner.task_ranges,
+                                                   prev):
+                    delta.prev = prev
+                    delta.dirty = dirty_shards(
+                        prev.task_cuts, answers.tasks[prev.n_answers:],
+                        answers.n_tasks)
             yield runner, delta
 
     def _lease(self, answers: AnswerSet, plan: ExecutionPlan):

@@ -129,13 +129,24 @@ class ExecutionPlan:
     max_workers:
         Pool width: thread count for the thread tier, process-pool
         slots for the process tier, ``0`` for serial.
+    refit, freeze_tol, verify_every:
+        The policy's refit settings, copied so that ``fit(policy=p)``
+        and ``fit(policy=p.resolve(answers))`` run the same fit.  They
+        do not enter :attr:`runtime_key`: refit settings never split a
+        runtime.
+
+    Every field after ``max_workers`` is repr-quiet: the plan's
+    doctest-visible identity is the execution shape.
     """
 
     mode: str
     n_shards: int
     max_workers: int
-    #: Recovery policy for the process tier (repr-quiet: the plan's
-    #: doctest-visible identity is the execution shape, not recovery).
+    refit: str = dataclasses.field(default="full", repr=False)
+    freeze_tol: float | None = dataclasses.field(default=None, repr=False)
+    verify_every: int = dataclasses.field(default=DEFAULT_VERIFY_EVERY,
+                                          repr=False)
+    #: Recovery policy for the process tier.
     fault_policy: FaultPolicy = dataclasses.field(
         default=FaultPolicy(), repr=False)
 
@@ -260,8 +271,11 @@ class ExecutionPolicy:
         shards reuse their cached posterior blocks and sufficient
         statistics), and converged shards freeze out of later
         iterations until a periodic full-verify E-step shows drift.
-        Only engines with a refit cache act on this; one-shot fits
-        ignore it.
+        Each fit, one-shot or an engine's, decides from its
+        ``warm_start`` whether it is a delta refit: it is when the warm
+        start's cached shard state still serves the answers; otherwise
+        it runs full and collects the state the next delta refit
+        resumes from.
     freeze_tol:
         Delta refits only: a shard freezes when its E-step changed no
         posterior entry by at least this much, and a frozen shard thaws
@@ -371,7 +385,9 @@ class ExecutionPolicy:
             max_workers = resolve_process_workers(n_shards,
                                                   self.max_workers)
         return ExecutionPlan(mode=mode, n_shards=n_shards,
-                             max_workers=max_workers,
+                             max_workers=max_workers, refit=self.refit,
+                             freeze_tol=self.freeze_tol,
+                             verify_every=self.verify_every,
                              fault_policy=self.fault_policy)
 
 

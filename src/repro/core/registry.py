@@ -34,17 +34,15 @@ class Capabilities:
     Mirrors the ``supports_*`` ClassVars on
     :class:`~repro.core.base.TruthInferenceMethod` (see that docstring
     for what each ability means), plus the task types (paper Table 4)
-    and the extension marker.
+    and the extension marker.  ``sharding`` is the one execution
+    ability: a sharding method also warm-starts and delta-refits.
     """
 
-    warm_start: bool
-    seed_posterior: bool
     sharding: bool
     golden: bool
     initial_quality: bool
     task_types: frozenset
     is_extension: bool = False
-    delta: bool = False
 
     @classmethod
     def of(cls, factory) -> "Capabilities":
@@ -56,9 +54,6 @@ class Capabilities:
         registry-wide capability scans on an exotic factory.
         """
         return cls(
-            warm_start=bool(getattr(factory, "supports_warm_start", False)),
-            seed_posterior=bool(getattr(factory, "supports_seed_posterior",
-                                        False)),
             sharding=bool(getattr(factory, "supports_sharding", False)),
             golden=bool(getattr(factory, "supports_golden", False)),
             initial_quality=bool(getattr(factory,
@@ -66,7 +61,6 @@ class Capabilities:
             task_types=frozenset(getattr(factory, "task_types",
                                          frozenset())),
             is_extension=bool(getattr(factory, "is_extension", False)),
-            delta=bool(getattr(factory, "supports_delta", False)),
         )
 
 

@@ -174,7 +174,9 @@ def pad_result_labels(result: InferenceResult,
 
     Pads the posterior and the label-indexed extras (``confusion``,
     ``class_prior``) so the copy satisfies the warm-start contract of a
-    snapshot with ``n_choices`` labels; everything else is shared.
+    snapshot with ``n_choices`` labels; everything else is shared but
+    the ``shard_state``, which is dropped: its cached blocks hold the
+    old label count, so the next fit runs full and collects a new one.
     """
     if result.posterior is None:
         raise ValueError(
@@ -191,6 +193,7 @@ def pad_result_labels(result: InferenceResult,
         result,
         posterior=pad_posterior_labels(result.posterior, n_choices),
         extras=extras,
+        shard_state=None,
     )
 
 

@@ -16,8 +16,7 @@ scratch.  This package adds the online layer:
   *warm* whenever it can;
 * :class:`~repro.engine.batch.BatchRunner` — a :mod:`concurrent.futures`
   fan-out for the (dataset, method) grids the comparison experiments run,
-  over threads or processes, seeding every cold fit from one shared
-  majority-vote posterior per dataset;
+  over threads or processes;
 * :class:`~repro.engine.runtime.ShardRuntime` — the multi-core
   sharded-EM tier behind ``fit(policy=...)`` (see below).
 
@@ -26,9 +25,10 @@ Streaming protocol
 The stream is **append-only**: task, worker and label indices are handed
 out in order of first appearance and never reassigned, so any state
 fitted on an earlier snapshot remains index-compatible with every later
-snapshot.  Warm starts build on exactly that guarantee: methods that set
-``supports_warm_start = True`` (D&S, LFC, ZC, GLAD, LFC_N) accept a
-previous :class:`~repro.core.result.InferenceResult` via
+snapshot.  Warm starts build on exactly that guarantee: the 14 methods
+that set ``supports_sharding = True`` (every method but MV, Mean,
+Median and Multi) accept a previous
+:class:`~repro.core.result.InferenceResult` via
 ``fit(answers, warm_start=...)``, keep the fitted parameters of known
 tasks/workers, seed newly arrived tasks from majority voting (and new
 workers from neutral defaults), and resume the two-step iteration — which

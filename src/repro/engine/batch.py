@@ -17,13 +17,8 @@ process-tier policy leases the shared persistent
 :class:`~repro.engine.runtime.ShardRuntime` registry, so a sweep of
 methods over one dataset places the answers in shared memory and spawns
 the worker pools once.  Methods without sharded EM ignore the policy.
-
-Cold fits of every categorical EM method start from the majority-vote
-posterior.  The runner computes that posterior **once per dataset** and
-seeds every method that accepts it (``Capabilities.seed_posterior``)
-instead of letting each fit recompute identical vote counts — a pure
-dedup: the seeded values are exactly what the methods would have
-derived.
+The runner never writes into its jobs: a job keeps the policy (and
+everything else) its caller gave it.
 """
 
 from __future__ import annotations
@@ -32,8 +27,6 @@ import dataclasses
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from ..core.policy import ExecutionPolicy, MethodSpec
 from ..datasets.schema import Dataset
@@ -57,9 +50,6 @@ class BatchJob:
     golden: Mapping[int, float] | None = None
     initial_quality: object = None
     policy: ExecutionPolicy | None = None
-    #: Optional shared majority-vote posterior to seed a cold fit from;
-    #: filled in by :meth:`BatchRunner.run` when left as ``None``.
-    seed_posterior: np.ndarray | None = None
 
     @property
     def spec(self) -> MethodSpec:
@@ -83,60 +73,36 @@ class BatchRunner:
     policy:
         Default :class:`~repro.core.policy.ExecutionPolicy` for every
         job's *fit*; a job with its own ``policy`` (say, its own shard
-        count) keeps it.  Each fit gets the policy resolved against its
-        dataset through ``fit(policy=...)``.  A process-tier policy
+        count) runs under that one instead, and no job is modified.
+        Each fit gets the policy resolved against its dataset through
+        ``fit(policy=...)``, and starts from its own majority-vote
+        initialisation.  A process-tier policy
         routes each sharded fit through the shared
         persistent runtime registry: a sweep of methods over one
         dataset places the answers in shared memory and spawns the
         worker pools once.  Concurrent thread jobs serialise on the
         runtime's lease lock (each fit is internally parallel, so this
         is the intended schedule).
-    share_mv_seed:
-        Compute the majority-vote posterior once per (categorical)
-        dataset and seed every supporting method's cold fit from it.
     """
 
     def __init__(self, max_workers: int | None = None,
                  executor_factory=ThreadPoolExecutor,
-                 policy: ExecutionPolicy | None = None,
-                 share_mv_seed: bool = True) -> None:
+                 policy: ExecutionPolicy | None = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise EngineError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers or min(8, os.cpu_count() or 1)
         self.executor_factory = executor_factory
         self.policy = policy
-        self.share_mv_seed = share_mv_seed
 
     # ------------------------------------------------------------------
-    def _seed_posteriors(self, jobs: Sequence[BatchJob]) -> None:
-        """Fill ``job.seed_posterior`` from a per-dataset MV cache."""
-        from ..core.framework import normalize_rows
-        from ..core.registry import capabilities
-
-        cache: dict[int, np.ndarray] = {}
-        for job in jobs:
-            if job.seed_posterior is not None:
-                continue
-            if not job.dataset.task_type.is_categorical:
-                continue
-            if not capabilities(job.spec.name).seed_posterior:
-                continue
-            key = id(job.dataset)
-            if key not in cache:
-                cache[key] = normalize_rows(job.dataset.answers.vote_counts())
-            job.seed_posterior = cache[key]
-
     def run(self, jobs: Sequence[BatchJob]) -> list[MethodRun]:
         """Execute all jobs; results are returned in job order."""
-        jobs = list(jobs)
+        # A job without a policy runs under the runner's, in a copy:
+        # the caller's jobs are never modified.
+        jobs = [dataclasses.replace(job, policy=self.policy)
+                if job.policy is None else job for job in jobs]
         if not jobs:
             return []
-        if self.policy is not None:
-            for job in jobs:
-                if job.policy is None:
-                    job.policy = self.policy
-        if self.share_mv_seed:
-            self._seed_posteriors(jobs)
         if len(jobs) == 1 or self.max_workers == 1:
             return [self._run_one(job) for job in jobs]
         with self.executor_factory(max_workers=self.max_workers) as pool:
@@ -151,7 +117,6 @@ class BatchRunner:
             seed=job.seed,
             golden=job.golden,
             initial_quality=job.initial_quality,
-            seed_posterior=job.seed_posterior,
             policy=job.policy,
         )
 

@@ -9,7 +9,7 @@ fresh fit is needed at all, and whether it can be *warm* — resumed from
 the cached posterior/parameters of the previous fit — instead of cold.
 
 A warm refit is attempted when the method supports it
-(``supports_warm_start``) and the stream only grew (append-only is
+(``supports_sharding``) and the stream only grew (append-only is
 guaranteed by the stream).  Label-space growth no longer forces a cold
 refit: label codes are append-only too, so the cached state is padded
 along the choice axis (:func:`~repro.core.warmstart.pad_result_labels`)
@@ -17,11 +17,17 @@ and the iteration resumes — new labels start with a small seed mass and
 earn their posterior like any other parameter.  Methods without
 warm-start support simply refit cold; results are correct either way,
 warmth only changes the iteration count.
+
+The engine chooses where a refit runs — a lease on the process tier,
+its warm shard session for in-process delta refits, otherwise the
+runner ``fit`` builds — and hands the warm start and its resolved
+plan to ``fit``, which decides whether the refit is a delta refit.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import dataclasses
 import itertools
 import warnings
@@ -435,26 +441,27 @@ class InferenceEngine:
                 and cached.method_kwargs == method_kwargs):
             return cached.result
 
-        plan = (self.policy.resolve(snapshot)
-                if capabilities(method).sharding else None)
-        sharded = plan is not None and plan.sharded
-        use_runtime = sharded and plan.mode == "process"
+        plan = None
+        if capabilities(method).sharding:
+            plan = self.policy.resolve(snapshot)
+            if not plan.sharded:
+                # One shard runs in process on every tier.
+                plan = dataclasses.replace(plan, mode="serial",
+                                           max_workers=0)
         spec = spec.with_defaults(seed=self.seed)
         instance = create(spec)
-        if (getattr(self.policy, "refit", "full") == "delta"
-                and not instance.supports_delta):
-            # The method-level warning only fires when the policy is
-            # handed to fit(); full-only methods never receive it here,
-            # so surface the ignored refit mode at the engine too.
+        if plan is None and self.policy.refit == "delta":
+            # Non-sharding methods never receive the policy, so the
+            # method-level warning cannot fire; surface it here.
             warnings.warn(
                 f"{method} can only refit full; ExecutionPolicy "
-                f'refit="delta" is ignored (no per-family delta '
-                f"contract — see Capabilities.delta)",
+                f'refit="delta" is ignored (no sharded EM — see '
+                f"Capabilities.sharding)",
                 UserWarning, stacklevel=2)
         warm = None
         if (not force_cold
                 and cached is not None
-                and instance.supports_warm_start
+                and plan is not None
                 and cached.method_kwargs == method_kwargs
                 # Label codes are append-only, so a grown label space
                 # warm-starts too (cached state padded below); a shrunk
@@ -474,37 +481,31 @@ class InferenceEngine:
                 warm = pad_result_labels(warm, snapshot.n_choices)
             elif cached.n_choices < snapshot.n_choices:
                 warm = None  # no posterior to pad: refit cold
-        delta = None
-        if plan is not None and self.policy.refit == "delta":
-            delta = self._delta_plan(snapshot, cached, warm)
-        # A runner that re-placed (rebalance, eviction, …) no longer
-        # aligns with the cached per-shard state; fit() then demotes the
-        # delta refit to a collecting full fit.
-        if use_runtime:
+        # Where the fit runs is the engine's choice; whether it is a
+        # delta refit is fit()'s, from the warm start and the plan.
+        runner = contextlib.nullcontext()
+        if plan is not None and plan.mode == "process":
             # Persistent process tier: the lease reuses warm pools, and
             # because the stream key only changes on in-place
             # replacements, a purely grown stream appends its new tail
             # to the placed segments instead of rebuilding them.
-            with self._lease_runtime(plan, snapshot, spec,
-                                     self._stream_key()) as runner:
-                result = instance.fit(snapshot, warm_start=warm,
-                                      shard_runner=runner, delta=delta)
-        else:
-            runner = None
-            if delta is not None:
-                # In-process delta refits run over the warm session:
-                # the task-sorted shard arrays and the spec's frozen
-                # operators persist across refits, extended (and
-                # selectively invalidated) by just the new tail.
-                pool = (self._ensure_thread_pool(plan.max_workers)
-                        if plan.mode == "thread" and plan.max_workers > 1
-                        else None)
-                runner = self._session(plan.n_shards).runner(
-                    snapshot, instance, stream_key=self._stream_key(),
-                    pool=pool)
+            runner = self._lease_runtime(plan, snapshot, spec,
+                                         self._stream_key())
+        elif plan is not None and plan.refit == "delta":
+            # In-process delta refits run over the warm session: the
+            # task-sorted shard arrays and the spec's frozen operators
+            # persist across refits, extended (and selectively
+            # invalidated) by just the new tail.
+            pool = (self._ensure_thread_pool(plan.max_workers)
+                    if plan.mode == "thread" and plan.max_workers > 1
+                    else None)
+            runner = contextlib.nullcontext(self._session(
+                plan.n_shards).runner(snapshot, instance,
+                                      stream_key=self._stream_key(),
+                                      pool=pool))
+        with runner as shard_runner:
             result = instance.fit(snapshot, warm_start=warm,
-                                  shard_runner=runner, delta=delta,
-                                  policy=plan if sharded else None)
+                                  shard_runner=shard_runner, policy=plan)
         if result.fit_stats is not None:
             for key in self.fault_totals:
                 self.fault_totals[key] += getattr(result.fit_stats, key, 0)
@@ -562,32 +563,6 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Delta refits
     # ------------------------------------------------------------------
-    def _delta_plan(self, snapshot, cached: _CachedFit | None, warm):
-        """The :class:`~repro.inference.sharded.DeltaPlan` this refit
-        runs under (policy ``refit="delta"``).
-
-        A true delta refit needs a warm start *and* a cached
-        :class:`~repro.inference.sharded.ShardState` whose cuts still
-        hold for the stream (:func:`~repro.engine.placement.cuts_hold`,
-        the placement layer's rebalance rule), with no label growth.
-        Anything else demotes to a collecting full fit, so the *next*
-        refit has a state to resume from.
-        """
-        from ..inference.sharded import DeltaPlan, dirty_shards
-
-        plan_kwargs = dict(freeze_tol=self.policy.freeze_tol,
-                           verify_every=self.policy.verify_every)
-        state = cached.shard_state if cached is not None else None
-        if (warm is None or state is None
-                or cached.n_choices != snapshot.n_choices
-                or not cuts_hold(snapshot, state.n_answers,
-                                 state.task_cuts[-1], state.base_answers)):
-            return DeltaPlan(**plan_kwargs)
-        dirty = dirty_shards(state.task_cuts,
-                             snapshot.tasks[state.n_answers:],
-                             snapshot.n_tasks)
-        return DeltaPlan(prev=state, dirty=dirty, **plan_kwargs)
-
     def _session(self, n_shards: int):
         """The warm in-process shard session (serial and thread tiers)
         for ``n_shards``, created on first use."""

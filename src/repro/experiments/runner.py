@@ -37,7 +37,6 @@ def run_method(
     seed: int = 0,
     golden: Mapping[int, float] | None = None,
     initial_quality: np.ndarray | None = None,
-    seed_posterior: np.ndarray | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> MethodRun:
     """Run one method on one dataset and score it.
@@ -45,9 +44,9 @@ def run_method(
     ``method`` is a registry name or a
     :class:`~repro.core.policy.MethodSpec` carrying construction
     kwargs.  With ``golden`` supplied, scoring excludes the golden
-    tasks (hidden-test protocol: evaluate on ``T − T'``).
-    ``seed_posterior`` forwards a shared majority-vote posterior to
-    methods that accept one.  ``policy`` decides how the fit executes,
+    tasks (hidden-test protocol: evaluate on ``T − T'``).  The fit is
+    one-shot: it starts cold (its own majority-vote initialisation) and
+    resumes from nothing.  ``policy`` decides how the fit executes,
     resolved against ``dataset.answers`` and handed to
     ``fit(policy=...)``: sharded EM for methods that support it
     (ignored for the rest, so grids can set one globally), and its
@@ -66,7 +65,6 @@ def run_method(
     # persistent-runtime leases); an unsharded plan means the plain fit.
     result = create(spec).fit(dataset.answers, golden=golden,
                               initial_quality=initial_quality,
-                              seed_posterior=seed_posterior,
                               policy=plan if plan is not None
                               and plan.sharded else None)
     exclude = set(int(t) for t in golden) if golden else None
@@ -94,12 +92,10 @@ def run_many(
     The fits run as :class:`~repro.engine.batch.BatchJob`\\ s on a
     :class:`~repro.engine.batch.BatchRunner`: serially without
     ``max_workers``, fanned out across its pool with it; results keep
-    method order either way, and every method that can start from the
-    majority-vote posterior shares one computed per dataset.
-    ``policy`` decides how each fit executes — sharded EM for the
-    methods that support it, and its process tier runs those fits on
-    the shared persistent runtime (one pool spawn + data placement for
-    the whole sweep).
+    method order either way.  ``policy`` decides how each fit executes
+    — sharded EM for the methods that support it, and its process tier
+    runs those fits on the shared persistent runtime (one pool spawn +
+    data placement for the whole sweep).
     """
     from ..engine.batch import BatchJob, BatchRunner
 

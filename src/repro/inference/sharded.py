@@ -39,8 +39,8 @@ Hinton's partial E-steps) a warm refit on a grown answer stream can run
 instead of full E/M sweeps.  Two mechanisms make its cost scale with
 what changed rather than with total history:
 
-* **Dirty-shard priming** — the caller (usually
-  :class:`~repro.engine.engine.InferenceEngine`) passes a
+* **Dirty-shard priming** — the caller (``fit`` under
+  ``refit="delta"``, resuming its warm start's cached state) passes a
   :class:`DeltaPlan` naming the shards whose task range received new
   answers since the cached :class:`ShardState` was collected.  Only
   those shards run the priming E-step; clean shards reuse their cached
@@ -544,19 +544,17 @@ class DeltaPlan:
     the first real delta refit).  With ``prev`` set, ``dirty`` must
     flag every shard whose task range received new answers since
     ``prev`` was collected — see :func:`dirty_shards`.
+
+    ``fit(policy=...)`` builds the plan under ``refit="delta"``
+    (:meth:`~repro.core.base.TruthInferenceMethod._shard_runner`, the
+    one place that decides whether a cached state is resumed); a
+    method runs a true delta refit exactly when ``prev`` is set.
     """
 
     prev: ShardState | None = None
     dirty: Sequence[bool] | None = None
     freeze_tol: float | None = None
     verify_every: int = DEFAULT_VERIFY_EVERY
-
-    def collect_only(self) -> "DeltaPlan":
-        """This plan demoted to a collecting full fit (methods fall
-        back to it when the warm parameters a delta refit needs are
-        missing)."""
-        return DeltaPlan(prev=None, freeze_tol=self.freeze_tol,
-                         verify_every=self.verify_every)
 
 
 @dataclasses.dataclass

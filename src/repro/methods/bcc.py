@@ -164,8 +164,6 @@ class BCC(CategoricalMethod):
     name = "BCC"
     supports_golden = True
     supports_sharding = True
-    supports_warm_start = True
-    supports_delta = True
 
     def __init__(self, n_samples: int = 50, burn_in: int = 20,
                  alpha_diagonal: float = 2.0, alpha_off_diagonal: float = 1.0,
@@ -196,18 +194,6 @@ class BCC(CategoricalMethod):
         moving without re-paying burn-in."""
         return max(self.n_samples // 2, 8)
 
-    def _session_ok(self, session, answers: AnswerSet) -> bool:
-        """Whether a cached chain payload can continue on ``answers``."""
-        if not isinstance(session, dict) or session.get("family") != "bcc":
-            return False
-        tally = np.asarray(session.get("tally", ()))
-        conf = np.asarray(session.get("confusion_sum", ()))
-        return (tally.ndim == 2 and tally.shape[1] == answers.n_choices
-                and tally.shape[0] <= answers.n_tasks
-                and conf.ndim == 3 and conf.shape[0] <= answers.n_workers
-                and conf.shape[1:] == (answers.n_choices,
-                                       answers.n_choices))
-
     def _fit(
         self,
         answers: AnswerSet,
@@ -222,12 +208,9 @@ class BCC(CategoricalMethod):
         n_workers = answers.n_workers
         alpha = self._confusion_prior(n_choices)
 
-        session = (delta.prev.session
-                   if delta is not None and delta.prev is not None
-                   and delta.dirty is not None else None)
-        warm = warm_start is not None and self._session_ok(session, answers)
-        if delta is not None and not warm:
-            delta = delta.collect_only()
+        # A delta refit continues the cached chain.
+        warm = delta is not None and delta.prev is not None
+        session = delta.prev.session if warm else None
 
         confusion_sum = np.zeros((n_workers, n_choices, n_choices))
         retained_conf = 0

@@ -200,8 +200,6 @@ class CATD(GeneralMethod):
     name = "CATD"
     supports_initial_quality = True
     supports_golden = True
-    supports_warm_start = True
-    supports_delta = True
     supports_sharding = True
 
     def __init__(self, confidence: float = 0.975, regularization: float = 0.01,
@@ -256,8 +254,6 @@ class CATD(GeneralMethod):
             weights = self._normalize(
                 np.where(coefficient > 0, coefficient, 0.0))
 
-        if delta is not None and not warm:
-            delta = delta.collect_only()
         outcome = run_alternating_sharded(
             runner,
             tolerance=self.tolerance,

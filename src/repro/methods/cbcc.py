@@ -56,8 +56,6 @@ class CBCC(CategoricalMethod):
     name = "CBCC"
     supports_golden = False  # the survey does not extend CBCC with golden tasks
     supports_sharding = True
-    supports_warm_start = True
-    supports_delta = True
 
     def __init__(self, n_communities: int = 3, n_samples: int = 50,
                  burn_in: int = 20, alpha_diagonal: float = 4.0,
@@ -79,19 +77,6 @@ class CBCC(CategoricalMethod):
     def make_em_spec(self, n_tasks: int, n_workers: int, n_choices: int):
         return _ConfusionCountSpec(n_tasks=n_tasks, n_workers=n_workers,
                                    n_choices=n_choices)
-
-    def _session_ok(self, session, answers: AnswerSet) -> bool:
-        """Whether a cached chain payload can continue on ``answers``."""
-        if not isinstance(session, dict) or session.get("family") != "cbcc":
-            return False
-        if session.get("communities") != self.n_communities:
-            return False
-        tally = np.asarray(session.get("tally", ()))
-        membership = np.asarray(session.get("membership", ()))
-        return (tally.ndim == 2 and tally.shape[1] == answers.n_choices
-                and tally.shape[0] <= answers.n_tasks
-                and membership.ndim == 1
-                and len(membership) <= answers.n_workers)
 
     def _fit(
         self,
@@ -116,12 +101,9 @@ class CBCC(CategoricalMethod):
             strength = self.alpha_diagonal * (m + 1) / n_comm
             alpha[m, diag, diag] = max(strength, self.alpha_off_diagonal)
 
-        session = (delta.prev.session
-                   if delta is not None and delta.prev is not None
-                   and delta.dirty is not None else None)
-        warm = warm_start is not None and self._session_ok(session, answers)
-        if delta is not None and not warm:
-            delta = delta.collect_only()
+        # A delta refit continues the cached chain.
+        warm = delta is not None and delta.prev is not None
+        session = delta.prev.session if warm else None
 
         burn_in = self.burn_in
         n_sweeps = self.burn_in + self.n_samples

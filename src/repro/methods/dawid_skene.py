@@ -194,10 +194,7 @@ class _ConfusionMatrixEM(CategoricalMethod):
 
     supports_initial_quality = True
     supports_golden = True
-    supports_warm_start = True
-    supports_delta = True
     supports_sharding = True
-    supports_seed_posterior = True
 
     def make_em_spec(self, n_tasks: int, n_workers: int,
                      n_choices: int) -> _ConfusionSpec:
@@ -216,7 +213,6 @@ class _ConfusionMatrixEM(CategoricalMethod):
         initial_quality: np.ndarray | None,
         rng: np.random.Generator,
         warm_start: InferenceResult | None = None,
-        seed_posterior: np.ndarray | None = None,
         shard_runner=None,
         delta=None,
     ) -> InferenceResult:
@@ -257,15 +253,8 @@ class _ConfusionMatrixEM(CategoricalMethod):
             )
             start = np.concatenate(
                 runner.call("e_block", shared=(params0,)), axis=0)
-        else:
-            # None lets run_em_sharded fall through to the per-shard
-            # majority-vote initialisation.
-            start = seed_posterior
-
-        if delta is not None and warm_params is None:
-            # A delta refit resumes from warm parameters; without
-            # them, run full but still collect the next fit's state.
-            delta = delta.collect_only()
+        # Otherwise start stays None and run_em_sharded falls through
+        # to the per-shard majority-vote initialisation.
         outcome = run_em_sharded(
             runner,
             tolerance=self.tolerance,

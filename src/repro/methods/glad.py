@@ -227,10 +227,7 @@ class Glad(CategoricalMethod):
     name = "GLAD"
     supports_initial_quality = True
     supports_golden = True
-    supports_warm_start = True
-    supports_delta = True
     supports_sharding = True
-    supports_seed_posterior = True
 
     def __init__(self, learning_rate: float = 0.05, gradient_steps: int = 12,
                  prior_strength: float = 0.5, **kwargs) -> None:
@@ -259,11 +256,9 @@ class Glad(CategoricalMethod):
         initial_quality: np.ndarray | None,
         rng: np.random.Generator,
         warm_start: InferenceResult | None = None,
-        seed_posterior: np.ndarray | None = None,
         shard_runner=None,
         delta=None,
     ) -> InferenceResult:
-        start = None
         warm_params = None
         if warm_start is not None:
             # Resume abilities and easiness from the previous fit (alpha
@@ -287,22 +282,17 @@ class Glad(CategoricalMethod):
             clipped = np.clip(initial_quality, 0.05, 0.95)
             cold_state = (np.log(clipped / (1.0 - clipped)),
                           np.zeros(answers.n_tasks))
-            start = seed_posterior
         else:
             cold_state = (np.ones(answers.n_workers),
                           np.zeros(answers.n_tasks))
-            start = seed_posterior
 
         runner = shard_runner
         runner.spec.initial_state = cold_state
-        if delta is not None and warm_params is None:
-            delta = delta.collect_only()
         outcome = run_em_sharded(
             runner,
             tolerance=self.tolerance,
             max_iter=self.max_iter,
             golden=golden,
-            initial_posterior=start,
             initial_parameters=warm_params,
             delta=delta,
         )

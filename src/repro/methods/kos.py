@@ -215,8 +215,6 @@ class KOS(BinaryMethod):
 
     name = "KOS"
     supports_sharding = True
-    supports_warm_start = True
-    supports_delta = True
 
     def __init__(self, n_rounds: int = 10, **kwargs) -> None:
         super().__init__(**kwargs)
@@ -245,18 +243,11 @@ class KOS(BinaryMethod):
         # independent of any layout (the per-edge seeds are derived
         # from it shard-side — see edge_seed_messages).
         entropy = int(rng.integers(0, 2 ** 63))
-        session = (delta.prev.session
-                   if delta is not None and delta.prev is not None
-                   else None)
-        # A message-state delta refit needs a warm start *and* a
-        # cached KOS session; anything else demotes to a collecting
-        # full fit (`refit="full"` passes no plan at all, so the
-        # historical path is untouched bit-for-bit).
-        warm = (warm_start is not None and isinstance(session, dict)
-                and session.get("family") == "kos"
-                and len(session.get("y", ())) == n_shards)
-        if delta is not None and delta.prev is not None and not warm:
-            delta = delta.collect_only()
+        # A delta refit resumes the cached message state; without a
+        # cached state the plan collects one (`refit="full"` passes no
+        # plan at all, so the historical path is untouched bit-for-bit).
+        warm = delta is not None and delta.prev is not None
+        session = delta.prev.session if warm else None
 
         fit_stats = FitStats(mode="delta" if warm else "full",
                              n_shards=n_shards)

@@ -50,10 +50,7 @@ class LearningFromCrowds(_ConfusionMatrixEM):
     # base can no longer silently drop a capability from LFC alone.
     supports_initial_quality = True
     supports_golden = True
-    supports_warm_start = True
-    supports_delta = True
     supports_sharding = True
-    supports_seed_posterior = True
     #: Symmetric pseudo-count on every cell plus a diagonal bonus:
     #: equivalent to Beta/Dirichlet priors favouring correct answers.
     #: Kept weak by default — strong diagonal priors visibly distort the
@@ -145,8 +142,6 @@ class LearningFromCrowdsNumeric(NumericMethod):
     name = "LFC_N"
     supports_initial_quality = True
     supports_golden = True
-    supports_warm_start = True
-    supports_delta = True
     supports_sharding = True
 
     def __init__(self, min_variance: float = 1e-6, **kwargs) -> None:
@@ -188,8 +183,6 @@ class LearningFromCrowdsNumeric(NumericMethod):
                 warm_params = np.full(answers.n_workers, global_var)
 
         runner = shard_runner
-        if delta is not None and warm_params is None:
-            delta = delta.collect_only()
         outcome = run_em_sharded(
             runner,
             tolerance=self.tolerance,

@@ -303,8 +303,6 @@ class MinimaxEntropy(CategoricalMethod):
     name = "Minimax"
     supports_golden = True
     supports_sharding = True
-    supports_warm_start = True
-    supports_delta = True
 
     def __init__(self, learning_rate: float = 0.5, gradient_steps: int = 20,
                  l2_tau: float = 3.0, l2_sigma: float = 0.01,
@@ -400,8 +398,6 @@ class MinimaxEntropy(CategoricalMethod):
             initial_parameters = self._warm_parameters(warm_start,
                                                        answers)
         warm = initial_parameters is not None
-        if delta is not None and not warm:
-            delta = delta.collect_only()
         outcome = run_em_sharded(
             runner,
             tolerance=self.tolerance,

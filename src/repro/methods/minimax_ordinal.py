@@ -151,8 +151,6 @@ class MinimaxOrdinal(CategoricalMethod):
     is_extension = True
     supports_golden = True
     supports_sharding = True
-    supports_warm_start = True
-    supports_delta = True
 
     def __init__(self, learning_rate: float = 0.5, gradient_steps: int = 20,
                  l2_tau: float = 3.0, l2_omega: float = 0.01,
@@ -215,8 +213,6 @@ class MinimaxOrdinal(CategoricalMethod):
             initial_parameters = self._warm_parameters(
                 warm_start, answers, spec)
         warm = initial_parameters is not None
-        if delta is not None and not warm:
-            delta = delta.collect_only()
         outcome = run_em_sharded(
             runner,
             tolerance=self.tolerance,

@@ -75,8 +75,6 @@ class PM(GeneralMethod):
     name = "PM"
     supports_initial_quality = True
     supports_golden = True
-    supports_warm_start = True
-    supports_delta = True
     supports_sharding = True
 
     def __init__(self, regularization: float = 0.01, **kwargs) -> None:
@@ -127,8 +125,6 @@ class PM(GeneralMethod):
         else:
             weights = self._initial_weights(answers, initial_quality)
 
-        if delta is not None and not warm:
-            delta = delta.collect_only()
         outcome = run_alternating_sharded(
             runner,
             tolerance=self.tolerance,

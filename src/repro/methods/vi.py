@@ -232,8 +232,6 @@ class _VariationalTwoCoin(BinaryMethod):
     supports_initial_quality = True
     supports_golden = True
     supports_sharding = True
-    supports_warm_start = True
-    supports_delta = True
     _spec_cls: type[_TwoCoinSpec]
 
     def __init__(self, prior_a: float = 2.0, prior_b: float = 1.0,
@@ -308,8 +306,6 @@ class _VariationalTwoCoin(BinaryMethod):
             initial_parameters = self._warm_parameters(
                 warm_start, answers, mu0, runner.spec)
         warm = initial_parameters is not None
-        if delta is not None and not warm:
-            delta = delta.collect_only()
         outcome = run_em_sharded(
             runner,
             tolerance=self.tolerance,

@@ -125,10 +125,7 @@ class ZenCrowd(CategoricalMethod):
     name = "ZC"
     supports_initial_quality = True
     supports_golden = True
-    supports_warm_start = True
-    supports_delta = True
     supports_sharding = True
-    supports_seed_posterior = True
 
     def make_em_spec(self, n_tasks: int, n_workers: int,
                      n_choices: int) -> _ZCSpec:
@@ -142,7 +139,6 @@ class ZenCrowd(CategoricalMethod):
         initial_quality: np.ndarray | None,
         rng: np.random.Generator,
         warm_start: InferenceResult | None = None,
-        seed_posterior: np.ndarray | None = None,
         shard_runner=None,
         delta=None,
     ) -> InferenceResult:
@@ -161,11 +157,7 @@ class ZenCrowd(CategoricalMethod):
             start = np.concatenate(
                 runner.call("e_block", shared=(initial_quality,)),
                 axis=0)
-        else:
-            start = seed_posterior
 
-        if delta is not None and warm_params is None:
-            delta = delta.collect_only()
         outcome = run_em_sharded(
             runner,
             tolerance=self.tolerance,

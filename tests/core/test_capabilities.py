@@ -4,8 +4,8 @@ Every method's declared :class:`~repro.core.registry.Capabilities` is
 pinned against an expected table, so a new method (or a refactor of a
 shared base class) can no longer silently drop — or accidentally gain —
 a capability.  A second audit cross-checks the declarations against the
-``_fit`` signatures: a flag is only honest if the implementation
-actually accepts the corresponding keyword.
+``_fit`` signatures: the sharding flag is only honest if the
+implementation actually accepts the keywords it is forwarded.
 """
 
 import inspect
@@ -25,52 +25,38 @@ S = TaskType.SINGLE_CHOICE
 N = TaskType.NUMERIC
 
 
-def caps(warm=False, seed=False, shard=False, golden=False, quality=False,
-         types=(), ext=False, delta=False) -> Capabilities:
+def caps(shard=False, golden=False, quality=False, types=(),
+         ext=False) -> Capabilities:
     return Capabilities(
-        warm_start=warm, seed_posterior=seed, sharding=shard,
-        golden=golden, initial_quality=quality,
-        task_types=frozenset(types), is_extension=ext, delta=delta,
+        sharding=shard, golden=golden, initial_quality=quality,
+        task_types=frozenset(types), is_extension=ext,
     )
 
 
 #: The authoritative table: paper Table 4 task types, Table 7
-#: qualification support, Section 6.3.3 golden support, plus the
-#: streaming/sharding capabilities grown in PRs 1-3, the method-zoo
-#: sharding pass (CATD/PM/KOS/Minimax/BCC/CBCC/VI) and the per-family
-#: delta-refit contracts (every sharded method).  LFC mirrors D&S
-#: exactly — it shares the same EM (the audit this table came from
-#: found its ``seed_posterior`` reliance on base-class inheritance).
+#: qualification support, Section 6.3.3 golden support, plus the one
+#: execution capability — sharded EM, which also warm-starts and
+#: delta-refits — grown in PRs 1-3, the method-zoo sharding pass
+#: (CATD/PM/KOS/Minimax/BCC/CBCC/VI) and the per-family delta-refit
+#: contracts.  LFC mirrors D&S exactly — it shares the same EM.
 EXPECTED = {
     "MV": caps(types=(D, S)),
     "Mean": caps(types=(N,)),
     "Median": caps(types=(N,)),
-    "D&S": caps(warm=True, seed=True, shard=True, golden=True,
-                quality=True, types=(D, S), delta=True),
-    "LFC": caps(warm=True, seed=True, shard=True, golden=True,
-                quality=True, types=(D, S), delta=True),
-    "ZC": caps(warm=True, seed=True, shard=True, golden=True,
-               quality=True, types=(D, S), delta=True),
-    "GLAD": caps(warm=True, seed=True, shard=True, golden=True,
-                 quality=True, types=(D, S), delta=True),
-    "LFC_N": caps(warm=True, shard=True, golden=True, quality=True,
-                  types=(N,), delta=True),
-    "BCC": caps(warm=True, shard=True, golden=True, types=(D, S),
-                delta=True),
-    "CBCC": caps(warm=True, shard=True, types=(D, S), delta=True),
-    "CATD": caps(warm=True, shard=True, golden=True, quality=True,
-                 types=(D, S, N), delta=True),
-    "PM": caps(warm=True, shard=True, golden=True, quality=True,
-               types=(D, S, N), delta=True),
-    "Minimax": caps(warm=True, shard=True, golden=True, types=(D, S),
-                    delta=True),
-    "Minimax-Ord": caps(warm=True, shard=True, golden=True, types=(D, S),
-                        ext=True, delta=True),
-    "KOS": caps(warm=True, shard=True, types=(D,), delta=True),
-    "VI-BP": caps(warm=True, shard=True, golden=True, quality=True,
-                  types=(D,), delta=True),
-    "VI-MF": caps(warm=True, shard=True, golden=True, quality=True,
-                  types=(D,), delta=True),
+    "D&S": caps(shard=True, golden=True, quality=True, types=(D, S)),
+    "LFC": caps(shard=True, golden=True, quality=True, types=(D, S)),
+    "ZC": caps(shard=True, golden=True, quality=True, types=(D, S)),
+    "GLAD": caps(shard=True, golden=True, quality=True, types=(D, S)),
+    "LFC_N": caps(shard=True, golden=True, quality=True, types=(N,)),
+    "BCC": caps(shard=True, golden=True, types=(D, S)),
+    "CBCC": caps(shard=True, types=(D, S)),
+    "CATD": caps(shard=True, golden=True, quality=True, types=(D, S, N)),
+    "PM": caps(shard=True, golden=True, quality=True, types=(D, S, N)),
+    "Minimax": caps(shard=True, golden=True, types=(D, S)),
+    "Minimax-Ord": caps(shard=True, golden=True, types=(D, S), ext=True),
+    "KOS": caps(shard=True, types=(D,)),
+    "VI-BP": caps(shard=True, golden=True, quality=True, types=(D,)),
+    "VI-MF": caps(shard=True, golden=True, quality=True, types=(D,)),
     "Multi": caps(types=(D,)),
 }
 
@@ -86,27 +72,23 @@ def test_declared_capabilities_match_table(name):
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_flags_match_fit_signatures(name):
-    """A capability flag must be backed by the ``_fit`` signature.
+    """The sharding flag must be backed by the ``_fit`` signature.
 
-    The base class forwards ``warm_start`` / ``seed_posterior`` /
-    ``shard_runner`` keywords exactly when the flag is set, so a flag
-    without the parameter breaks every fit, and a parameter without the
-    flag is a capability silently dropped (the LFC-style mismatch this
+    The base class forwards the ``warm_start``, ``shard_runner`` and
+    ``delta`` keywords exactly when the flag is set, so a flag without
+    the parameters breaks every fit, and parameters without the flag
+    are a capability silently dropped (the LFC-style mismatch this
     audit exists to catch).
     """
     cls = method_class(name)
     params = inspect.signature(cls._fit).parameters
     accepts_kwargs = any(p.kind is inspect.Parameter.VAR_KEYWORD
                          for p in params.values())
-    for flag, parameter in (
-        ("warm_start", "warm_start"),
-        ("seed_posterior", "seed_posterior"),
-        ("sharding", "shard_runner"),
-    ):
-        declared = getattr(capabilities(name), flag)
+    for parameter in ("warm_start", "shard_runner", "delta"):
+        declared = capabilities(name).sharding
         implemented = parameter in params or accepts_kwargs
         assert declared == implemented, (
-            f"{name}: capabilities().{flag} is {declared} but _fit "
+            f"{name}: capabilities().sharding is {declared} but _fit "
             f"{'accepts' if implemented else 'lacks'} {parameter!r}"
         )
 
@@ -127,8 +109,7 @@ def test_lfc_declares_its_capabilities_explicitly():
     """The audit's concrete fix: LFC's capabilities live on the LFC
     class itself, not only on the base it shares with D&S."""
     cls = method_class("LFC")
-    for flag in ("supports_warm_start", "supports_seed_posterior",
-                 "supports_sharding", "supports_golden",
+    for flag in ("supports_sharding", "supports_golden",
                  "supports_initial_quality"):
         assert flag in vars(cls), f"LFC must declare {flag} explicitly"
 

@@ -217,7 +217,7 @@ class TestDeltaCapabilityWarning:
 
         from repro.core.registry import capabilities
 
-        assert not capabilities("MV").delta
+        assert not capabilities("MV").sharding
         method = create("MV", seed=0)
         with pytest.warns(UserWarning, match="can only refit full"):
             method.fit(self._answers(),
@@ -228,7 +228,7 @@ class TestDeltaCapabilityWarning:
 
         from repro.core.registry import capabilities
 
-        assert capabilities("KOS").delta
+        assert capabilities("KOS").sharding
         method = create("KOS", seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
@@ -363,6 +363,82 @@ class TestDeltaFallbacks:
             engine.add_answers([("t1", "w9", "2")])  # a brand-new label
             result = engine.infer("D&S")
             assert result.fit_stats.mode == "full"
+
+
+class TestOneResumeRule:
+    """A fit decides whether it is a delta refit from its warm start
+    and its policy alone, one-shot or inside an engine."""
+
+    DELTA = ExecutionPolicy(n_shards=N_SHARDS, executor="serial",
+                            refit="delta")
+
+    @staticmethod
+    def cohort_stream():
+        """A base batch, then a batch of new tasks only."""
+        rng = np.random.default_rng(0)
+        tasks = np.concatenate([np.repeat(np.arange(300), 5),
+                                np.repeat(np.arange(300, 340), 12)])
+        truth = rng.integers(0, 2, 340)
+        accuracy = rng.uniform(0.6, 0.9, 12)
+        workers = rng.integers(0, 12, len(tasks))
+        values = np.where(rng.random(len(tasks)) < accuracy[workers],
+                          truth[tasks], 1 - truth[tasks])
+        records = list(zip(tasks.tolist(), workers.tolist(),
+                           values.tolist()))
+        return records[:1500], records[1500:]
+
+    def test_one_shot_fit_is_the_engines_delta_refit(self):
+        base, cohort = self.cohort_stream()
+        with InferenceEngine(TaskType.DECISION_MAKING, policy=self.DELTA,
+                             seed=0) as engine:
+            engine.add_answers(base)
+            first_answers = engine.stream.snapshot()
+            engine.infer("D&S")
+            engine.add_answers(cohort)
+            grown_answers = engine.stream.snapshot()
+            served = engine.infer("D&S")
+        first = create("D&S", seed=0).fit(first_answers, policy=self.DELTA)
+        result = create("D&S", seed=0).fit(grown_answers, warm_start=first,
+                                           policy=self.DELTA)
+        assert served.fit_stats.mode == "delta"
+        assert result.fit_stats.mode == "delta"
+        assert result.n_iterations == served.n_iterations
+        assert np.array_equal(result.posterior, served.posterior)
+
+    def test_another_methods_warm_start_collects_full(self):
+        base, cohort = self.cohort_stream()
+        with InferenceEngine(TaskType.DECISION_MAKING, seed=0) as engine:
+            engine.add_answers(base)
+            first_answers = engine.stream.snapshot()
+            engine.add_answers(cohort)
+            grown_answers = engine.stream.snapshot()
+        zc = create("ZC", seed=0).fit(first_answers, policy=self.DELTA)
+        assert zc.shard_state is not None
+        result = create("D&S", seed=0).fit(grown_answers, warm_start=zc,
+                                           policy=self.DELTA)
+        assert result.fit_stats.mode == "full"
+        assert result.shard_state is not None
+        assert result.shard_state.sizes == (grown_answers.n_tasks,
+                                            grown_answers.n_workers,
+                                            grown_answers.n_choices)
+        # Collecting the state does not change the fit.
+        plain = create("D&S", seed=0).fit(
+            grown_answers, warm_start=zc,
+            policy=ExecutionPolicy(n_shards=N_SHARDS, executor="serial"))
+        assert np.array_equal(result.posterior, plain.posterior)
+
+    def test_padded_labels_drop_the_shard_state(self):
+        from repro.core.warmstart import pad_result_labels
+
+        base, _ = self.cohort_stream()
+        with InferenceEngine(TaskType.DECISION_MAKING, seed=0) as engine:
+            engine.add_answers(base)
+            answers = engine.stream.snapshot()
+        result = create("D&S", seed=0).fit(answers, policy=self.DELTA)
+        assert result.shard_state is not None
+        padded = pad_result_labels(result, 3)
+        assert padded.shard_state is None
+        assert padded.posterior.shape[1] == 3
 
 
 class TestSerialShardSession:

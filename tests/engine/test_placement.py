@@ -1,8 +1,9 @@
 """One placement layer: every tier places, extends and builds shards alike.
 
-* ``fit(policy=..., delta=DeltaPlan(prev=...))`` runs a true delta
-  refit on the in-process tiers, whose runner pins the cached cuts, and
-  a collecting full fit on the process tier, whose lease places its own;
+* ``fit(warm_start=..., policy=ExecutionPolicy(refit="delta"))`` runs a
+  true delta refit on the in-process tiers, whose runner pins the
+  cached cuts, and a collecting full fit on the process tier, whose
+  lease places its own;
 * the in-process session and the process runtime re-place on the same
   growth of a long extend run;
 * a property over random append-only growth: every shard the session
@@ -15,6 +16,8 @@ A shard extended by later epochs keeps each epoch's answers behind the
 earlier epochs', so it is grouped by epoch, not wholly by task: only
 each task's answers are in arrival order, as in the fresh sort.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -33,7 +36,6 @@ from repro.engine.runtime import (
     ShardRuntime,
     get_runtime_registry,
 )
-from repro.inference.sharded import DeltaPlan, dirty_shards
 
 
 def prefixes(tasks, workers, values, lengths):
@@ -63,16 +65,16 @@ def cohort(seed=0):
     return prefixes(tasks, workers, values, [2000, len(tasks)])
 
 
-def delta_refit(method, base, grown, demote=False, **fit_kwargs):
+def delta_refit(method, base, grown, policy, demote=False):
     """Fit ``base`` collecting a shard state, then refit ``grown`` from
-    it (or, with ``demote``, ask for a collecting full fit instead)."""
-    first = method.fit(base, delta=DeltaPlan(), **fit_kwargs)
-    state = first.shard_state
-    delta = DeltaPlan(prev=state, dirty=dirty_shards(
-        state.task_cuts, grown.tasks[state.n_answers:], grown.n_tasks))
-    return method.fit(grown, warm_start=first,
-                      delta=delta.collect_only() if demote else delta,
-                      **fit_kwargs)
+    it under ``refit="delta"`` (or, with ``demote``, warm-start from the
+    fit without its state: a collecting full fit)."""
+    policy = dataclasses.replace(policy, refit="delta")
+    first = method.fit(base, policy=policy)
+    assert first.shard_state is not None
+    if demote:
+        first = dataclasses.replace(first, shard_state=None)
+    return method.fit(grown, warm_start=first, policy=policy)
 
 
 TIERS = {
@@ -224,9 +226,10 @@ def test_every_tier_builds_the_same_shards(run):
             key = "a" if step < run["key_change"] else "b"
             if step == run["adopt_at"]:
                 state = create("D&S", seed=0, max_iter=1).fit(
-                    growth[step - 1], delta=DeltaPlan(),
+                    growth[step - 1],
                     policy=ExecutionPolicy(n_shards=n_shards,
-                                           executor="serial")).shard_state
+                                           executor="serial",
+                                           refit="delta")).shard_state
                 session.adopt(answers, state, stream_key=key)
                 rt.adopt(answers, state, stream_key=key)
                 decisions.append((session.last_placement,

@@ -32,10 +32,13 @@ from repro.engine import InferenceEngine, SerialShardSession
 from repro.engine.placement import MAX_SPECS
 from repro.engine.runtime import ShardRuntime, _rt_probe
 from repro.faults import FaultPlan, FaultTrigger
-from repro.inference.sharded import DeltaPlan, dirty_shards
 from tests.fault_arming import armed
 
 GRADIENT_METHODS = ["GLAD", "Minimax", "Minimax-Ord"]
+
+#: Delta refits over a supplied lease: the runner is the lease's, the
+#: policy only says how to refit.
+DELTA = ExecutionPolicy(refit="delta")
 
 #: Recovery modes: a respawn within the retry budget, or a degrade to
 #: the master once the budget (none) is spent.
@@ -105,15 +108,11 @@ class TestGradientRoundRecovery:
         with ShardRuntime(n_shards=4, max_workers=2) as rt:
             with rt.lease(base, spec, stream_key="s") as lease:
                 first = create(spec).fit(base, shard_runner=lease,
-                                         delta=DeltaPlan())
-            state = first.shard_state
-            delta = DeltaPlan(prev=state, dirty=dirty_shards(
-                state.task_cuts, grown.tasks[state.n_answers:],
-                grown.n_tasks))
+                                         policy=DELTA)
             with armed(plan), rt.lease(grown, spec, stream_key="s",
                                        fault_policy=policy) as lease:
                 result = create(spec).fit(grown, shard_runner=lease,
-                                          warm_start=first, delta=delta)
+                                          warm_start=first, policy=DELTA)
         return result, lease.fault_events
 
     @pytest.mark.parametrize("mode", sorted(MODES))
@@ -172,9 +171,8 @@ class TestProcessAdoption:
         grown = answer_set(base_part,
                            build_answers(60, 400, seed=1, first_task=60))
         state = create(spec).fit(
-            base, delta=DeltaPlan(),
-            policy=ExecutionPolicy(n_shards=4,
-                                   executor="serial")).shard_state
+            base, policy=ExecutionPolicy(n_shards=4, executor="serial",
+                                         refit="delta")).shard_state
         with ShardRuntime(n_shards=4, max_workers=1) as rt:
             rt.adopt(base, state, stream_key="s")
             with rt.lease(grown, spec, stream_key="s") as lease:

@@ -8,7 +8,7 @@ from repro.core.policy import ExecutionPolicy, MethodSpec
 from repro.core.registry import create
 from repro.core.tasktypes import TaskType
 from repro.datasets.schema import Dataset
-from repro.engine.batch import BatchJob, BatchRunner
+from repro.engine.batch import BatchRunner
 from repro.engine.runtime import ShardRuntime, get_runtime_registry
 
 
@@ -163,40 +163,8 @@ class TestBatchRunnerPools:
 
 
 class TestSharedMVSeed:
-    def test_seed_filled_once_per_dataset(self):
-        dataset = build_dataset(seed=5)
-        jobs = [BatchJob(dataset=dataset, method=m)
-                for m in ("D&S", "ZC", "GLAD", "MV")]
-        runner = BatchRunner(max_workers=1)
-        runner._seed_posteriors(jobs)
-        seeded = [j for j in jobs if j.seed_posterior is not None]
-        # MV itself does not consume a seed posterior.
-        assert {j.method for j in seeded} == {"D&S", "ZC", "GLAD"}
-        # One shared array, not three copies.
-        assert seeded[0].seed_posterior is seeded[1].seed_posterior
-
-    def test_numeric_dataset_not_seeded(self):
-        rng = np.random.default_rng(0)
-        answers = AnswerSet(rng.integers(0, 20, 100),
-                            rng.integers(0, 5, 100),
-                            rng.normal(0, 1, 100), TaskType.NUMERIC)
-        dataset = Dataset(name="num", answers=answers,
-                          truth=np.zeros(answers.n_tasks))
-        jobs = [BatchJob(dataset=dataset, method="LFC_N")]
-        BatchRunner(max_workers=1)._seed_posteriors(jobs)
-        assert jobs[0].seed_posterior is None
-
-    def test_seeded_results_identical_to_unseeded(self):
-        # The seed is exactly the majority posterior every method would
-        # compute for itself, so results must not change at all.
-        dataset = build_dataset(seed=6)
-        seeded = BatchRunner(max_workers=1, share_mv_seed=True).run_grid(
-            [dataset], methods=["D&S", "ZC"])
-        plain = BatchRunner(max_workers=1, share_mv_seed=False).run_grid(
-            [dataset], methods=["D&S", "ZC"])
-        for a, b in zip(seeded, plain):
-            assert a.scores == b.scores
-            assert a.n_iterations == b.n_iterations
+    """Batch fits start from their own majority-vote initialisation;
+    the serial ``run_many`` path keeps method order."""
 
     def test_run_many_serial_path_shares_seed(self):
         from repro.experiments.runner import run_many

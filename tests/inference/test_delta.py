@@ -28,6 +28,7 @@ from repro.inference.sharded import (
 )
 
 POLICY = ExecutionPolicy(n_shards=4, executor="serial")
+DELTA = ExecutionPolicy(n_shards=4, executor="serial", refit="delta")
 
 
 def synthetic(n_answers=2000, n_tasks=200, n_workers=12, seed=0,
@@ -120,24 +121,22 @@ def _fit_pair(tail_tasks, **delta_kwargs):
     the grown answers; returns (full_result, delta_result, state)."""
     base = synthetic()
     grown = synthetic(tail_tasks=tail_tasks)
-    cold = create("D&S", seed=0).fit(base, delta=DeltaPlan(),
-                                     policy=POLICY)
+    cold = create("D&S", seed=0).fit(base, policy=DELTA)
     state = cold.shard_state
     full = create("D&S", seed=0).fit(grown, warm_start=cold, policy=POLICY)
     dirty = dirty_shards(state.task_cuts, grown.tasks[state.n_answers:],
                          grown.n_tasks)
     delta = create("D&S", seed=0).fit(
         grown, warm_start=cold,
-        delta=DeltaPlan(prev=state, dirty=dirty, **delta_kwargs),
-        policy=POLICY)
+        policy=ExecutionPolicy(n_shards=4, executor="serial",
+                               refit="delta", **delta_kwargs))
     return full, delta, state, dirty
 
 
 class TestDeltaLoop:
     def test_collecting_full_fit_emits_aligned_state(self):
         answers = synthetic()
-        result = create("D&S", seed=0).fit(
-            answers, delta=DeltaPlan(), policy=POLICY)
+        result = create("D&S", seed=0).fit(answers, policy=DELTA)
         state = result.shard_state
         assert state is not None
         assert state.n_shards == 4
@@ -156,8 +155,7 @@ class TestDeltaLoop:
     def test_collect_does_not_change_the_fit(self):
         answers = synthetic()
         plain = create("D&S", seed=0).fit(answers, policy=POLICY)
-        collected = create("D&S", seed=0).fit(
-            answers, delta=DeltaPlan(), policy=POLICY)
+        collected = create("D&S", seed=0).fit(answers, policy=DELTA)
         assert np.array_equal(plain.posterior, collected.posterior)
         assert plain.n_iterations == collected.n_iterations
 
@@ -188,17 +186,16 @@ class TestDeltaLoop:
         # posterior must move.
         tail = np.zeros(300, dtype=np.int64)
         grown = synthetic(tail_tasks=tail)
-        cold = create("D&S", seed=0).fit(base, delta=DeltaPlan(),
-                                         policy=POLICY)
+        cold = create("D&S", seed=0).fit(base, policy=DELTA)
         state = cold.shard_state
         dirty = dirty_shards(state.task_cuts, grown.tasks[state.n_answers:],
                              grown.n_tasks)
         assert list(dirty) == [True, False, False, False]
         delta = create("D&S", seed=0).fit(
             grown, warm_start=cold,
-            delta=DeltaPlan(prev=state, dirty=dirty, freeze_tol=1e9,
-                            verify_every=1),
-            policy=POLICY)
+            policy=ExecutionPolicy(n_shards=4, executor="serial",
+                                   refit="delta", freeze_tol=1e9,
+                                   verify_every=1))
         stats = delta.fit_stats
         assert stats.dirty_shards == 1
         assert stats.e_block_calls >= 1  # the dirty shard was primed
@@ -219,8 +216,7 @@ class TestDeltaLoop:
 
     def test_delta_requires_warm_parameters(self):
         answers = synthetic()
-        cold = create("D&S", seed=0).fit(answers, delta=DeltaPlan(),
-                                         policy=POLICY)
+        cold = create("D&S", seed=0).fit(answers, policy=DELTA)
         state = cold.shard_state
         method = create("D&S", seed=0)
         spec = method.make_em_spec(answers.n_tasks, answers.n_workers,
@@ -235,8 +231,7 @@ class TestDeltaLoop:
         # (e.g. a runtime that re-placed with different cuts) must be
         # rejected rather than silently misaligning blocks.
         answers = synthetic()
-        cold = create("D&S", seed=0).fit(answers, delta=DeltaPlan(),
-                                         policy=POLICY)
+        cold = create("D&S", seed=0).fit(answers, policy=DELTA)
         state = cold.shard_state
         method = create("D&S", seed=0)
         spec = method.make_em_spec(answers.n_tasks, answers.n_workers,

@@ -7,13 +7,12 @@ from repro.core.registry import create
 from repro.core.shards import ShardedAnswerSet
 from repro.exceptions import InferenceError
 from repro.inference.sharded import (
-    DeltaPlan,
     SufficientStats,
     dirty_shards,
     pad_rows,
 )
 
-from .test_delta import POLICY, synthetic
+from .test_delta import DELTA, synthetic
 
 
 class TestTotal:
@@ -93,8 +92,7 @@ class TestTotal:
         resumes from must come back unchanged."""
         base = synthetic()
         grown = synthetic(tail_tasks=np.arange(190, 200))
-        cold = create("D&S", seed=0).fit(
-            base, delta=DeltaPlan(), policy=POLICY)
+        cold = create("D&S", seed=0).fit(base, policy=DELTA)
         state = cold.shard_state
         saved = [{name: np.array(value, copy=True)
                   for name, value in bundle.fields.items()}
@@ -102,9 +100,8 @@ class TestTotal:
         dirty = dirty_shards(state.task_cuts, grown.tasks[state.n_answers:],
                              grown.n_tasks)
         assert not dirty[0]
-        delta = create("D&S", seed=0).fit(
-            grown, warm_start=cold, delta=DeltaPlan(prev=state, dirty=dirty),
-            policy=POLICY)
+        delta = create("D&S", seed=0).fit(grown, warm_start=cold,
+                                          policy=DELTA)
         assert delta.fit_stats.mode == "delta"
         for bundle, before in zip(state.stats, saved):
             for name, value in bundle.fields.items():

@@ -5,8 +5,9 @@
    refactor cannot silently drop (or leak) a public name or knob.
 2. Grid-level and per-job policies reach each fit the way the batch
    layer documents, on every tier.
-3. ``fit(policy=...)`` is the one execution entry point: knobs with no
-   entry point left fail at the call with a ``TypeError``.
+3. ``fit(policy=...)`` is the one execution entry point and
+   ``warm_start`` the one resume input: knobs with no entry point left
+   fail at the call with a ``TypeError``.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ import repro
 import repro.engine
 from repro.core.answers import AnswerSet
 from repro.core.policy import ExecutionPlan, ExecutionPolicy, MethodSpec
-from repro.core.registry import create, create_all
+from repro.core.registry import Capabilities, create, create_all
 from repro.core.tasktypes import TaskType
 from repro.datasets.schema import Dataset
 from repro.engine import BatchJob, BatchRunner, InferenceEngine
@@ -74,7 +75,8 @@ ENGINE_ALL = [
 #: Every execution knob a fit can be given, in declaration order.
 POLICY_FIELDS = ["n_shards", "executor", "max_workers", "refit",
                  "freeze_tol", "verify_every", "store", "fault_policy"]
-PLAN_FIELDS = ["mode", "n_shards", "max_workers", "fault_policy"]
+PLAN_FIELDS = ["mode", "n_shards", "max_workers", "refit", "freeze_tol",
+               "verify_every", "fault_policy"]
 
 
 class TestExports:
@@ -163,6 +165,21 @@ REMOVED_SPELLINGS = {
     "ShardRuntime.lease-faults": lambda ds: ShardRuntime(
         n_shards=2, max_workers=1).lease(ds.answers, "D&S",
                                          faults=FaultPlan.parse("kill")),
+    # A fit resumes from its warm start alone: it derives its delta
+    # plan and its majority-vote start.
+    "fit-delta": lambda ds: create("D&S").fit(ds.answers, delta=None),
+    "fit-seed_posterior": lambda ds: create("D&S").fit(
+        ds.answers, seed_posterior=None),
+    "run_method-seed_posterior": lambda ds: run_method(
+        "D&S", ds, seed_posterior=None),
+    "BatchRunner-share_mv_seed": lambda ds: BatchRunner(
+        max_workers=1, share_mv_seed=False),
+    "BatchJob-seed_posterior": lambda ds: BatchJob(
+        dataset=ds, method="D&S", seed_posterior=None),
+    # Sharding is the one execution capability.
+    "Capabilities-warm_start": lambda ds: Capabilities(
+        warm_start=True, seed_posterior=True, sharding=True, golden=True,
+        initial_quality=True, task_types=frozenset(), delta=True),
 }
 
 
@@ -217,6 +234,28 @@ class TestBatchPolicies:
                                                    executor="serial"))
         assert runs[0].scores == serial.scores
         assert runs[0].n_iterations == serial.n_iterations
+
+
+    def test_run_leaves_its_jobs_as_given(self, dataset, monkeypatch):
+        """A runner resolves each job's policy when the job runs and
+        writes nothing into it, so a job run under a second runner
+        gets that runner's policy."""
+        import repro.engine.batch as batch
+
+        seen = []
+
+        def record(*args, policy=None, **kwargs):
+            seen.append(policy)
+            return run_method(*args, policy=policy, **kwargs)
+
+        monkeypatch.setattr(batch, "run_method", record)
+        job = BatchJob(dataset=dataset, method="D&S")
+        first = ExecutionPolicy(n_shards=2, executor="serial")
+        second = ExecutionPolicy(n_shards=3, executor="serial")
+        BatchRunner(max_workers=1, policy=first).run([job])
+        BatchRunner(max_workers=1, policy=second).run([job])
+        assert job.policy is None
+        assert seen == [first, second]
 
 
 class TestCliFlags:

@@ -12,7 +12,6 @@ class TestParser:
         parser = build_parser()
         for argv in (
             ["methods"],
-            ["capabilities"],
             ["datasets", "--scale", "0.1"],
             ["run", "--dataset", "D_Product", "--methods", "MV"],
             ["sweep", "--dataset", "D_PosSent", "--methods", "MV"],
@@ -43,20 +42,22 @@ class TestCommands:
         for name in ("MV", "D&S", "GLAD", "Minimax", "LFC_N", "Median"):
             assert name in out
 
-    def test_capabilities_prints_registry_table(self, capsys):
-        assert main(["capabilities"]) == 0
+    def test_methods_prints_the_sharded_column(self, capsys):
+        assert main(["methods"]) == 0
         out = capsys.readouterr().out
-        for column in ("method", "sharded", "warm-start", "delta",
-                       "seed-posterior"):
-            assert column in out
-        lines = {line.split()[0]: line.split()[1:]
+        header = next(line for line in out.splitlines()
+                      if line.startswith("method"))
+        assert header.split()[-1] == "sharded"
+        lines = {line.split()[0]: line.split()[-1]
                  for line in out.splitlines()
                  if line and line.split()[0] in ("MV", "CATD", "KOS")}
-        # MV cannot shard; CATD shards with warm-start and a delta
-        # contract; KOS delta-refits from its cached message state.
-        assert lines["MV"] == ["no", "no", "no", "no"]
-        assert lines["CATD"] == ["yes", "yes", "yes", "no"]
-        assert lines["KOS"] == ["yes", "yes", "yes", "no"]
+        # MV cannot shard; CATD and KOS shard, warm-start and
+        # delta-refit.
+        assert lines == {"MV": "no", "CATD": "yes", "KOS": "yes"}
+
+    def test_capabilities_subcommand_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["capabilities"])
 
     def test_datasets_prints_table5(self, capsys):
         assert main(["datasets", "--scale", "0.05"]) == 0
