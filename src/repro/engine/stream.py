@@ -5,10 +5,16 @@
 value)`` triples one batch at a time — new tasks, new workers and new
 labels are indexed *in order of first appearance*, so every index that
 was valid in an earlier snapshot refers to the same entity in every
-later one (the append-only guarantee warm starts rely on).  Index and
-label tables are maintained incrementally: emitting a snapshot never
-re-scans or re-indexes previously ingested answers, it only materialises
-the accumulated arrays into a read-only :class:`AnswerSet`.
+later one (the append-only guarantee warm starts rely on).
+
+A batch is the unit of ingest: it is split into columns, ids, labels
+and pair keys are looked up with C-level ``map`` over the index dicts,
+and numpy does the rest (finiteness checks, duplicate resolution).
+The answers themselves live in three numpy buffers that grow by
+doubling — task indices, worker indices and label codes (all int64) or
+numeric values (float64) — so emitting a snapshot never re-scans or
+re-indexes earlier answers: it copies the live prefix of each buffer
+into a read-only :class:`AnswerSet`.
 
 Duplicate ``(task, worker)`` pairs are governed by ``on_duplicate``:
 
@@ -24,6 +30,7 @@ repeatedly without intervening appends is free.
 
 from __future__ import annotations
 
+from itertools import filterfalse, islice, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,9 +41,21 @@ from ..exceptions import EngineError, InvalidAnswerSetError
 
 _DUPLICATE_POLICIES = ("keep", "replace", "error")
 
+#: A ``(task, worker)`` pair is keyed as one int64, ``task << 32 |
+#: worker`` (so up to 2**31 tasks and 2**32 workers).
+_PAIR_SHIFT = 32
+
+#: Smallest answer-buffer capacity; buffers double from there.
+_MIN_CAPACITY = 1024
+
 
 class StreamingAnswerSet:
     """Append-only ``(task, worker, value)`` buffer with cheap snapshots.
+
+    The answers are held in growable numpy buffers (int64 task and
+    worker indices; int64 label codes or float64 numeric values), the
+    stream's only copy of them; ids and labels live in insertion-ordered
+    index dicts.
 
     Parameters
     ----------
@@ -105,20 +124,22 @@ class StreamingAnswerSet:
         self._worker_index: dict = {}
         self._task_labels: list[str] = []
         self._worker_labels: list[str] = []
-        self._tasks: list[int] = []
-        self._workers: list[int] = []
-        self._values: list = []
-        self._pair_slot: dict[tuple[int, int], int] = {}
+        # The answer buffers; the first ``_n`` entries are live.
+        self._n = 0
+        self._tasks = np.empty(0, dtype=np.int64)
+        self._workers = np.empty(0, dtype=np.int64)
+        self._values = np.empty(0, dtype=np.int64 if task_type.is_categorical
+                                else np.float64)
+        # ``task << 32 | worker`` -> answer slot; "keep" never fills it.
+        self._pair_slot: dict[int, int] = {}
         self._version = 0
         self._replacements = 0
         self._snapshot_cache: tuple[int, AnswerSet] | None = None
-        # Materialised mirror of the answer lists (tasks/workers/values
-        # buffers + how many entries are in sync): snapshots convert
-        # only the tail appended since the previous snapshot instead of
-        # re-converting the whole history.
-        self._mat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._mat_len = 0
         self._log = None
+        # Task/worker/label table sizes after the last acknowledged
+        # batch: a logged batch carries the entries past them (so the
+        # first one also carries a fixed label_order).
+        self._acked = (0, 0, 0)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -141,7 +162,11 @@ class StreamingAnswerSet:
         commit fails is rolled back in memory too, so callers never see
         a batch that is applied in one place but not the other.
         ``attach_log(None)`` detaches (recovery replays with the log
-        detached so replayed records are not re-appended).
+        detached so replayed records are not re-appended).  A logged
+        batch carries only the ids and labels registered since the
+        previous acknowledged batch, so a log must hold the stream's
+        whole history: attach it before the first batch, or after
+        replaying the log into a fresh stream.
         """
         self._log = log
 
@@ -151,113 +176,203 @@ class StreamingAnswerSet:
         All-or-nothing: if any record is rejected (unknown label,
         duplicate under ``on_duplicate="error"``, non-finite numeric)
         the stream is rolled back to its state before the call and the
-        error re-raised, so callers never observe a half-applied batch.
+        error raised, so callers never observe a half-applied batch.
+        The error is the one the earliest faulty record raises, checked
+        in the order unpack, value, task and worker ids, duplicate.
         With a log attached (:meth:`attach_log`), the batch is also
         written through — and durably committed — before this method
         returns; a failed commit rolls the in-memory batch back and
         re-raises, keeping memory and log in lockstep.
         """
-        mark = (len(self._tasks), self._version, self._replacements,
-                len(self._task_index), len(self._worker_index),
-                len(self._label_index))
-        overwritten: list[tuple[int, object]] = []
-        log = self._log
-        applied: list[tuple] | None = [] if log is not None else None
-        outcomes: list[int] | None = [] if log is not None else None
-        count = 0
+        batch = records if isinstance(records, list) else list(records)
+        if not batch:
+            return 0
+        sizes = self._sizes()
         try:
-            for task, worker, value in records:
-                replaced = self._ingest(task, worker, value)
-                if replaced is not None:
-                    overwritten.append(replaced)
-                if applied is not None:
-                    applied.append((task, worker, value))
-                    outcomes.append(1 if replaced is not None else 0)
-                count += 1
+            tasks, workers, values = self._encode(batch)
+            keys, fresh, writes = self._place(tasks, workers)
         except Exception:
-            self._rollback(mark, overwritten)
+            self._truncate(sizes)
+            self._raise_first_fault(batch)
             raise
-        if log is not None and count:
+        mark = (self._n, self._version, self._replacements)
+        replaced = self._apply(tasks, workers, values, keys, fresh, writes)
+        if self._log is not None:
             try:
-                log.append_batch(applied, outcomes,
-                                 version=self._version,
-                                 replacements=self._replacements)
+                self._log.append_batch(
+                    tasks, workers, values,
+                    ~fresh if fresh is not None
+                    else np.zeros(len(batch), dtype=bool),
+                    self._unacked(), version=self._version)
             except Exception:
-                self._rollback(mark, overwritten)
+                if replaced is not None:
+                    self._values[replaced[0]] = replaced[1]
+                self._n, self._version, self._replacements = mark
+                self._truncate(sizes)
                 raise
-        return count
+        self._acked = self._sizes()[:3]
+        return len(batch)
 
-    def _ingest(self, task, worker, value) -> tuple[int, object] | None:
-        """Apply one triple; returns ``(slot, old_value)`` on an
-        in-place replacement, ``None`` on an append."""
-        coded = self._encode_value(value)
-        task_idx = self._task_index.get(task)
-        if task_idx is None:
-            task_idx = self._task_index[task] = len(self._task_index)
-            self._task_labels.append(str(task))
-        worker_idx = self._worker_index.get(worker)
-        if worker_idx is None:
-            worker_idx = self._worker_index[worker] = len(self._worker_index)
-            self._worker_labels.append(str(worker))
+    def _encode(self, batch: list) -> tuple[np.ndarray, ...]:
+        """Task indices, worker indices and codes (or numeric values) of
+        a batch, column by column; registers new ids and labels.
 
-        # The pair table only exists to detect duplicates; the default
-        # "keep" policy never consults it, so skip the per-answer dict
-        # cost (one tuple entry per unique pair) entirely.
-        if self.on_duplicate != "keep":
-            pair = (task_idx, worker_idx)
-            slot = self._pair_slot.get(pair)
-            if slot is not None:
+        Raises on a faulty record without naming it — that is
+        :meth:`_raise_first_fault`'s job.
+        """
+        n = len(batch)
+        columns = tuple(zip(*batch, strict=True))
+        if len(columns) != 3:
+            raise InvalidAnswerSetError("records are not triples")
+        tasks, workers, values = columns
+        if self.task_type.is_categorical:
+            index = self._label_index
+            codes = list(map(index.get, values))
+            if None in codes:
+                for value in filterfalse(index.__contains__,
+                                         dict.fromkeys(values)):
+                    self._encode_value(value)
+                codes = map(index.__getitem__, values)
+            coded = np.fromiter(codes, dtype=np.int64, count=n)
+        else:
+            coded = np.fromiter(map(float, values), dtype=np.float64,
+                                count=n)
+            if not np.isfinite(coded).all():
+                raise InvalidAnswerSetError("numeric answers must be finite")
+        return (_indices(self._task_index, self._task_labels, tasks),
+                _indices(self._worker_index, self._worker_labels, workers),
+                coded)
+
+    def _place(self, tasks: np.ndarray, workers: np.ndarray) -> tuple:
+        """Where an encoded batch lands: ``(keys, fresh, writes)``.
+
+        ``keys`` are the records' pair keys (``None`` under ``"keep"``,
+        which keeps no pair table).  When some record repeats a pair —
+        possible only under ``"replace"`` — ``fresh`` marks the records
+        that append (the first record of each pair new to the stream)
+        and ``writes`` is ``(slots, records)``: per pair, its answer
+        slot and the record whose value it ends with, the pair's last.
+        Otherwise both are ``None``: every record appends.  Reads only:
+        a duplicate under ``"error"`` raises here, before any write.
+        """
+        if self.on_duplicate == "keep":
+            return None, None, None
+        n = len(tasks)
+        keys = tasks << _PAIR_SHIFT | workers
+        slots = np.fromiter(
+            map(self._pair_slot.get, keys.tolist(), repeat(-1)),
+            dtype=np.int64, count=n)
+        # A stable sort lines each pair's records up in batch order.
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        starts = np.ones(n, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        if starts.all() and not (slots >= 0).any():
+            return keys, None, None
+        if self.on_duplicate == "error":
+            raise InvalidAnswerSetError("duplicate answer in batch")
+        first = np.empty(n, dtype=bool)
+        first[order] = starts
+        fresh = first & (slots < 0)
+        slots[fresh] = self._n + np.arange(np.count_nonzero(fresh))
+        ends = np.ones(n, dtype=bool)
+        ends[:-1] = starts[1:]
+        return keys, fresh, (slots[order[starts]], order[ends])
+
+    def _apply(self, tasks, workers, values, keys, fresh, writes):
+        """Write a placed batch into the buffers and the pair table.
+
+        Returns ``(slots, old_values)`` for the answers it overwrote
+        that predate the batch — what a failed commit restores — or
+        ``None``.
+        """
+        n, start = len(tasks), self._n
+        if fresh is not None:
+            tasks, workers, keys = tasks[fresh], workers[fresh], keys[fresh]
+        stop = start + len(tasks)
+        self._reserve(stop)
+        self._tasks[start:stop] = tasks
+        self._workers[start:stop] = workers
+        replaced = None
+        if writes is None:
+            self._values[start:stop] = values
+        else:
+            slots, last = writes
+            older = slots[slots < start]
+            replaced = (older, self._values[older])
+            self._values[slots] = values[last]
+            self._replacements += n - (stop - start)
+            self._snapshot_cache = None
+        if keys is not None:
+            self._pair_slot.update(zip(keys.tolist(), range(start, stop)))
+        self._n = stop
+        self._version += n
+        return replaced
+
+    def _reserve(self, size: int) -> None:
+        """Grow the answer buffers (by doubling) to hold ``size``."""
+        capacity = len(self._tasks)
+        if size <= capacity:
+            return
+        capacity = max(size, 2 * capacity, _MIN_CAPACITY)
+        live = self._n
+        grown = []
+        for old in (self._tasks, self._workers, self._values):
+            new = np.empty(capacity, dtype=old.dtype)
+            new[:live] = old[:live]
+            grown.append(new)
+        self._tasks, self._workers, self._values = grown
+
+    def _sizes(self) -> tuple[int, int, int, int]:
+        """Task, worker, label and pair table sizes (a rollback mark)."""
+        return (len(self._task_index), len(self._worker_index),
+                len(self._label_index), len(self._pair_slot))
+
+    def _truncate(self, sizes: tuple[int, int, int, int]) -> None:
+        """Drop every table entry registered since ``sizes`` was taken:
+        the tables are insertion-ordered, so those are the newest."""
+        tables = (self._task_index, self._worker_index, self._label_index,
+                  self._pair_slot)
+        for table, size in zip(tables, sizes):
+            for _ in range(len(table) - size):
+                table.popitem()
+        del self._task_labels[sizes[0]:]
+        del self._worker_labels[sizes[1]:]
+
+    def _unacked(self) -> tuple[list, list, list]:
+        """The ids and labels registered since the last acknowledged
+        batch, as the original objects, in index order."""
+        return tuple(_tail(table, size) for table, size in zip(
+            (self._task_index, self._worker_index, self._label_index),
+            self._acked))
+
+    def _raise_first_fault(self, batch: list) -> None:
+        """Raise what the earliest faulty record of a rejected batch
+        raises on its own.
+
+        Failure path only: walks the batch one record at a time, in the
+        per-record check order (unpack, value, task and worker ids,
+        duplicate), then drops whatever the walk registered.  Returns
+        if no record is at fault.
+        """
+        sizes = self._sizes()
+        seen: set[int] = set()
+        try:
+            for task, worker, value in batch:
+                self._encode_value(value)
+                pair = (_index_of(self._task_index, self._task_labels,
+                                  task) << _PAIR_SHIFT
+                        | _index_of(self._worker_index, self._worker_labels,
+                                    worker))
                 if self.on_duplicate == "error":
-                    raise InvalidAnswerSetError(
-                        f"duplicate answer for task {task!r} by worker "
-                        f"{worker!r}"
-                    )
-                old = self._values[slot]
-                self._values[slot] = coded
-                if self._mat is not None and slot < self._mat_len:
-                    self._mat[2][slot] = coded
-                self._version += 1
-                self._replacements += 1
-                # The cached snapshot predates this in-place mutation;
-                # drop it explicitly rather than relying on the version
-                # key alone, so replace-after-snapshot can never serve
-                # the overwritten value.
-                self._snapshot_cache = None
-                return (slot, old)
-            self._pair_slot[pair] = len(self._tasks)
-        self._tasks.append(task_idx)
-        self._workers.append(worker_idx)
-        self._values.append(coded)
-        self._version += 1
-        return None
-
-    def _rollback(self, mark: tuple, overwritten: list) -> None:
-        """Undo a partially applied batch (see :meth:`add_answers`)."""
-        n_answers, version, replacements, n_tasks, n_workers, n_labels = mark
-        self._mat_len = min(self._mat_len, n_answers)
-        for slot, old in reversed(overwritten):
-            self._values[slot] = old
-            if self._mat is not None and slot < self._mat_len:
-                self._mat[2][slot] = old
-        for pair in [p for p, s in self._pair_slot.items() if s >= n_answers]:
-            del self._pair_slot[pair]
-        del self._tasks[n_answers:]
-        del self._workers[n_answers:]
-        del self._values[n_answers:]
-        # Index dicts are insertion-ordered: drop the newest entries.
-        for key in list(reversed(self._task_index))[
-                : len(self._task_index) - n_tasks]:
-            del self._task_index[key]
-        for key in list(reversed(self._worker_index))[
-                : len(self._worker_index) - n_workers]:
-            del self._worker_index[key]
-        for key in list(reversed(self._label_index))[
-                : len(self._label_index) - n_labels]:
-            del self._label_index[key]
-        del self._task_labels[n_tasks:]
-        del self._worker_labels[n_workers:]
-        self._version = version
-        self._replacements = replacements
+                    if pair in self._pair_slot or pair in seen:
+                        raise InvalidAnswerSetError(
+                            f"duplicate answer for task {task!r} by "
+                            f"worker {worker!r}"
+                        )
+                    seen.add(pair)
+        finally:
+            self._truncate(sizes)
 
     def _encode_value(self, value):
         if not self.task_type.is_categorical:
@@ -303,7 +418,7 @@ class StreamingAnswerSet:
 
     @property
     def n_answers(self) -> int:
-        return len(self._tasks)
+        return self._n
 
     @property
     def n_tasks(self) -> int:
@@ -346,41 +461,21 @@ class StreamingAnswerSet:
         """Materialise the current state as an immutable answer set.
 
         The task/worker/label index tables accumulated so far are reused
-        directly, and the flat answer arrays are materialised
-        *incrementally*: only the tail appended since the previous
-        snapshot is converted from the ingestion lists, then the mirror
-        buffers are copied out (a memcpy, so no snapshot can alias a
-        later in-place replacement).  The result is cached until the
-        next append.
+        directly and the live prefix of each answer buffer is copied out
+        (a memcpy, so no snapshot can alias a later in-place
+        replacement).  The result is cached until the next change.
         """
         if (self._snapshot_cache is not None
                 and self._snapshot_cache[0] == self._version):
             return self._snapshot_cache[1]
-        n = self.n_answers
-        n_choices = self.n_choices if self.task_type.is_categorical else None
-        if self._mat is None or len(self._mat[0]) < n:
-            cap = max(n, 2 * (len(self._mat[0]) if self._mat else 0), 1024)
-            vdtype = (np.int64 if self.task_type.is_categorical
-                      else np.float64)
-            grown = (np.empty(cap, dtype=np.int64),
-                     np.empty(cap, dtype=np.int64),
-                     np.empty(cap, dtype=vdtype))
-            if self._mat is not None and self._mat_len:
-                for new, old in zip(grown, self._mat):
-                    new[:self._mat_len] = old[:self._mat_len]
-            self._mat = grown
-        m = self._mat_len
-        if m < n:
-            self._mat[0][m:n] = self._tasks[m:n]
-            self._mat[1][m:n] = self._workers[m:n]
-            self._mat[2][m:n] = self._values[m:n]
-            self._mat_len = n
+        n = self._n
         snap = AnswerSet(
-            task_indices=self._mat[0][:n].copy(),
-            worker_indices=self._mat[1][:n].copy(),
-            values=self._mat[2][:n].copy(),
+            task_indices=self._tasks[:n].copy(),
+            worker_indices=self._workers[:n].copy(),
+            values=self._values[:n].copy(),
             task_type=self.task_type,
-            n_choices=n_choices,
+            n_choices=(self.n_choices if self.task_type.is_categorical
+                       else None),
             n_tasks=self.n_tasks,
             n_workers=self.n_workers,
             task_labels=list(self._task_labels),
@@ -438,3 +533,31 @@ class StreamingAnswerSet:
             stream._worker_labels.append(str(worker))
         stream.add_answers(answers.iter_records())
         return stream
+
+
+def _indices(index: dict, labels: list, ids: Sequence) -> np.ndarray:
+    """The indices of ``ids``, registering unseen ones — and their
+    ``str`` labels — in order of first appearance."""
+    new = list(filterfalse(index.__contains__, dict.fromkeys(ids)))
+    if new:
+        index.update(zip(new, range(len(index), len(index) + len(new))))
+        labels.extend(map(str, new))
+    return np.fromiter(map(index.__getitem__, ids), dtype=np.int64,
+                       count=len(ids))
+
+
+def _index_of(index: dict, labels: list, key) -> int:
+    """One id's index, registering it (and its ``str`` label) if unseen:
+    :func:`_indices` for a single id, without the array."""
+    found = index.get(key)
+    if found is None:
+        found = index[key] = len(index)
+        labels.append(str(key))
+    return found
+
+
+def _tail(table: dict, start: int) -> list:
+    """The keys of an insertion-ordered dict from position ``start`` on."""
+    tail = list(islice(reversed(table), len(table) - start))
+    tail.reverse()
+    return tail

@@ -12,16 +12,17 @@ Recovery loads the newest snapshot per method, seeds the engine cache
 with it, and replays only the log tail past ``seq`` — so the first
 post-recovery refit is *warm* (and, when the shard cuts still align, a
 true delta refit), not a cold fit of the whole history.  Rows are
-pruned to the newest ``keep`` per method; payloads are
-pickled + compressed (everything in them already crosses process
-boundaries in the process-tier runtime, so picklability is a given).
+pruned to the newest ``keep`` per method.  A payload is stored as a
+plain pickle (everything in it already crosses process boundaries in
+the process-tier runtime, so picklability is a given); it is mostly
+float arrays, which compression barely shrinks at many times the cost
+of the save.
 """
 
 from __future__ import annotations
 
 import pickle
 import sqlite3
-import zlib
 
 from ..exceptions import StoreError
 
@@ -49,8 +50,7 @@ class SnapshotStore:
     def save(self, method: str, *, seq: int, replacements: int,
              payload: dict, keep: int = 2) -> None:
         """Durably record one fit snapshot and prune old ones."""
-        blob = zlib.compress(
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         try:
             with self._conn:
                 self._conn.execute(
@@ -97,7 +97,7 @@ class SnapshotStore:
             return None
         seq, replacements, blob = row
         try:
-            payload = pickle.loads(zlib.decompress(blob))
+            payload = pickle.loads(blob)
         except Exception as exc:
             raise StoreError(
                 f"corrupt snapshot for {method!r} at seq {seq}: {exc}"

@@ -258,19 +258,33 @@ class TestDuplicates:
 
 
 class _RecordingLog:
-    """An ``append_batch`` duck type that remembers every commit."""
+    """An ``append_batch`` duck type that remembers every commit,
+    decoded back to records through the id and label tables it is
+    sent."""
 
     def __init__(self, fail: bool = False):
         self.batches: list[dict] = []
         self.fail = fail
+        self.tables = ([], [], [])
+        self.replacements = 0
 
-    def append_batch(self, records, outcomes, *, version,
-                     replacements=None):
+    def append_batch(self, tasks, workers, values, outcomes, new_ids, *,
+                     version):
         if self.fail:
             raise OSError("disk full")
+        for table, new in zip(self.tables, new_ids):
+            table.extend(new)
+        task_ids, worker_ids, labels = self.tables
+        values = values.tolist()
+        if self.tables[2]:
+            values = [labels[code] for code in values]
+        self.replacements += int(np.count_nonzero(outcomes))
         self.batches.append({
-            "records": list(records), "outcomes": list(outcomes),
-            "version": version, "replacements": replacements,
+            "records": list(zip([task_ids[t] for t in tasks.tolist()],
+                                [worker_ids[w] for w in workers.tolist()],
+                                values)),
+            "outcomes": [int(o) for o in outcomes],
+            "version": version, "replacements": self.replacements,
         })
 
 

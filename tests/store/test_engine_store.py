@@ -133,6 +133,22 @@ class TestRecovery:
             assert (engine.current_truth("D&S")
                     == live.current_truth("D&S"))
 
+    def test_tuple_labels_round_trip(self, tmp_path):
+        # The meta codec keeps tuple labels tuples; a JSON list would be
+        # unhashable as a label.
+        order = [("a", 1), ("b", 2), ("c", 3)]
+        policy = ExecutionPolicy(store=store_policy(tmp_path))
+        with InferenceEngine(TaskType.SINGLE_CHOICE, label_order=order,
+                             seed=0, policy=policy) as engine:
+            engine.add_answers([("t1", "w1", ("a", 1)),
+                                ("t1", "w2", ("b", 2)),
+                                ("t2", "w1", ("c", 3))])
+            live = engine.current_truth("MV")
+        with InferenceEngine.recover(str(tmp_path / "store")) as engine:
+            assert engine.stream.labels == order
+            assert engine.current_truth("MV") == live
+            assert isinstance(live["t2"], tuple)
+
     def test_empty_store_path_raises_recovery_error(self, tmp_path):
         with pytest.raises(RecoveryError, match="no answer store"):
             InferenceEngine.recover(str(tmp_path / "virgin"))

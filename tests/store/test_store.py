@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ReproError, StoreError
@@ -23,7 +24,9 @@ class TestOpen:
         path = str(tmp_path / "store")
         with AnswerStore(path) as store:
             store.log.write_meta({"format": FORMAT_VERSION})
-            store.log.append_batch([("t1", "w1", 1)], [0], version=1)
+            index = np.zeros(1, dtype=np.int64)
+            store.log.append_batch(index, index, index, [0],
+                                   (["t1"], ["w1"], [1]), version=1)
         with AnswerStore(path) as store:
             assert len(store.log) == 1
             assert store.log.read_meta()["format"] == FORMAT_VERSION
@@ -33,6 +36,15 @@ class TestOpen:
         with AnswerStore(path) as store:
             store.log.write_meta({"format": FORMAT_VERSION + 1})
         with pytest.raises(StoreError, match="store format"):
+            AnswerStore(path)
+
+    def test_format_1_store_refused(self, tmp_path):
+        # Format 1 logged pickled record tuples; this build reads only
+        # columnar rows, and keeps no second reader for the old ones.
+        path = str(tmp_path / "store")
+        with AnswerStore(path) as store:
+            store.log.write_meta({"format": 1})
+        with pytest.raises(StoreError, match="store format 1"):
             AnswerStore(path)
 
     def test_bad_sync_mode_rejected(self, tmp_path):
