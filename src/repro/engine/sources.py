@@ -402,31 +402,39 @@ class TcpAnswerSource:
         self.bad_lines = 0
         #: Records yielded so far (where a resume picks up).
         self.records_read = 0
-        self._stream = self._open("initial connect")
+        self._open("initial connect")
 
     def _dial(self):
         import socket
 
         return socket.create_connection((self.host, self.port))
 
-    def _open(self, why: str):
+    def _open(self, why: str) -> None:
+        """Dial the peer and make it the current connection: the dialled
+        object, and the text stream read from it (its ``makefile("r")``,
+        or the object itself when it has none)."""
         try:
             peer = self._connect()
         except OSError as exc:
             raise AnswerSourceError(
                 f"cannot connect to {self.name} ({why}): {exc}"
             ) from exc
-        return peer.makefile("r") if hasattr(peer, "makefile") else peer
+        self._peer = peer
+        self._stream = (peer.makefile("r") if hasattr(peer, "makefile")
+                        else peer)
 
     @property
     def schema(self) -> TaskSchema:
         return self._schema
 
     def close(self) -> None:
-        """Close the current connection (idempotent)."""
+        """Close the current connection, its stream and the dialled
+        socket both (idempotent)."""
         stream, self._stream = self._stream, None
-        if stream is not None:
-            stream.close()
+        peer, self._peer = self._peer, None
+        for handle in (stream, peer):
+            if handle is not None:
+                handle.close()
 
     def _records(self) -> Iterator[tuple]:
         budget = self.reconnect
@@ -456,10 +464,10 @@ class TcpAnswerSource:
                     ) from dropped
                 budget -= 1
                 self.reconnects += 1
+                self.close()  # the dropped connection
                 self._backoff.sleep(self.reconnects - 1)
                 try:
-                    self._stream = self._open(
-                        f"reconnect {self.reconnects}")
+                    self._open(f"reconnect {self.reconnects}")
                 except AnswerSourceError as exc:
                     dropped = exc
                     continue

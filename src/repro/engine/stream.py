@@ -24,13 +24,24 @@ Duplicate ``(task, worker)`` pairs are governed by ``on_duplicate``:
   in place (the stream does not grow);
 * ``"error"`` — a repeated pair raises :class:`InvalidAnswerSetError`.
 
+``"replace"`` and ``"error"`` find a pair's answer slot in a pair
+index (:class:`_PairIndex`): sorted int64 pair keys with a parallel
+int64 slot array, 16 bytes per pair.  It is kept as two runs, a main
+run and a recent one; a batch's new pairs merge into the recent run,
+which merges into the main run once it holds more than an eighth of
+it (and more than 4,096 pairs), so a batch copies the main run only at
+such a merge.  A batch is looked up with one ``np.searchsorted`` per
+run.  The index is written only after the batch is acknowledged (after
+the log commit, when a log is attached), so a rejected batch or a
+failed commit never touches it.  ``"keep"`` keeps no index.
+
 Snapshots are cached per stream version, so calling :meth:`snapshot`
 repeatedly without intervening appends is free.
 """
 
 from __future__ import annotations
 
-from itertools import filterfalse, islice, repeat
+from itertools import filterfalse, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,6 +59,15 @@ _PAIR_SHIFT = 32
 #: Smallest answer-buffer capacity; buffers double from there.
 _MIN_CAPACITY = 1024
 
+#: The pair index's recent run merges into its main run once it holds
+#: more than ``max(len(main) // _MERGE_SHARE, _MERGE_MIN)`` pairs.
+_MERGE_SHARE = 8
+_MERGE_MIN = 4096
+
+#: A pair-index run without pairs; merges build new arrays, so it is
+#: never written.
+_NO_PAIRS = (np.empty(0, dtype=np.int64),) * 2
+
 
 class StreamingAnswerSet:
     """Append-only ``(task, worker, value)`` buffer with cheap snapshots.
@@ -55,7 +75,10 @@ class StreamingAnswerSet:
     The answers are held in growable numpy buffers (int64 task and
     worker indices; int64 label codes or float64 numeric values), the
     stream's only copy of them; ids and labels live in insertion-ordered
-    index dicts.
+    index dicts.  Under ``"replace"`` and ``"error"`` a two-run sorted
+    pair index (16 bytes per pair, written once a batch is acknowledged)
+    maps each ``(task, worker)`` pair to its answer slot; see the
+    module docstring.
 
     Parameters
     ----------
@@ -131,7 +154,7 @@ class StreamingAnswerSet:
         self._values = np.empty(0, dtype=np.int64 if task_type.is_categorical
                                 else np.float64)
         # ``task << 32 | worker`` -> answer slot; "keep" never fills it.
-        self._pair_slot: dict[int, int] = {}
+        self._pairs = _PairIndex()
         self._version = 0
         self._replacements = 0
         self._snapshot_cache: tuple[int, AnswerSet] | None = None
@@ -190,13 +213,17 @@ class StreamingAnswerSet:
         sizes = self._sizes()
         try:
             tasks, workers, values = self._encode(batch)
-            keys, fresh, writes = self._place(tasks, workers)
         except Exception:
             self._truncate(sizes)
             self._raise_first_fault(batch)
             raise
+        try:
+            fresh, writes, pairs = self._place(batch, tasks, workers)
+        except Exception:
+            self._truncate(sizes)
+            raise
         mark = (self._n, self._version, self._replacements)
-        replaced = self._apply(tasks, workers, values, keys, fresh, writes)
+        replaced = self._apply(tasks, workers, values, fresh, writes)
         if self._log is not None:
             try:
                 self._log.append_batch(
@@ -210,7 +237,9 @@ class StreamingAnswerSet:
                 self._n, self._version, self._replacements = mark
                 self._truncate(sizes)
                 raise
-        self._acked = self._sizes()[:3]
+        if pairs is not None:
+            self._pairs.add(*pairs)
+        self._acked = self._sizes()
         return len(batch)
 
     def _encode(self, batch: list) -> tuple[np.ndarray, ...]:
@@ -243,44 +272,57 @@ class StreamingAnswerSet:
                 _indices(self._worker_index, self._worker_labels, workers),
                 coded)
 
-    def _place(self, tasks: np.ndarray, workers: np.ndarray) -> tuple:
-        """Where an encoded batch lands: ``(keys, fresh, writes)``.
+    def _place(self, batch: list, tasks: np.ndarray,
+               workers: np.ndarray) -> tuple:
+        """Where an encoded batch lands: ``(fresh, writes, pairs)``.
 
-        ``keys`` are the records' pair keys (``None`` under ``"keep"``,
-        which keeps no pair table).  When some record repeats a pair —
-        possible only under ``"replace"`` — ``fresh`` marks the records
-        that append (the first record of each pair new to the stream)
-        and ``writes`` is ``(slots, records)``: per pair, its answer
-        slot and the record whose value it ends with, the pair's last.
+        ``pairs`` is what the pair index gains once the batch is
+        acknowledged: the keys of the pairs new to the stream, sorted,
+        and their answer slots (``None`` under ``"keep"``, which keeps
+        no index).  When some record repeats a pair — possible only
+        under ``"replace"`` — ``fresh`` marks the records that append
+        (the first record of each pair new to the stream) and
+        ``writes`` is ``(slots, records)``: per pair, its answer slot
+        and the record whose value it ends with, the pair's last.
         Otherwise both are ``None``: every record appends.  Reads only:
-        a duplicate under ``"error"`` raises here, before any write.
+        a duplicate under ``"error"`` raises here, naming the earliest
+        record at fault, before any write.
         """
         if self.on_duplicate == "keep":
             return None, None, None
-        n = len(tasks)
         keys = tasks << _PAIR_SHIFT | workers
-        slots = np.fromiter(
-            map(self._pair_slot.get, keys.tolist(), repeat(-1)),
-            dtype=np.int64, count=n)
-        # A stable sort lines each pair's records up in batch order.
+        order, ordered, starts, found = self._lookup(keys)
+        start = self._n
+        if starts.all() and not (found >= 0).any():
+            return None, None, (ordered, start + order)
+        if self.on_duplicate == "error":
+            raise _duplicate(batch, order, starts, found)
+        new = starts & (found < 0)
+        fresh = np.zeros(len(keys), dtype=bool)
+        fresh[order[new]] = True
+        # Fresh records append in batch order: a record's slot follows
+        # the fresh records before it.
+        found[new] = start + np.cumsum(fresh)[order[new]] - 1
+        ends = np.ones(len(keys), dtype=bool)
+        ends[:-1] = starts[1:]
+        return fresh, (found[starts], order[ends]), (ordered[new], found[new])
+
+    def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(order, ordered, starts, found)`` for a batch's pair keys.
+
+        ``order`` is a stable sort of ``keys`` (it lines each pair's
+        records up in batch order) and ``ordered`` the sorted keys;
+        ``starts`` marks the sorted positions where a pair begins and
+        ``found`` holds each sorted key's indexed slot, or -1.
+        """
         order = np.argsort(keys, kind="stable")
         ordered = keys[order]
-        starts = np.ones(n, dtype=bool)
+        starts = np.ones(len(keys), dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-        if starts.all() and not (slots >= 0).any():
-            return keys, None, None
-        if self.on_duplicate == "error":
-            raise InvalidAnswerSetError("duplicate answer in batch")
-        first = np.empty(n, dtype=bool)
-        first[order] = starts
-        fresh = first & (slots < 0)
-        slots[fresh] = self._n + np.arange(np.count_nonzero(fresh))
-        ends = np.ones(n, dtype=bool)
-        ends[:-1] = starts[1:]
-        return keys, fresh, (slots[order[starts]], order[ends])
+        return order, ordered, starts, self._pairs.find(ordered)
 
-    def _apply(self, tasks, workers, values, keys, fresh, writes):
-        """Write a placed batch into the buffers and the pair table.
+    def _apply(self, tasks, workers, values, fresh, writes):
+        """Write a placed batch into the answer buffers.
 
         Returns ``(slots, old_values)`` for the answers it overwrote
         that predate the batch — what a failed commit restores — or
@@ -288,7 +330,7 @@ class StreamingAnswerSet:
         """
         n, start = len(tasks), self._n
         if fresh is not None:
-            tasks, workers, keys = tasks[fresh], workers[fresh], keys[fresh]
+            tasks, workers = tasks[fresh], workers[fresh]
         stop = start + len(tasks)
         self._reserve(stop)
         self._tasks[start:stop] = tasks
@@ -303,8 +345,6 @@ class StreamingAnswerSet:
             self._values[slots] = values[last]
             self._replacements += n - (stop - start)
             self._snapshot_cache = None
-        if keys is not None:
-            self._pair_slot.update(zip(keys.tolist(), range(start, stop)))
         self._n = stop
         self._version += n
         return replaced
@@ -323,16 +363,15 @@ class StreamingAnswerSet:
             grown.append(new)
         self._tasks, self._workers, self._values = grown
 
-    def _sizes(self) -> tuple[int, int, int, int]:
-        """Task, worker, label and pair table sizes (a rollback mark)."""
+    def _sizes(self) -> tuple[int, int, int]:
+        """Task, worker and label table sizes (a rollback mark)."""
         return (len(self._task_index), len(self._worker_index),
-                len(self._label_index), len(self._pair_slot))
+                len(self._label_index))
 
-    def _truncate(self, sizes: tuple[int, int, int, int]) -> None:
+    def _truncate(self, sizes: tuple[int, int, int]) -> None:
         """Drop every table entry registered since ``sizes`` was taken:
         the tables are insertion-ordered, so those are the newest."""
-        tables = (self._task_index, self._worker_index, self._label_index,
-                  self._pair_slot)
+        tables = (self._task_index, self._worker_index, self._label_index)
         for table, size in zip(tables, sizes):
             for _ in range(len(table) - size):
                 table.popitem()
@@ -347,30 +386,33 @@ class StreamingAnswerSet:
             self._acked))
 
     def _raise_first_fault(self, batch: list) -> None:
-        """Raise what the earliest faulty record of a rejected batch
-        raises on its own.
+        """Raise what the earliest faulty record of a batch that failed
+        to encode raises on its own.
 
         Failure path only: walks the batch one record at a time, in the
-        per-record check order (unpack, value, task and worker ids,
-        duplicate), then drops whatever the walk registered.  Returns
-        if no record is at fault.
+        per-record check order (unpack, value, task and worker ids),
+        then drops whatever the walk registered.  Under ``"error"`` a
+        duplicate among the records before the first encode fault wins;
+        their pairs are looked up once, after the walk.  Returns if no
+        record is at fault.
         """
         sizes = self._sizes()
-        seen: set[int] = set()
+        keys: list[int] = []
         try:
             for task, worker, value in batch:
                 self._encode_value(value)
-                pair = (_index_of(self._task_index, self._task_labels,
-                                  task) << _PAIR_SHIFT
-                        | _index_of(self._worker_index, self._worker_labels,
-                                    worker))
-                if self.on_duplicate == "error":
-                    if pair in self._pair_slot or pair in seen:
-                        raise InvalidAnswerSetError(
-                            f"duplicate answer for task {task!r} by "
-                            f"worker {worker!r}"
-                        )
-                    seen.add(pair)
+                keys.append(
+                    _index_of(self._task_index, self._task_labels, task)
+                    << _PAIR_SHIFT
+                    | _index_of(self._worker_index, self._worker_labels,
+                                worker))
+        except Exception:
+            if self.on_duplicate == "error" and keys:
+                order, _, starts, found = self._lookup(
+                    np.array(keys, dtype=np.int64))
+                if not starts.all() or (found >= 0).any():
+                    raise _duplicate(batch, order, starts, found) from None
+            raise
         finally:
             self._truncate(sizes)
 
@@ -533,6 +575,58 @@ class StreamingAnswerSet:
             stream._worker_labels.append(str(worker))
         stream.add_answers(answers.iter_records())
         return stream
+
+
+class _PairIndex:
+    """Pair key -> answer slot, as sorted int64 keys with a parallel
+    int64 slot array (16 bytes per pair), kept in two runs.
+
+    New pairs merge into the recent run; once it holds more than
+    ``max(len(main) // _MERGE_SHARE, _MERGE_MIN)`` pairs it merges into
+    the main run.  So a batch copies only the recent run, and each copy
+    of the main run grows it by more than an eighth.  The runs never
+    share a key.
+    """
+
+    def __init__(self) -> None:
+        #: ``(main, recent)``, each ``(keys, slots)``.
+        self._runs = (_NO_PAIRS, _NO_PAIRS)
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """Each of the sorted ``keys``' slot, or -1 where unindexed."""
+        found = np.full(len(keys), -1, dtype=np.int64)
+        for run, slots in self._runs:
+            if not len(run):
+                continue
+            at = np.searchsorted(run, keys)
+            np.minimum(at, len(run) - 1, out=at)
+            hit = run[at] == keys
+            found[hit] = slots[at[hit]]
+        return found
+
+    def add(self, keys: np.ndarray, slots: np.ndarray) -> None:
+        """Index new pairs: ``keys`` sorted, and in neither run."""
+        main, recent = self._runs
+        recent = _merge(recent, keys, slots)
+        if len(recent[0]) > max(len(main[0]) // _MERGE_SHARE, _MERGE_MIN):
+            main, recent = _merge(main, *recent), _NO_PAIRS
+        self._runs = (main, recent)
+
+
+def _merge(run: tuple, keys: np.ndarray, slots: np.ndarray) -> tuple:
+    """The run ``(keys, slots)`` with sorted ``keys`` it lacks merged in."""
+    at = np.searchsorted(run[0], keys)
+    return np.insert(run[0], at, keys), np.insert(run[1], at, slots)
+
+
+def _duplicate(batch: list, order: np.ndarray, starts: np.ndarray,
+               found: np.ndarray) -> InvalidAnswerSetError:
+    """The error for the earliest record of ``batch`` whose pair is
+    indexed or repeats an earlier record (see :meth:`_lookup
+    <StreamingAnswerSet._lookup>` for the arguments)."""
+    task, worker, _ = batch[order[~starts | (found >= 0)].min()]
+    return InvalidAnswerSetError(
+        f"duplicate answer for task {task!r} by worker {worker!r}")
 
 
 def _indices(index: dict, labels: list, ids: Sequence) -> np.ndarray:

@@ -336,8 +336,11 @@ class TestTcpAnswerSource:
         return source, state
 
     def drain(self, source, chunk_size=3):
-        return [record for batch in source.batches(chunk_size)
-                for record in batch]
+        try:
+            return [record for batch in source.batches(chunk_size)
+                    for record in batch]
+        finally:
+            source.close()
 
     def test_reconnect_resumes_mid_stream(self):
         segments = [(self.ROWS[:5], True), (self.ROWS[5:], False)]
@@ -346,6 +349,40 @@ class TestTcpAnswerSource:
         assert source.reconnects == 1
         assert source.records_read == len(self.ROWS)
         assert state["dials"] == 2
+
+    def test_redial_closes_the_dropped_connection(self):
+        from repro.faults import Backoff
+
+        connect, _ = socketpair_feed(
+            [(self.ROWS[:5], True), (self.ROWS[5:], False)])
+        dialled = []
+
+        def recording_connect():
+            dialled.append(connect())
+            return dialled[-1]
+
+        source = TcpAnswerSource("feed.test", 9, self.SCHEMA,
+                                 connect=recording_connect, reconnect=1,
+                                 backoff=Backoff(base=0.0, cap=0.0))
+        records = source.batches(3)
+        next(records)
+        assert not dialled[0]._stream.closed
+        assert [r for batch in records for r in batch] == self.ROWS[3:]
+        assert len(dialled) == 2
+        assert dialled[0]._stream.closed  # the dropped connection
+        source.close()
+        assert dialled[1].closed
+
+    def test_close_closes_the_dialled_socket(self):
+        import socket
+
+        reader, writer = socket.socketpair()
+        with writer:
+            source = TcpAnswerSource("feed.test", 9, self.SCHEMA,
+                                     connect=lambda: reader)
+            source.close()
+            source.close()  # idempotent
+        assert reader.fileno() == -1
 
     def test_default_budget_fails_fast(self):
         from repro.exceptions import AnswerSourceError

@@ -8,7 +8,9 @@ must agree with it on every state it exposes, on the outcomes it logs
 and, for a rejected batch, on the exception.
 """
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,6 +274,161 @@ class TestAgainstPerRecordReference:
         assert stream.n_answers == 1 and stream.n_tasks == 1
 
 
+def _index(stream: StreamingAnswerSet) -> dict:
+    """The stream's pair index as ``{key: slot}``; checks that each run
+    is sorted and that the runs share no key."""
+    runs = stream._pairs._runs
+    index = {}
+    for keys, slots in runs:
+        assert (np.diff(keys) > 0).all()
+        index.update(zip(keys.tolist(), slots.tolist()))
+    assert len(index) == sum(len(keys) for keys, _ in runs)
+    return index
+
+
+def _live_index(stream: StreamingAnswerSet) -> dict:
+    """``{tasks[s] << 32 | workers[s]: s}`` over the snapshot's slots."""
+    snap = stream.snapshot()
+    return {key: slot for slot, key in
+            enumerate((snap.tasks << 32 | snap.workers).tolist())}
+
+
+def _runs_holding(stream: StreamingAnswerSet, records) -> set:
+    """Which index runs (``"main"``, ``"recent"``) hold a pair that
+    ``records`` repeat."""
+    tasks, workers = stream._task_index, stream._worker_index
+    keys = {tasks[task] << 32 | workers[worker]
+            for task, worker, _ in records
+            if task in tasks and worker in workers}
+    return {name for name, (run, _) in zip(("main", "recent"),
+                                           stream._pairs._runs)
+            if keys.intersection(run.tolist())}
+
+
+def _merge_batches(policy: str, n_batches: int, size: int = 320):
+    """Batches of ``size`` pairs new to the stream, over string ids.
+
+    Under ``"replace"`` each batch also repeats pairs sent long ago and
+    in the batch before, and one of its own.  Under ``"error"`` every
+    fifth batch instead repeats one earlier pair (long ago and just
+    now, in turn), and is rejected.
+    """
+    rng = np.random.default_rng(11)
+    pairs = [(f"t{p // 200}", f"w{p % 200}")
+             for p in rng.permutation(500 * 200).tolist()]
+    batches = []
+    for b in range(n_batches):
+        sent = b * size
+        records = pairs[sent:sent + size]
+        if sent:
+            old = [pairs[i] for i in rng.integers(0, sent // 2, 5)]
+            recent = [pairs[i] for i in rng.integers(sent - size, sent, 5)]
+            if policy == "replace":
+                records += old + recent + records[:3]
+            elif b % 5 == 4:
+                records.append((old if b % 10 == 4 else recent)[0])
+        batches.append([(task, worker, "abc"[int(rng.integers(3))])
+                        for task, worker in
+                        (records[i] for i in rng.permutation(len(records)))])
+    return batches
+
+
+class TestPairIndexAcrossMerges:
+    """The two-run pair index against the per-record reference, past
+    several merges of its recent run into its main run."""
+
+    @pytest.mark.parametrize("policy", ["replace", "error"])
+    def test_index_is_the_live_slots_after_every_batch(self, policy):
+        stream = StreamingAnswerSet(on_duplicate=policy, **MODES["fixed"])
+        log = _RecordingLog()
+        stream.attach_log(log)
+        ref = _Reference(on_duplicate=policy, **MODES["fixed"])
+        held, failed_merges = set(), 0
+        for batch in _merge_batches(policy, 80):
+            held |= _runs_holding(stream, batch)
+            before = (_state(stream), _index(stream))
+            main = len(stream._pairs._runs[0][0])
+            try:
+                outcomes = ref.add_answers(batch)
+            except InvalidAnswerSetError as expected:
+                with pytest.raises(InvalidAnswerSetError) as raised:
+                    stream.add_answers(batch)
+                assert str(raised.value) == str(expected)
+                assert (_state(stream), _index(stream)) == before
+            else:
+                # A failed commit first: the stream, its index and the
+                # retry's outcomes are as if the batch never came.
+                log.fail = True
+                with pytest.raises(OSError, match="disk full"):
+                    stream.add_answers(batch)
+                assert (_state(stream), _index(stream)) == before
+                log.fail = False
+                assert stream.add_answers(batch) == len(batch)
+                assert log.batches[-1]["outcomes"] == outcomes
+                failed_merges += len(stream._pairs._runs[0][0]) != main
+            assert _state(stream) == _reference_state(ref)
+            assert _index(stream) == _live_index(stream)
+        assert len(_live_index(stream)) >= 20_000
+        assert failed_merges >= 3
+        assert held == {"main", "recent"}
+
+    def test_duplicates_in_either_run_raise(self):
+        stream = StreamingAnswerSet(TaskType.DECISION_MAKING,
+                                    on_duplicate="error")
+        pairs = [(f"t{i // 64}", f"w{i % 64}") for i in range(5_000)]
+        for i in range(0, len(pairs), 250):
+            stream.add_answers([(task, worker, i % 2)
+                                for task, worker in pairs[i:i + 250]])
+        early, late = pairs[0], pairs[-1]
+        assert _runs_holding(stream, [(*early, 0)]) == {"main"}
+        assert _runs_holding(stream, [(*late, 0)]) == {"recent"}
+        before = (_state(stream), _index(stream))
+        for task, worker in (early, late):
+            message = (f"duplicate answer for task '{task}' by worker "
+                       f"'{worker}'")
+            with pytest.raises(InvalidAnswerSetError, match=message):
+                stream.add_answers([("t-new", "w-new", 1),
+                                    (task, worker, 1)])
+            # Before a record that fails to encode, the duplicate wins;
+            # after one, the encode fault does.
+            with pytest.raises(InvalidAnswerSetError, match=message):
+                stream.add_answers([("t-new", "w-new", 1),
+                                    (task, worker, 1), ("t", "w", 2)])
+            with pytest.raises(InvalidAnswerSetError, match="choice #3"):
+                stream.add_answers([("t-new", "w-new", 1), ("t", "w", 2),
+                                    (task, worker, 1)])
+            assert (_state(stream), _index(stream)) == before
+
+
+class TestPairIndexMemory:
+    def test_replace_stream_bytes_per_answer(self):
+        side = 256
+        records = [(f"t{t}", f"w{w}", (t + w) % 2)
+                   for t in range(side) for w in range(side)]
+        revisions = [(f"t{t}", f"w{t}", 1) for t in range(side)]
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stream = StreamingAnswerSet(TaskType.DECISION_MAKING,
+                                        on_duplicate="replace")
+            for i in range(0, len(records), 512):
+                stream.add_answers(records[i:i + 512])
+            stream.add_answers(revisions)
+            gc.collect()
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert stream.n_answers == side * side
+        assert stream.replacements == side
+        # Three int64 answer buffers and the 16-byte pair index: 40.3
+        # bytes per answer measured, against 128 with a dict of pairs.
+        assert traced / stream.n_answers < 64
+
+
 def _batches(numeric: bool):
     rng = np.random.default_rng(3)
     ids = [1, "1", True, 2.5, ("t", 1), "x"]
@@ -314,3 +471,23 @@ class TestStoreRoundTrip:
             expected = _state(engine.stream)
         with InferenceEngine.recover(path, replay_chunk=7) as recovered:
             assert _state(recovered.stream) == expected
+
+    @pytest.mark.parametrize("policy", ["replace", "error"])
+    def test_recover_crosses_a_merge(self, tmp_path, policy):
+        path = str(tmp_path / "store")
+        with InferenceEngine(
+                on_duplicate=policy, seed=0,
+                policy=ExecutionPolicy(store=StorePolicy(path=path)),
+                **MODES["fixed"]) as engine:
+            for batch in _merge_batches(policy, 18):
+                try:
+                    engine.add_answers(batch)
+                except InvalidAnswerSetError:
+                    assert policy == "error"
+            expected = (_state(engine.stream), _index(engine.stream))
+        assert len(expected[1]) > 4_096
+        with InferenceEngine.recover(path, replay_chunk=7) as recovered:
+            stream = recovered.stream
+            assert (_state(stream), _index(stream)) == expected
+            assert len(stream._pairs._runs[0][0])  # merged on replay
+            assert _index(stream) == _live_index(stream)
