@@ -303,7 +303,7 @@ def _open_stream_source(args):
 
 
 def _cmd_stream(args) -> int:
-    from .engine import InferenceEngine
+    from .engine.sources import TcpAnswerSource
 
     specs = [("--shards", args.shards, 1),
              ("--workers", args.workers, 1),
@@ -321,14 +321,27 @@ def _cmd_stream(args) -> int:
     if error:
         return _complain(error)
     try:
+        return _stream_from(source, args)
+    finally:
+        # Only a TCP source holds something the command opened: a CSV
+        # closes its file as it is read, and stdin is not ours to close.
+        if isinstance(source, TcpAnswerSource):
+            source.close()
+
+
+def _stream_from(source, args) -> int:
+    """Feed ``source`` to an engine chunk by chunk and print the final
+    truths (the body of ``stream``, once its source is open)."""
+    from .engine import InferenceEngine
+    from .exceptions import ReproError
+
+    try:
         schema = source.schema  # may pre-scan an undeclared CSV
     except ValueError as exc:
         return _complain(str(exc))
     error = _require_applicable(schema.task_type, args.method)
     if error:
         return _complain(error)
-    from .exceptions import ReproError
-
     policy = _execution_policy(args)
     try:
         engine = InferenceEngine(seed=args.seed, policy=policy,

@@ -9,7 +9,7 @@ coefficient CATD scales worker weights with (Section 4.2.4).
 from __future__ import annotations
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 
 def dirichlet_expected_log(alpha: np.ndarray) -> np.ndarray:
@@ -68,9 +68,17 @@ def chi_square_confidence(counts: np.ndarray, confidence: float = 0.975
     coefficient grows with the count, scaling up qualities of workers who
     answered many tasks (Section 4.2.4).  Workers with zero answers get
     coefficient 0 (their weight never matters — they answered nothing).
+
+    The quantile is ``2 * gammaincinv(df / 2, confidence)``: X^2 with
+    ``df`` degrees of freedom is Gamma(df / 2, scale=2).  It is the
+    expression ``scipy.stats.chi2.ppf`` evaluates, so the two are equal
+    bit for bit; calling ``scipy.special`` directly keeps ``scipy.stats``
+    (and the ``optimize``/``spatial``/``ndimage`` modules it loads) out
+    of every process that imports the engine.
     """
     counts = np.asarray(counts, dtype=np.float64)
     out = np.zeros_like(counts)
     positive = counts > 0
-    out[positive] = stats.chi2.ppf(confidence, df=counts[positive])
+    out[positive] = 2.0 * special.gammaincinv(counts[positive] / 2,
+                                              confidence)
     return out

@@ -56,13 +56,13 @@ from ..inference.sharded import (
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    expx = np.exp(x[~positive])
-    out[~positive] = expx / (1.0 + expx)
-    return out
+    """Numerically stable logistic function.
+
+    ``exp(-|x|)`` never overflows; each branch of the ``where`` is the
+    form that stays accurate on its side of zero.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class _GladSpec(ShardedEMSpec):

@@ -68,9 +68,12 @@ class TestSampling:
 
 class TestChiSquare:
     def test_matches_scipy(self):
-        counts = np.array([1, 10, 100])
-        expected = stats.chi2.ppf(0.975, df=counts)
-        np.testing.assert_allclose(chi_square_confidence(counts), expected)
+        """Equal to ``stats.chi2.ppf`` bit for bit, not just close."""
+        counts = np.concatenate([np.arange(1, 20_001), [0.5, 2.5, 1e6]])
+        for confidence in (0.025, 0.5, 0.95, 0.975, 0.999):
+            np.testing.assert_array_equal(
+                chi_square_confidence(counts, confidence),
+                stats.chi2.ppf(confidence, df=counts))
 
     def test_zero_count_gives_zero(self):
         out = chi_square_confidence(np.array([0, 5]))

@@ -32,6 +32,7 @@ from repro.core.registry import create
 from repro.core.shards import ShardedAnswerSet
 from repro.core.tasktypes import TaskType
 from repro.inference.sharded import SufficientStats
+from repro.methods.glad import _sigmoid
 
 
 def same_bits(a, b) -> bool:
@@ -187,3 +188,35 @@ def test_total_matches_the_pairwise_fold(seed, n_bundles, promote):
     for bundle, saved in zip(bundles, before):
         for name, value in bundle.fields.items():
             assert same_bits(value, saved[name]), name
+
+
+def sigmoid_masked(x):
+    """GLAD's logistic as two masked ``exp``s, the form ``_sigmoid``
+    replaced."""
+    out = np.empty_like(x, dtype=np.float64)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    expx = np.exp(x[~positive])
+    out[~positive] = expx / (1.0 + expx)
+    return out
+
+
+#: Zeros of both signs, infinities, the smallest subnormals, the edges
+#: of ``exp``'s range and NaN.
+SIGMOID_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                          -745.0, 746.0, -746.0, 1e308, -1e308, np.nan])
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=seeds, n=st.integers(0, 4000))
+@example(seed=0, n=0)
+def test_glad_sigmoid_matches_masked_form(seed, n):
+    """The branch-free logistic equals the masked one bit for bit; a NaN
+    input gives NaN either way (its sign bit may differ)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 4, size=n)
+    x = np.concatenate([x, SIGMOID_EDGES])
+    got, expected = _sigmoid(x), sigmoid_masked(x)
+    nan = np.isnan(x)
+    assert same_bits(got[~nan], expected[~nan])
+    assert np.isnan(got[nan]).all()

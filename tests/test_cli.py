@@ -388,7 +388,22 @@ class TestTcpSource:
         thread.start()
         return port, thread
 
-    def test_stream_from_tcp_socket(self, capsys):
+    def _record_dials(self, monkeypatch):
+        """The sockets the command dials, collected as they open."""
+        from repro.engine.sources import TcpAnswerSource
+
+        dialled = []
+        dial = TcpAnswerSource._dial
+
+        def recording_dial(source):
+            dialled.append(dial(source))
+            return dialled[-1]
+
+        monkeypatch.setattr(TcpAnswerSource, "_dial", recording_dial)
+        return dialled
+
+    def test_stream_from_tcp_socket(self, capsys, monkeypatch):
+        dialled = self._record_dials(monkeypatch)
         rows = [f"t{i % 7},w{j},{(i + j) % 2}"
                 for i in range(21) for j in range(3)]
         port, thread = self._serve(rows)
@@ -400,6 +415,21 @@ class TestTcpSource:
         out = capsys.readouterr().out
         assert "task,inferred_truth" in out
         assert "t0," in out
+        assert [sock.fileno() for sock in dialled] == [-1]
+
+    def test_rejected_tcp_stream_closes_its_socket(self, capsys,
+                                                   monkeypatch):
+        """A method the declared task type rejects is refused after the
+        dial; the command still closes the socket it dialled."""
+        dialled = self._record_dials(monkeypatch)
+        port, thread = self._serve(["t0,w0,1.5", "t0,w1,2.5"])
+        code = main(["stream", "--source", f"tcp:127.0.0.1:{port}",
+                     "--task-type", "numeric", "--method", "D&S"])
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert code == 1
+        assert "D&S" in capsys.readouterr().err
+        assert [sock.fileno() for sock in dialled] == [-1]
 
     def test_tcp_requires_task_type(self, capsys):
         code = main(["stream", "--source", "tcp:127.0.0.1:1",
